@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, ResultOverflow
 from .gammak import _tail_sums, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
@@ -41,7 +43,13 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
     la = log_gamma_k(spec.k, spec.x)
     lb = log_gamma_k(spec.k, spec.y)
     lc = log_gamma_k(spec.k, spec.x + spec.y)
-    v = math.exp(la + lb - lc)
+    log_v = la + lb - lc
+    try:
+        v = math.exp(log_v)
+    except OverflowError:
+        raise ResultOverflow(
+            f"B_k({spec.x}, {spec.y}) with k={spec.k} overflows a float "
+            f"(log value {log_v:.6g})") from None
     err = abs(v) * 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
     return EvalResult(v, err, "scaling", 0)
 
@@ -95,11 +103,9 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     s = x + y
-    log_v = math.log(s / (x * y))
-    for n in range(1, n_terms + 1):
-        nk = n * k
-        log_v += (math.log1p(s / nk) - math.log1p(x / nk)
-                  - math.log1p(y / nk))
+    nk = k * np.arange(1, n_terms + 1, dtype=np.float64)
+    terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
+    log_v = math.fsum([math.log(s / (x * y)), *terms.tolist()])
     s2, s3, s4, s5 = _tail_sums(n_terms)
     log_v += (-(x * y / k ** 2) * s2
               + (x * y * s / k ** 3) * s3

@@ -10,7 +10,8 @@ Subcommands:
              serializations
 
 Exit codes: 0 success, 1 verification failure, 2 domain error (the message
-names the violated precondition), 3 non-convergence.
+names the violated precondition) or a result beyond the float range (the
+message starts with "overflow:"), 3 non-convergence.
 
 Tolerances come from --rel-tol/--abs-tol when given, else from the
 KSPECIAL_PROFILE environment variable (strict|default|fast), else the
@@ -34,7 +35,7 @@ from itertools import product
 from .betak import BetaKSpec, beta_k
 from .errors import (CapExceeded, DivergentSeries, DomainError,
                      InvariantViolation, NonConvergent, OutsideRadius,
-                     PoleError)
+                     PoleError, ResultOverflow)
 from .forests import ForestFamily, count, enumerate_forests, serialize_forest
 from .gammak import GammaKEvaluator
 from .hypergeometric import (HypergeometricSpec, evaluate,
@@ -311,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, PoleError, OutsideRadius, DivergentSeries,
             InvariantViolation, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except ResultOverflow as exc:
+        print(f"overflow: {exc}", file=sys.stderr)
         return 2
     except NonConvergent as exc:
         print(f"failed to converge: {exc}", file=sys.stderr)

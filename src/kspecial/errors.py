@@ -46,6 +46,11 @@ class NonConvergent(ArithmeticError):
         self.last_delta = last_delta
 
 
+class ResultOverflow(OverflowError):
+    """The result exists but its magnitude exceeds the largest double
+    (e.g. Gamma_k(x) for x/k above ~171)."""
+
+
 class CapExceeded(RuntimeError):
     """Enumeration would produce more objects than the requested cap.
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, ResultOverflow
 from .loggamma import log_gamma_classic
 from .hurwitz import hurwitz_zeta
 from .pochhammer import PochhammerSpec, pochhammer_k_log
@@ -103,7 +105,13 @@ class GammaKEvaluator:
 
 
 def gamma_k_scaling(ev: GammaKEvaluator, x: float) -> EvalResult:
-    v = math.exp(log_gamma_k(ev.k, x))
+    log_v = log_gamma_k(ev.k, x)
+    try:
+        v = math.exp(log_v)
+    except OverflowError:
+        raise ResultOverflow(
+            f"Gamma_k({x}) with k={ev.k} overflows a float "
+            f"(log value {log_v:.6g})") from None
     return EvalResult(v, 5e-14 * abs(v) * max(1.0, abs(math.log(max(v, 1e-300)))),
                       "scaling", 0)
 
@@ -169,20 +177,24 @@ def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     _require_off_pole(k, x)
     q = x / k
+    r = q / np.arange(1, n_terms + 1, dtype=np.float64)
+    f = 1.0 + r
+    zero = np.flatnonzero(f == 0.0)
+    if zero.size:
+        n = int(zero[0]) + 1
+        raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
+                          nearest_pole=-n * k)
+    # log|1 + q/n| - q/n, through log1p(q/n) where 1 + q/n >= 0.5
+    low = f < 0.5
+    terms = np.empty(n_terms)
+    np.log1p(r, out=terms, where=~low)
+    np.log(np.abs(f), out=terms, where=low)
+    terms -= r
     sign = 1 if x > 0.0 else -1
-    log_recip = math.log(abs(x)) - q * math.log(k) + q * EULER_GAMMA
-    for n in range(1, n_terms + 1):
-        f = 1.0 + q / n
-        if f == 0.0:
-            raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
-                              nearest_pole=-n * k)
-        if f < 0.0:
-            sign = -sign
-            log_recip += math.log(-f) - q / n
-        elif f < 0.5:
-            log_recip += math.log(f) - q / n
-        else:
-            log_recip += math.log1p(q / n) - q / n
+    if np.count_nonzero(f < 0.0) % 2:
+        sign = -sign
+    log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
+                           *terms.tolist()])
     s2, s3, s4, s5 = _tail_sums(n_terms)
     # tail of sum [log(1+q/n) - q/n] = -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 + ...
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import DivergentSeries, DomainError, OutsideRadius
 from .gammak import log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline
-from .series import sum_series
+from .series import sum_series, sum_series_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +211,17 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
     recursively until the p = 0 series remains. Entire class only (p <= q),
     positive upper parameters, depth capped at 3 for cost.
+
+    Each nesting level is evaluated for a whole batch of arguments: one
+    batched quad_halfline call integrates F_(p-1) for every argument the
+    enclosing level asks for, and at each refinement level its integrand
+    evaluates the next level inward for all active rows times all nodes in
+    one array call, down to one sum_series_batch over every base-series
+    argument. Each row and each series keeps its own stop rule, so value,
+    err_estimate and work are those of integrating one node at a time.
+    quad_halfline hands the integrand blocks of at most quadrature._BLOCK
+    values, so the arrays of every depth stay within a fixed multiple of
+    _BLOCK elements.
     """
     if spec.p > spec.q:
         raise DomainError(
@@ -218,37 +231,61 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     if any(not (a_j > 0) for a_j in spec.a):
         raise DomainError("integral route needs every upper parameter > 0")
 
-    base = HypergeometricSpec((), (), spec.b, spec.s)
-    evals = [0]
-    outer_err = [0.0]
+    def base_den(n: int) -> float:
+        den = n + 1.0
+        for b_i, s_i in zip(spec.b, spec.s):
+            den *= b_i + n * s_i
+        return den
 
-    def level(a_rest: tuple, k_rest: tuple, arg: float) -> float:
-        if not a_rest:
-            r = evaluate(base, arg, profile)
-            evals[0] += r.terms_or_nodes_used
-            return r.value
-        a_p, k_p = float(a_rest[-1]), float(k_rest[-1])
+    evals = 0
 
-        def integrand(t: float) -> float:
-            lt = math.log(t)
-            e = k_p * lt
-            if e > 700.0:
-                return 0.0
-            decay = math.exp(e) / k_p
-            w = (a_p - 1.0) * lt - decay
-            # reserve half the decay budget to dominate the inner factor's
-            # sub-exponential growth before skipping the recursion
-            if t > 1.0 and w + 0.5 * decay < -745.0:
-                return 0.0
-            inner = level(a_rest[:-1], k_rest[:-1], arg * math.exp(e))
-            return math.exp(w) * inner if w > -745.0 else 0.0
+    def level(depth: int, args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F_(depth)(args), err_estimate) over the first depth upper
+        parameters, elementwise."""
+        nonlocal evals
+        if depth == 0:
+            value, terms = sum_series_batch(args, base_den, profile)
+            evals += int(terms.sum())
+            return value, np.zeros(args.size)
+        a_p, k_p = float(spec.a[depth - 1]), float(spec.k[depth - 1])
 
-        r = quad_halfline(integrand, profile)
-        evals[0] += r.terms_or_nodes_used
+        def integrand(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+            # the factors that depend on t alone, node by node through
+            # math.log/exp: numpy's may differ from them in the last bit
+            need, keep, scale, weight = [], [], [], []
+            for j, tj in enumerate(t.tolist()):
+                lt = math.log(tj)
+                e = k_p * lt
+                if e > 700.0:
+                    continue
+                tk = math.exp(e)
+                decay = tk / k_p
+                w = (a_p - 1.0) * lt - decay
+                # reserve half the decay budget to dominate the inner
+                # factor's sub-exponential growth before skipping the
+                # recursion
+                if tj > 1.0 and w + 0.5 * decay < -745.0:
+                    continue
+                if w > -745.0:
+                    keep.append(len(need))
+                    weight.append(math.exp(w))
+                need.append(j)
+                scale.append(tk)
+            out = np.zeros((rows.size, t.size))
+            if need:
+                inner_args = np.multiply.outer(args[rows], scale).ravel()
+                inner = level(depth - 1, inner_args)[0].reshape(rows.size, -1)
+                keep = np.array(keep, dtype=np.intp)
+                out[:, np.array(need)[keep]] = weight * inner[:, keep]
+            return out
+
+        r = quad_halfline(integrand, profile, batch=args.size)
+        evals += r.terms_or_nodes_used
         g = math.exp(log_gamma_k(k_p, a_p))
-        if len(a_rest) == spec.p:
-            outer_err[0] = r.err_estimate / g
-        return r.value / g
+        return r.value / g, r.err_estimate / g
 
-    v = level(spec.a, spec.k, x)
-    return EvalResult(v, outer_err[0], "integral", evals[0])
+    # an overflow that matters reaches quad_halfline as a non-finite integrand
+    # value and raises DomainError there; numpy's warnings would add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, err = level(spec.p, np.array([float(x)]))
+    return EvalResult(float(value[0]), float(err[0]), "integral", evals)

@@ -15,7 +15,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResultOverflow
 
 Number = float | int | Fraction
 
@@ -49,7 +49,7 @@ def pochhammer_k(spec: PochhammerSpec):
     for j in range(n):
         out = out * (x + j * k)
         if isinstance(out, float) and math.isinf(out):
-            raise OverflowError(
+            raise ResultOverflow(
                 f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "
                 "use pochhammer_k_log")
     if isinstance(out, Fraction) and out.denominator == 1:

@@ -6,12 +6,26 @@ alternating or polynomial series). err_estimate is the magnitude of the
 first omitted term, which is honest only when the terms eventually decrease;
 slowly converging series satisfy the rule long before the sum is accurate,
 which is the caller's problem to know about.
+
+sum_series sums one series through a scalar term callback. It stays scalar
+because its callers (point evaluations, the verify suites) sum one series
+per call, where numpy's per-call overhead would cost more than the loop.
+sum_series_batch applies the same rule, element by element, to a whole
+array of arguments of one power series whose coefficient ratio does not
+depend on the argument; the iterated-integral hypergeometric route needs
+that series at thousands of arguments per quadrature level.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import NonConvergent
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
+
+# Terms made per numpy step in sum_series_batch. A plain one-term-per-step
+# loop is simpler but took ~1.4x as long on the p=2 integral-route check.
+_TERM_BLOCK = 16
 
 
 def sum_series(term, profile: PrecisionProfile = DEFAULT) -> EvalResult:
@@ -34,3 +48,63 @@ def sum_series(term, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     raise NonConvergent(
         f"sum_series: stop rule unmet after {profile.max_terms} terms",
         last_value=total)
+
+
+def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum sum_n x^n / (den(0) ... den(n-1)) for every element of x.
+
+    Term n+1 is term n * x / den(n), the order of operations of the scalar
+    term recurrences, partial sums are accumulated in term order, and each
+    element stops under sum_series's rule, so every sum is bit for bit the
+    scalar one. x == 0 takes the one-term shortcut. Returns (sums, terms
+    used) arrays.
+
+    Terms are made _TERM_BLOCK at a time and the stop rule is found in the
+    block as a whole: the per-call cost of numpy, not the arithmetic, is
+    what a few hundred elements per step would otherwise pay for.
+    """
+    total = np.ones(x.size)
+    terms = np.ones(x.size, dtype=np.int64)
+    idx = np.flatnonzero(x != 0.0)
+    xa = x[idx]
+    term = np.ones(idx.size)
+    acc = np.zeros(idx.size)
+    run = np.zeros(idx.size, dtype=np.int64)  # small terms in a row, 0..2
+    n = 0
+    while idx.size:
+        if n == profile.max_terms:
+            raise NonConvergent(
+                f"sum_series: stop rule unmet after {profile.max_terms} terms",
+                last_value=float(acc[0]))
+        size = min(_TERM_BLOCK, profile.max_terms - n)
+        # row 0 the sum so far, rows 1..size terms n..n+size-1
+        block = np.empty((size + 1, idx.size))
+        block[0] = acc
+        block[1] = term
+        for j in range(1, size):
+            np.multiply(block[j], xa, out=block[j + 1])
+            block[j + 1] /= den(n + j - 1)
+        term = block[size] * xa / den(n + size - 1)
+        mag = np.abs(block[1:])
+        np.cumsum(block, axis=0, out=block)
+        sums = block[1:]
+        bound = np.abs(sums)
+        bound *= profile.rel_tol
+        bound += profile.abs_tol
+        # small[i + 2]: term n+i meets the rule; rows 0, 1 carry the run
+        small = np.empty((size + 2, idx.size), dtype=bool)
+        small[0] = run >= 2
+        small[1] = run >= 1
+        np.less_equal(mag, bound, out=small[2:])
+        third = small[2:] & small[1:-1] & small[:-2]
+        hit = third.any(axis=0)
+        done = np.flatnonzero(hit)
+        first = third[:, done].argmax(axis=0)
+        total[idx[done]] = sums[first, done]
+        terms[idx[done]] = n + first + 1
+        keep = ~hit
+        run = np.where(small[-1] & small[-2], 2, small[-1])[keep]
+        idx, xa, term, acc = idx[keep], xa[keep], term[keep], sums[-1][keep]
+        n += size
+    return total, terms

@@ -1,12 +1,15 @@
 """B_k: four-route agreement, classical collapse, symmetry, shift identity."""
 
 import math
+import sys
 
 import pytest
 
 from kspecial.betak import (BetaKSpec, beta_k, beta_k_integral_halfline,
                             beta_k_integral_unit, beta_k_product, beta_k_ratio)
-from kspecial.errors import DomainError
+from kspecial.errors import DomainError, ResultOverflow
+
+from oracles import beta_k_product_loop
 
 ROUTES = (beta_k_ratio, beta_k_integral_halfline, beta_k_integral_unit,
           beta_k_product)
@@ -122,3 +125,18 @@ class TestDispatchAndDomain:
     def test_product_needs_enough_terms(self):
         with pytest.raises(DomainError):
             beta_k_product(BetaKSpec(1.0, 1.0, 1.0), n_terms=5)
+
+    def test_ratio_overflow_is_typed(self):
+        with pytest.raises(ResultOverflow):
+            beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))
+
+    def test_product_matches_loop_reference(self):
+        # summation order changed, so allow the loop's own rounding:
+        # one unit of float eps per factor on the log of the result
+        for k in (0.5, 1.0, 2.0):
+            for x in (0.5, 1.0, 2.5):
+                for y in (0.5, 2.5, 9.0):
+                    want = beta_k_product_loop(k, x, y, 10_000)
+                    tol = 10_000 * sys.float_info.epsilon * max(1.0, abs(math.log(want)))
+                    got = beta_k_product(BetaKSpec(k, x, y)).value
+                    assert got == pytest.approx(want, rel=tol)

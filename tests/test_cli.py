@@ -218,6 +218,17 @@ class TestExitCodes:
             ["eval", "hyper", "--a", "1", "--ka", "1", "--x", "1.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "gamma-k", "--k", "1", "--x", "200"],
+        ["eval", "pochhammer", "--x", "1.5", "--n", "400", "--k", "2"],
+        ["eval", "beta-k", "--k", "1", "--x", "1e-320", "--y", "1"],
+    ])
+    def test_overflow_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("overflow:") and "Traceback" not in err
+
     def test_bad_pochhammer_n(self, capsys):
         code, _, err = run_cli(
             ["eval", "pochhammer", "--x", "1", "--n", "2.5", "--k", "1"],

@@ -6,17 +6,19 @@ evaluation of the closed scaling form; closed = exact closed form.
 """
 
 import math
+import sys
 
 import pytest
 
-from kspecial.errors import DomainError
+from kspecial import gammak
+from kspecial.errors import DomainError, ResultOverflow
 from kspecial.gammak import (GammaKEvaluator, PsiPoint, gamma_k_dk,
                              gamma_k_stirling, log_gamma_k, nearest_pole,
                              pde_residual, pde_residual_variant, psi_point)
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.quadrature import quad_halfline
 
-from oracles import central_diff
+from oracles import central_diff, gamma_k_product_loop
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -126,6 +128,16 @@ class TestNegativeArguments:
         assert ev.product(-1.5, 2_000).value > 0.0
         assert ev.product(-2.5, 2_000).value < 0.0
 
+    def test_product_matches_loop_reference(self):
+        # summation order changed, so allow the loop's own rounding:
+        # one unit of float eps per factor on the log of the result
+        for k in GRID_K:
+            ev = GammaKEvaluator(k)
+            for x in (*GRID_X, -0.45 * k, -1.3 * k, -7.7 * k, -25.3 * k):
+                want = gamma_k_product_loop(k, x, 10_000)
+                tol = 10_000 * sys.float_info.epsilon * max(1.0, abs(math.log(abs(want))))
+                assert ev.product(x, 10_000).value == pytest.approx(want, rel=tol)
+
 
 class TestPoles:
     @pytest.mark.parametrize("k,x", [(1.0, 0.0), (1.0, -1.0), (2.0, -4.0), (0.5, -1.5)])
@@ -137,6 +149,13 @@ class TestPoles:
         with pytest.raises(DomainError):
             ev.product(x, 1000)
 
+    def test_vanishing_product_factor_names_pole(self, monkeypatch):
+        # the lattice test catches this first; the factor check backs it up
+        monkeypatch.setattr(gammak, "_require_off_pole", lambda k, x: None)
+        with pytest.raises(DomainError) as exc:
+            GammaKEvaluator(2.0).product(-6.0, 1000)
+        assert exc.value.nearest_pole == -6.0
+
     def test_near_pole_is_fine(self):
         assert math.isfinite(GammaKEvaluator(1.0).product(-0.9999, 1000).value)
 
@@ -145,6 +164,11 @@ class TestPoles:
         assert nearest_pole(2.0, -3.0) is None
         assert nearest_pole(2.0, 5.0) is None
         assert nearest_pole(0.5, 0.0) == 0.0
+
+    def test_scaling_overflow_is_typed(self):
+        with pytest.raises(ResultOverflow):
+            GammaKEvaluator(1.0).scaling(200.0)
+        assert issubclass(ResultOverflow, OverflowError)
 
     def test_scaling_domain(self):
         with pytest.raises(DomainError):

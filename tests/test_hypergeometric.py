@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kspecial import quadrature
 from kspecial.errors import DivergentSeries, DomainError, OutsideRadius
 from kspecial.hypergeometric import (ConvergenceClass, HypergeometricSpec,
                                      classify, coefficient, evaluate,
@@ -211,6 +212,30 @@ class TestIntegralRepresentation:
         got = integral_representation_check(spec, 0.8)
         want = evaluate(spec, 0.8)
         assert got.value == pytest.approx(want.value, rel=1e-7)
+
+    # the verify suite's specs: (a, k, b, s, x, nodes and terms used)
+    VERIFY_SPECS = [((1.0,), (1.0,), (2.0,), (1.0,), 0.5, 2980),
+                    ((2.0,), (2.0,), (3.0,), (2.0,), 1.0, 2735),
+                    ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0), 0.8, 643_009)]
+
+    @pytest.mark.parametrize("a,k,b,s,x,work", VERIFY_SPECS)
+    def test_work_and_plain_float_fields(self, a, k, b, s, x, work):
+        r = integral_representation_check(HypergeometricSpec(a, k, b, s), x)
+        assert r.terms_or_nodes_used == work
+        assert type(r.value) is float and type(r.err_estimate) is float
+        assert type(r.terms_or_nodes_used) is int
+
+    def test_p2_value_pinned(self):
+        # the value of integrating one outer node at a time
+        r = integral_representation_check(
+            HypergeometricSpec((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0)), 0.8)
+        assert r.value == pytest.approx(1.3840816148850137, rel=1e-15)
+
+    def test_small_blocks_match_unblocked(self, monkeypatch):
+        spec = HypergeometricSpec((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0))
+        whole = integral_representation_check(spec, 0.8)
+        monkeypatch.setattr(quadrature, "_BLOCK", 300)
+        assert integral_representation_check(spec, 0.8) == whole
 
     def test_preconditions(self):
         with pytest.raises(DomainError):  # p > q

@@ -6,6 +6,7 @@ Frozen constants: "trapezoid" = brute-force trapezoid oracle in oracles.py,
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,9 @@ from kspecial.errors import DomainError, NonConvergent, PoleError
 from kspecial.hurwitz import hurwitz_zeta
 from kspecial.loggamma import gamma_classic, log_gamma_classic
 from kspecial.profiles import DEFAULT, FAST, STRICT, EULER_GAMMA, EvalResult, PrecisionProfile
+from kspecial import quadrature, series
 from kspecial.quadrature import quad_halfline, quad_unit
-from kspecial.series import sum_series
+from kspecial.series import sum_series, sum_series_batch
 
 from oracles import direct_zeta2, trapezoid
 
@@ -90,6 +92,100 @@ class TestQuadUnit:
         r = quad_unit(probe)
         assert abs(r.value - 1.0) < 1e-12
         assert any(omt < 1e-30 for _, omt in seen)  # genuinely tiny, not 1-t rounding to 0
+
+
+def _power_exp(a):
+    """t^(a-1) e^(-t), integrating to Gamma(a)."""
+    def f(t):
+        w = (a - 1.0) * math.log(t) - t
+        return math.exp(w) if w > -745.0 else 0.0
+    return f
+
+
+def _batch_of(fs, seen=None):
+    """Batched integrand for the scalar integrands fs, one per row; appends
+    the number of values each call asks for to seen."""
+    def f(rows, *cols):
+        if seen is not None:
+            seen.append(rows.size * cols[0].size)
+        nodes = list(zip(*(c.tolist() for c in cols)))
+        return [[fs[r](*node) for node in nodes] for r in rows.tolist()]
+    return f
+
+
+def _level_loop(kind, f):
+    """The scalar level loop the batched one replaced, node by node in
+    node order, at the default profile: (value, err_estimate, nodes used)."""
+    nodes = {"halfline": quadrature._halfline_nodes,
+             "unit": quadrature._unit_nodes}[kind]
+    evals = 0
+    for level in range(DEFAULT.max_quad_refinements + 1):
+        add = 0.0
+        for *node, w in nodes(level):
+            add += f(*node) * w
+        evals += len(nodes(level))
+        if level == 0:
+            prev = add * 0.5
+            continue
+        cur = prev / 2.0 + add * (0.5 / (1 << level))
+        delta = abs(cur - prev)
+        if level >= 2 and delta <= DEFAULT.rel_tol * abs(cur) + DEFAULT.abs_tol:
+            return cur, delta, evals
+        prev = cur
+    raise AssertionError("reference loop did not converge")
+
+
+class TestQuadBatch:
+    HALFLINE = [_power_exp(a) for a in (0.3, 1.0, 2.5, 7.0, 30.0)] + [
+        lambda t: math.exp(-0.5 * t * t),
+        lambda t: math.exp(-t) / (1.0 + t),
+    ]
+    UNIT = [lambda t, omt: t * t,
+            lambda t, omt: t ** (-0.75) * omt ** (-0.5),
+            lambda t, omt: math.exp(-3.0 * t) * omt ** 0.5,
+            lambda t, omt: 1.0]
+
+    @pytest.mark.parametrize("kind,fs,quad", [("halfline", HALFLINE, quad_halfline),
+                                              ("unit", UNIT, quad_unit)])
+    def test_rows_match_separate_scalar_calls(self, kind, fs, quad):
+        r = quadrature._refine(kind, _batch_of(fs), len(fs), DEFAULT)
+        alone = [quad(f) for f in fs]
+        assert r.value.tolist() == [a.value for a in alone]
+        assert r.err_estimate.tolist() == [a.err_estimate for a in alone]
+        assert r.nodes_used.tolist() == [a.terms_or_nodes_used for a in alone]
+        assert r.terms_or_nodes_used == sum(a.terms_or_nodes_used for a in alone)
+        # the rows stop at different levels, so each kept its own rule
+        assert len(set(r.nodes_used.tolist())) > 1
+        assert [(a.value, a.err_estimate, a.terms_or_nodes_used) for a in alone] \
+            == [_level_loop(kind, f) for f in fs]
+
+    @pytest.mark.parametrize("block", [7, 50])
+    def test_small_blocks_change_nothing(self, block, monkeypatch):
+        whole = quad_halfline(_batch_of(self.HALFLINE), batch=len(self.HALFLINE))
+        alone = [quad_halfline(f) for f in self.HALFLINE]
+        assert whole.value.tolist() == [a.value for a in alone]
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        seen = []
+        blocked = quad_halfline(_batch_of(self.HALFLINE, seen),
+                                batch=len(self.HALFLINE))
+        for a, b in zip(whole, blocked):
+            assert a.tolist() == b.tolist()
+        # a level has more nodes than the block, so the nodes were split too
+        assert max(seen) <= block
+        assert [quad_halfline(f) for f in self.HALFLINE] == alone
+
+    def test_nonfinite_row_rejected(self):
+        fs = [lambda t: math.exp(-t), lambda t: math.exp(-2.0 * t),
+              lambda t: float("inf")]
+        with pytest.raises(DomainError):
+            quad_halfline(_batch_of(fs), batch=3)
+
+    def test_row_at_cap_is_nonconvergent(self):
+        prof = PrecisionProfile(rel_tol=1e-15, abs_tol=1e-300, max_quad_refinements=2)
+        fs = [lambda t: 0.0,
+              lambda t: math.exp(-t) * math.sin(50.0 * t) ** 2]
+        with pytest.raises(NonConvergent):
+            quad_halfline(_batch_of(fs), prof, batch=2)
 
 
 class TestLogGamma:
@@ -201,6 +297,42 @@ class TestSumSeries:
             return 0.5 ** n
         r = sum_series(term)
         assert abs(r.value - (2.0 - 0.125)) < 1e-9
+
+
+class TestSumSeriesBatch:
+    B, S = (2.0, 3.0), (1.0, 2.0)
+    X = [0.0, 0.3, -0.3, 1e-12, 4.0, -40.0, 900.0, -2.5e4, 3e5]
+
+    def den(self, n):
+        d = n + 1.0
+        for b_i, s_i in zip(self.B, self.S):
+            d *= b_i + n * s_i
+        return d
+
+    def scalar(self, x):
+        """The same series through sum_series, one argument at a time."""
+        if x == 0.0:
+            return 1.0, 1
+        state = [1.0]
+
+        def term(n):
+            v = state[0]
+            state[0] = v * x / self.den(n)
+            return v
+        r = sum_series(term)
+        return r.value, r.terms_or_nodes_used
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    def test_each_element_matches_sum_series(self, block, monkeypatch):
+        monkeypatch.setattr(series, "_TERM_BLOCK", block)
+        value, terms = sum_series_batch(np.array(self.X), self.den)
+        assert list(zip(value.tolist(), terms.tolist())) == [
+            self.scalar(x) for x in self.X]
+
+    def test_nonconvergent_at_cap(self):
+        prof = PrecisionProfile(max_terms=20)
+        with pytest.raises(NonConvergent):
+            sum_series_batch(np.array([0.1, 3e5]), self.den, prof)
 
 
 class TestProfilesAndResults:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspecial.errors import DomainError
+from kspecial.errors import DomainError, ResultOverflow
 from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
                                  pochhammer_via_symmetric)
@@ -47,6 +47,10 @@ class TestDirectProduct:
     def test_overflow_signaled(self):
         with pytest.raises(OverflowError):
             pochhammer_k(PochhammerSpec(10.0, 400, 10.0))
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(ResultOverflow):
+            pochhammer_k(PochhammerSpec(1.5, 400, 2.0))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResultOverflow
-from .gammak import _tail_sums, log_gamma_k
+from .errors import DomainError, exp_or_overflow
+from .gammak import log_gamma_k
+from .hurwitz import power_tail_sums
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
 
@@ -43,13 +44,7 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
     la = log_gamma_k(spec.k, spec.x)
     lb = log_gamma_k(spec.k, spec.y)
     lc = log_gamma_k(spec.k, spec.x + spec.y)
-    log_v = la + lb - lc
-    try:
-        v = math.exp(log_v)
-    except OverflowError:
-        raise ResultOverflow(
-            f"B_k({spec.x}, {spec.y}) with k={spec.k} overflows a float "
-            f"(log value {log_v:.6g})") from None
+    v = exp_or_overflow(la + lb - lc, "B_k", spec.k, spec.x, spec.y)
     err = abs(v) * 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
     return EvalResult(v, err, "scaling", 0)
 
@@ -106,11 +101,11 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     nk = k * np.arange(1, n_terms + 1, dtype=np.float64)
     terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
     log_v = math.fsum([math.log(s / (x * y)), *terms.tolist()])
-    s2, s3, s4, s5 = _tail_sums(n_terms)
+    s2, s3, s4, s5 = power_tail_sums(n_terms)
     log_v += (-(x * y / k ** 2) * s2
               + (x * y * s / k ** 3) * s3
               + ((x ** 4 + y ** 4 - s ** 4) / (4.0 * k ** 4)) * s4)
-    v = math.exp(log_v)
+    v = exp_or_overflow(log_v, "B_k", k, x, y)
     c5 = abs(s ** 5 - x ** 5 - y ** 5) / (5.0 * k ** 5)
     return EvalResult(v, abs(v) * (c5 * s5 + 1e-13), "product", n_terms)
 

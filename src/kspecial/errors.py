@@ -7,6 +7,8 @@ enumeration caps) catch the specific type.
 
 from __future__ import annotations
 
+import math
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of the operation.
@@ -49,6 +51,21 @@ class NonConvergent(ArithmeticError):
 class ResultOverflow(OverflowError):
     """The result exists but its magnitude exceeds the largest double
     (e.g. Gamma_k(x) for x/k above ~171)."""
+
+
+def exp_or_overflow(log_v: float, name: str, k: float, *args: float) -> float:
+    """exp(log_v), the value of name(*args) at k; ResultOverflow naming them
+    when it exceeds the largest double (math.exp raises for a finite log_v
+    and returns inf for inf). The message is built only on failure."""
+    try:
+        v = math.exp(log_v)
+    except OverflowError:
+        v = math.inf
+    if v == math.inf:
+        raise ResultOverflow(
+            f"{name}({', '.join(map(str, args))}) with k={k} overflows a "
+            f"float (log value {log_v:.6g})")
+    return v
 
 
 class CapExceeded(RuntimeError):

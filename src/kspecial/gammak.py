@@ -18,18 +18,21 @@ residual check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResultOverflow
+from .errors import DomainError, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
-from .hurwitz import hurwitz_zeta
-from .pochhammer import PochhammerSpec, pochhammer_k_log
+from .hurwitz import hurwitz_zeta, power_tail_sums
+from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
 from .profiles import DEFAULT, EULER_GAMMA, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
 # partial-sum length before the Euler-Maclaurin tail takes over in the
 # psi_x / psi_k series
@@ -105,23 +108,35 @@ class GammaKEvaluator:
 
 
 def gamma_k_scaling(ev: GammaKEvaluator, x: float) -> EvalResult:
-    log_v = log_gamma_k(ev.k, x)
-    try:
-        v = math.exp(log_v)
-    except OverflowError:
-        raise ResultOverflow(
-            f"Gamma_k({x}) with k={ev.k} overflows a float "
-            f"(log value {log_v:.6g})") from None
+    v = exp_or_overflow(log_gamma_k(ev.k, x), "Gamma_k", ev.k, x)
     return EvalResult(v, 5e-14 * abs(v) * max(1.0, abs(math.log(max(v, 1e-300)))),
                       "scaling", 0)
 
 
 def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
-    """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0."""
+    """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
+
+    ResultOverflow when the value exceeds the largest double. With t = e^u
+    the integral is int exp(g(u)) du, g(u) = x u - e^(ku)/k, concave with
+    maximum g* = (x/k)(log x - 1) at e^(ku) = x. On |u - u*| <= d,
+    d = 1/sqrt(kx), g >= g* - e^(kd)/2, so for x >= k (kd <= 1)
+        log Gamma_k(x) >= g* + log(2d) - e^(kd)/2,
+    and the route raises when that bound exceeds log(DBL_MAX). Below it, an
+    integrand or level sum that still overflows is the DomainError of
+    quad_halfline: the value may be finite, but this route cannot reach it.
+    """
     k = ev.k
     if not (x > 0.0):
         raise DomainError(f"integral route requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x))
+    if x >= k:
+        d = 1.0 / (math.sqrt(k) * math.sqrt(x))
+        lower = ((x / k) * (math.log(x) - 1.0) + math.log(2.0 * d)
+                 - 0.5 * math.exp(k * d))
+        if lower > _LOG_MAX:
+            raise ResultOverflow(
+                f"Gamma_k({x}) with k={k} overflows a float "
+                f"(log value >= {lower:.6g})")
 
     def integrand(t: float) -> float:
         lt = math.log(t)
@@ -138,32 +153,37 @@ def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
 def gamma_k_limit(ev: GammaKEvaluator, x: float, n: int) -> EvalResult:
     """n! k^n (nk)^(x/k - 1) / (x)_{n,k} at finite n; converges O(1/n).
 
-    err_estimate is |iterate(n) - iterate(n//2)|, an observed-rate proxy.
+    err_estimate is |iterate(n) - iterate(h)| with h = max(1, n//2), an
+    observed-rate proxy for the truncation error, plus the rounding of the
+    log-space combination: eps * |iterate(n)| times the sum of |log term|,
+    each log-Pochhammer part weighted by pochhammer.log_sum_rounding. The
+    log terms are ~log(n!) in size and cancel to log|value|, so their
+    rounding is what is left at x = k, where every iterate is exactly 1.
+
+    Each factor is read once: (x)_{n,k} = (x)_{h,k} (x+hk)_{n-h,k}, and the
+    first part alone gives iterate(h).
     """
     k = ev.k
     if n < 1:
         raise DomainError(f"limit route needs n >= 1, got {n}")
     _require_off_pole(k, x)
+    h = max(1, n // 2)
+    head, head_sign = pochhammer_k_log(PochhammerSpec(x, h, k))
+    rest, rest_sign = pochhammer_k_log(PochhammerSpec(x + h * k, n - h, k))
 
-    def iterate(m: int) -> float:
-        log_poch, sign = pochhammer_k_log(PochhammerSpec(x, m, k))
-        log_it = (log_gamma_classic(m + 1.0) + m * math.log(k)
-                  + (x / k - 1.0) * math.log(m * k) - log_poch)
-        return sign * math.exp(log_it)
+    def log_terms(m: int) -> list[float]:
+        """log of n! k^n (nk)^(x/k - 1) at n = m, term by term."""
+        return [log_gamma_classic(m + 1.0), m * math.log(k),
+                (x / k - 1.0) * math.log(m * k)]
 
-    v = iterate(n)
-    prev = iterate(max(1, n // 2))
-    return EvalResult(v, abs(v - prev), "limit", n)
-
-
-def _tail_sums(n_terms: int) -> tuple[float, float, float, float]:
-    """Euler-Maclaurin closed forms for S_m = sum_{n>N} n^-m, m = 2..5."""
-    N = float(n_terms)
-    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
-    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
-    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
-    s5 = 1.0 / (4.0 * N ** 4) - 1.0 / (2.0 * N ** 5)
-    return s2, s3, s4, s5
+    terms = log_terms(n)
+    v = head_sign * rest_sign * exp_or_overflow(
+        math.fsum([*terms, -head, -rest]), "Gamma_k", k, x)
+    scale = math.fsum([*map(abs, terms), log_sum_rounding(h) * abs(head),
+                       log_sum_rounding(n - h) * abs(rest)])
+    prev = head_sign * exp_or_overflow(math.fsum([*log_terms(h), -head]),
+                                       "Gamma_k", k, x)
+    return EvalResult(v, abs(v - prev) + _EPS * scale * abs(v), "limit", n)
 
 
 def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
@@ -195,10 +215,10 @@ def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
         sign = -sign
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
                            *terms.tolist()])
-    s2, s3, s4, s5 = _tail_sums(n_terms)
+    s2, s3, s4, s5 = power_tail_sums(n_terms)
     # tail of sum [log(1+q/n) - q/n] = -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 + ...
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
-    v = sign * math.exp(-log_recip)
+    v = sign * exp_or_overflow(-log_recip, "Gamma_k", k, x)
     err = abs(v) * (abs(q) ** 5 / 5.0 * s5 + 1e-12)
     return EvalResult(v, err, "product", n_terms)
 
@@ -216,7 +236,13 @@ def gamma_k_stirling(k: float, x: float) -> float:
 def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """d/dk Gamma_k(x+1) =
         (1/k^2) Gamma_k(x+k+1) - (1/k) int_0^inf t^(x+k) log(t) e^(-t^k/k) dt,
-    for x > -1 (so the integral converges at 0)."""
+    for x > -1 (so the integral converges at 0).
+
+    ResultOverflow when the leading term overflows a float. For large
+    (x+1)/k the value is about (log(x+1) - 1) times that term, so it
+    overflows too once x + 1 > e^2. An integrand that overflows below that
+    is the DomainError of quad_halfline.
+    """
     if not (k > 0.0):
         raise DomainError(f"k must be > 0, got {k}")
     if not (x > -1.0):
@@ -230,8 +256,9 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
         w = (x + k) * lt - math.exp(e) / k
         return lt * math.exp(w) if w > -745.0 else 0.0
 
+    lead = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k,
+                           x + k + 1.0) / (k * k)
     quad = quad_halfline(integrand, profile)
-    lead = math.exp(log_gamma_k(k, x + k + 1.0)) / (k * k)
     v = lead - quad.value / k
     err = quad.err_estimate / k + 5e-14 * abs(lead)
     return EvalResult(v, err, "integral", quad.terms_or_nodes_used)

@@ -32,11 +32,23 @@ _B12 = -691.0 / 2730.0
 _FACT12 = 479001600.0
 
 
-def _rising(s: float, m: int) -> float:
+def rising(s: float, m: int) -> float:
+    """Rising factorial (s)_m = s (s+1) ... (s+m-1) in floats."""
     out = 1.0
     for i in range(m):
         out *= s + i
     return out
+
+
+def power_tail_sums(n_terms: int) -> tuple[float, float, float, float]:
+    """S_m = sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5 in Euler-Maclaurin
+    closed form; the tails of the truncated Gamma_k and B_k products."""
+    N = float(n_terms)
+    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
+    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
+    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
+    s5 = 1.0 / (4.0 * N ** 4) - 1.0 / (2.0 * N ** 5)
+    return s2, s3, s4, s5
 
 
 def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:
@@ -51,8 +63,8 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
     big_a = a + _M
     tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
     for j, (b2j, fact) in enumerate(_BERNOULLI, start=1):
-        tail += b2j / fact * _rising(s, 2 * j - 1) * big_a ** (-s - 2 * j + 1)
-    err = abs(_B12 / _FACT12 * _rising(s, 11) * big_a ** (-s - 11))
+        tail += b2j / fact * rising(s, 2 * j - 1) * big_a ** (-s - 2 * j + 1)
+    err = abs(_B12 / _FACT12 * rising(s, 11) * big_a ** (-s - 11))
     value = head + tail
     err = max(err, 2e-16 * abs(value))
     return EvalResult(value, err, "euler_maclaurin", _M + len(_BERNOULLI))

@@ -31,7 +31,9 @@ batch) can take at any depth.
 The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
 still be written so that *their* values stay finite wherever the weight has
-not underflowed to zero; non-finite integrand values raise DomainError.
+not underflowed to zero: a non-finite integrand value, an OverflowError from
+the integrand, or an integrand times weight that overflows raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -133,16 +135,26 @@ def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray,
     """acc plus each row's sum of f * w over the nodes cols, added in node
     order (a pairwise sum would round differently), so a row's sum depends
     neither on the batch it is in nor on how its nodes are split."""
-    fv = np.asarray(f(rows, *cols), dtype=np.float64)
-    # count_nonzero: cheaper than all() on a scalar integrand's small array
-    if np.count_nonzero(np.isfinite(fv)) != fv.size:
-        i, j = np.argwhere(~np.isfinite(fv))[0]
-        raise DomainError(f"integrand returned non-finite value "
-                          f"{fv[i, j]} at t={cols[0][j]}")
+    try:
+        fv = np.asarray(f(rows, *cols), dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"integrand overflows a float on nodes "
+                          f"t in [{cols[0].min()}, {cols[0].max()}]") from None
     fw = fv * w
     if acc is not None:
         fw[:, 0] += acc
-    return fw.cumsum(axis=1)[:, -1]
+    sums = fw.cumsum(axis=1)[:, -1]
+    # a non-finite value or an overflowing product makes its row's sum
+    # non-finite; count_nonzero is cheaper than all() on a small array
+    if np.count_nonzero(np.isfinite(sums)) != sums.size:
+        bad = np.argwhere(~np.isfinite(fv))
+        if bad.size:
+            i, j = bad[0]
+            raise DomainError(f"integrand returned non-finite value "
+                              f"{fv[i, j]} at t={cols[0][j]}")
+        raise DomainError("integrand times quadrature weight overflows a "
+                          "float")
+    return sums
 
 
 def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
@@ -208,7 +220,8 @@ def _one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
         values = map(f, *(c.tolist() for c in cols))
         return np.fromiter(values, np.float64, cols[0].size).reshape(1, -1)
 
-    value, err, used = _refine(kind, rows_f, 1, profile)
+    with np.errstate(over="ignore"):    # reported by _block_sums
+        value, err, used = _refine(kind, rows_f, 1, profile)
     return EvalResult(float(value[0]), float(err[0]), "integral", int(used[0]))
 
 
@@ -230,7 +243,8 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
     """
     if batch is None:
         return _one("halfline", f, profile)
-    return _refine("halfline", f, batch, profile)
+    with np.errstate(over="ignore"):    # reported by _block_sums
+        return _refine("halfline", f, batch, profile)
 
 
 def quad_unit(f, profile: PrecisionProfile = DEFAULT) -> EvalResult:

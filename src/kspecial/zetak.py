@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .gammak import psi_point
-from .hurwitz import hurwitz_zeta
+from .hurwitz import hurwitz_zeta, rising
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 # finite-difference steps for the s = 0 composite; the x-step is the
@@ -89,13 +89,6 @@ def zeta_k_ds_at_zero(k: float, x: float,
     return EvalResult(comp, err, "euler_maclaurin", 6)
 
 
-def _rising(s: float, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= s + i
-    return out
-
-
 def _weighted_sum(spec: ZetaKSpec, m: int,
                   profile: PrecisionProfile) -> tuple[float, float, int]:
     """W = sum_{n>=0} n^m (x + nk)^(-s-m), reduced exactly to Hurwitz calls
@@ -126,7 +119,7 @@ def zeta_k_dk(spec: ZetaKSpec, m: int,
     if not (spec.s > 1.0):
         raise DomainError(f"term-wise k-derivative needs s > 1, got {spec.s}")
     w, werr, terms = _weighted_sum(spec, m, profile)
-    pref = (-1.0) ** m * _rising(spec.s, m)
+    pref = (-1.0) ** m * rising(spec.s, m)
     return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)
 
 
@@ -141,5 +134,5 @@ def zeta_k_dk_printed_variant(spec: ZetaKSpec, m: int,
     if not (spec.s > 1.0):
         raise DomainError(f"variant form needs s > 1, got {spec.s}")
     w, werr, terms = _weighted_sum(spec, m, profile)
-    pref = -spec.x * _rising(spec.s, m)
+    pref = -spec.x * rising(spec.s, m)
     return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)

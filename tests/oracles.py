@@ -77,3 +77,15 @@ def beta_k_product_loop(k: float, x: float, y: float, n_terms: int) -> float:
     log_v += (-(x * y / k ** 2) * s2 + (x * y * s / k ** 3) * s3
               + ((x ** 4 + y ** 4 - s ** 4) / (4.0 * k ** 4)) * s4)
     return math.exp(log_v)
+
+
+def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
+    """(log|(x)_{n,k}|, sign) by the full-array formula: every factor in one
+    numpy array, zero and negative factors counted over the whole array,
+    one pairwise sum of the logs."""
+    import numpy as np
+    factors = x + k * np.arange(n, dtype=np.float64)
+    if np.any(factors == 0.0):
+        return -math.inf, 0
+    sign = -1 if int(np.count_nonzero(factors < 0.0)) % 2 else 1
+    return float(np.log(np.abs(factors)).sum()), sign

@@ -126,6 +126,17 @@ class TestDispatchAndDomain:
         with pytest.raises(DomainError):
             beta_k_product(BetaKSpec(1.0, 1.0, 1.0), n_terms=5)
 
+    def test_unit_integrand_overflow_is_domain_error(self):
+        # t^(x/k - 1) overflows at the inner tanh-sinh nodes, as the
+        # route's docstring says
+        with pytest.raises(DomainError):
+            beta_k_integral_unit(BetaKSpec(1.0, 1e-3, 1.0))
+
+    def test_product_overflow_is_typed(self):
+        # B_1(x, y) ~ 1/x for tiny x: (x+y)/(xy) is already inf
+        with pytest.raises(ResultOverflow):
+            beta_k_product(BetaKSpec(1.0, 1e-310, 1e10))
+
     def test_ratio_overflow_is_typed(self):
         with pytest.raises(ResultOverflow):
             beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))

@@ -229,6 +229,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("overflow:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,prefix", [
+        (["eval", "gamma-k", "--k", "1", "--x", "200", "--method",
+          "integral"], "overflow:"),
+        (["eval", "gamma-k", "--k", "1", "--x", "171.5", "--method",
+          "integral"], "domain error:"),
+        (["eval", "beta-k", "--k", "1", "--x", "1e-3", "--y", "1",
+          "--method", "unit"], "domain error:"),
+        (["eval", "beta-k", "--k", "1", "--x", "1e-310", "--y", "1e10",
+          "--method", "product"], "overflow:"),
+        (["eval", "gamma-k", "--k", "1", "--x", "200", "--method", "limit"],
+         "overflow:"),
+        (["eval", "gamma-k", "--k", "1", "--x", "200", "--method",
+          "product"], "overflow:"),
+    ])
+    def test_integrand_overflow_exit_2(self, argv, prefix, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(prefix)
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_bad_pochhammer_n(self, capsys):
         code, _, err = run_cli(
             ["eval", "pochhammer", "--x", "1", "--n", "2.5", "--k", "1"],

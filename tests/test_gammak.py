@@ -86,6 +86,15 @@ class TestRouteAgreement:
         prod = ev.product(2.5, 10_000)
         assert abs(prod.value - s) <= max(prod.err_estimate, 1e-12 * s)
 
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000, 1_000_000])
+    def test_limit_err_covers_rounding_at_x_equal_k(self, n):
+        # every iterate is exactly 1 at x = k, so what the route reports
+        # there is rounding, and only the log-space term of err_estimate
+        # can cover it
+        for k in GRID_K:
+            r = GammaKEvaluator(k).limit(k, n)
+            assert abs(r.value - 1.0) <= r.err_estimate
+
 
 class TestFunctionalEquation:
     def test_scaling_and_integral(self):
@@ -169,6 +178,26 @@ class TestPoles:
         with pytest.raises(ResultOverflow):
             GammaKEvaluator(1.0).scaling(200.0)
         assert issubclass(ResultOverflow, OverflowError)
+
+    @pytest.mark.parametrize("k,x", [(1.0, 172.0), (1.0, 200.0),
+                                     (0.5, 100.0), (4.0, 700.0)])
+    def test_integral_overflow_is_typed(self, k, x):
+        # Gamma_k(x) itself exceeds the largest double here
+        assert log_gamma_k(k, x) > math.log(sys.float_info.max)
+        with pytest.raises(ResultOverflow):
+            GammaKEvaluator(k).integral(x)
+
+    def test_integral_weight_overflow_is_domain_error(self):
+        # Gamma(171.5) ~ 9.5e307 is finite, but integrand times weight is
+        # not at the outer nodes: the route cannot reach the value
+        assert log_gamma_k(1.0, 171.5) < math.log(sys.float_info.max)
+        with pytest.raises(DomainError):
+            GammaKEvaluator(1.0).integral(171.5)
+
+    def test_dk_overflow_is_typed(self):
+        assert math.isfinite(gamma_k_dk(1.0, 168.0).value)
+        with pytest.raises(ResultOverflow):
+            gamma_k_dk(1.0, 170.0)
 
     def test_scaling_domain(self):
         with pytest.raises(DomainError):

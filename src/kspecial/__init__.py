@@ -6,6 +6,10 @@ series, and the planar-forest combinatorics whose counts realize the
 series coefficients. Every representation is implemented at least twice
 through independent routes; `kspecial.verify` runs the cross-checks and
 the `kspecial` CLI drives evaluation, verification and forest export.
+
+numpy is imported inside the functions that work on arrays (quadrature,
+the batched series, the product routes, the chunked log-Pochhammer kernel),
+so importing the package and calling a scalar route do not load it.
 """
 
 from .betak import (BetaKSpec, beta_k, beta_k_integral_halfline,

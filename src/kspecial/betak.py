@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, exp_or_overflow
 from .gammak import log_gamma_k
 from .hurwitz import power_tail_sums
@@ -97,10 +95,15 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     k, x, y = spec.k, spec.x, spec.y
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
+    import numpy as np
+
     s = x + y
     nk = k * np.arange(1, n_terms + 1, dtype=np.float64)
     terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
-    log_v = math.fsum([math.log(s / (x * y)), *terms.tolist()])
+    # log s - log x - log y as three terms: x*y underflows to 0 when both
+    # are tiny, though B_k itself is finite there
+    log_v = math.fsum([math.log(s), -math.log(x), -math.log(y),
+                       *terms.tolist()])
     s2, s3, s4, s5 = power_tail_sums(n_terms)
     log_v += (-(x * y / k ** 2) * s2
               + (x * y * s / k ** 3) * s3

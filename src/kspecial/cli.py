@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -57,15 +58,25 @@ class OutputRecord:
 
 
 def _parse_number(text: str):
-    """int if it looks like one, Fraction for p/q, float otherwise."""
+    """int if it looks like one, Fraction for p/q, float otherwise. A
+    non-finite float or a zero denominator is refused: no route is defined
+    there, and a nan argument would come back as a nan record."""
     text = text.strip()
     try:
         return int(text)
     except ValueError:
         pass
     if "/" in text:
-        return Fraction(text)
-    return float(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                f"zero denominator in {text!r}") from None
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def _num_list(text: str) -> list:

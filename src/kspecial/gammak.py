@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
 from .hurwitz import hurwitz_zeta, power_tail_sums
@@ -196,6 +194,8 @@ def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     _require_off_pole(k, x)
+    import numpy as np
+
     q = x / k
     r = q / np.arange(1, n_terms + 1, dtype=np.float64)
     f = 1.0 + r

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .errors import DivergentSeries, DomainError, OutsideRadius
 from .gammak import log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -230,6 +228,7 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
         raise DomainError(f"recursion depth capped at 3, got p={spec.p}")
     if any(not (a_j > 0) for a_j in spec.a):
         raise DomainError("integral route needs every upper parameter > 0")
+    import numpy as np
 
     def base_den(n: int) -> float:
         den = n + 1.0

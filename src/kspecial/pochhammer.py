@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .errors import DomainError, ResultOverflow
 
 Number = float | int | Fraction
@@ -94,6 +92,7 @@ def _first_nonnegative(x: float, k: float, n: int) -> int:
 def _chunk_table() -> np.ndarray:
     global _J
     if _J is None:
+        import numpy as np
         _J = np.arange(_CHUNK, dtype=np.float64)
         _J.flags.writeable = False
     return _J
@@ -109,6 +108,8 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
         neg = _first_nonnegative(x, k, n)
         if neg < n and x + k * float(neg) == 0.0:
             return -math.inf, 0
+        import numpy as np
+
         table = _chunk_table()
         buf = np.empty(min(n, _CHUNK))
         sums = []

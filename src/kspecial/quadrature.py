@@ -41,8 +41,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, NonConvergent
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
@@ -112,6 +110,8 @@ _NODE_TABLES = {"halfline": _halfline_nodes, "unit": _unit_nodes}
 def _nodes(kind: str, level: int) -> tuple:
     key = (kind, level)
     if key not in _node_cache:
+        import numpy as np
+
         _node_cache[key] = tuple(np.array(col) for col in
                                  zip(*_NODE_TABLES[kind](level)))
     return _node_cache[key]
@@ -135,6 +135,8 @@ def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray,
     """acc plus each row's sum of f * w over the nodes cols, added in node
     order (a pairwise sum would round differently), so a row's sum depends
     neither on the batch it is in nor on how its nodes are split."""
+    import numpy as np
+
     try:
         fv = np.asarray(f(rows, *cols), dtype=np.float64)
     except OverflowError:
@@ -166,6 +168,8 @@ def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
     """
     if active.size * w.size <= _BLOCK:  # one call, the common case
         return _block_sums(f, active, cols, w)
+    import numpy as np
+
     width = min(w.size, _BLOCK)
     step = _BLOCK // width
     sums = np.empty(active.size)
@@ -183,6 +187,8 @@ def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
 def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
     """The refinement loop: integrate n integrands over the map kind
     ("halfline" for (0, inf), "unit" for (0, 1)); see quad_halfline."""
+    import numpy as np
+
     value = np.zeros(n)
     err = np.zeros(n)
     used = np.zeros(n, dtype=np.int64)
@@ -216,6 +222,8 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
 
 def _one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
     """_refine for a single scalar integrand f(*node)."""
+    import numpy as np
+
     def rows_f(rows, *cols):
         values = map(f, *(c.tolist() for c in cols))
         return np.fromiter(values, np.float64, cols[0].size).reshape(1, -1)
@@ -243,6 +251,8 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
     """
     if batch is None:
         return _one("halfline", f, profile)
+    import numpy as np
+
     with np.errstate(over="ignore"):    # reported by _block_sums
         return _refine("halfline", f, batch, profile)
 

@@ -18,8 +18,6 @@ that series at thousands of arguments per quadrature level.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import NonConvergent
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
@@ -64,6 +62,8 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
     block as a whole: the per-call cost of numpy, not the arithmetic, is
     what a few hundred elements per step would otherwise pay for.
     """
+    import numpy as np
+
     total = np.ones(x.size)
     terms = np.ones(x.size, dtype=np.int64)
     idx = np.flatnonzero(x != 0.0)

@@ -151,20 +151,6 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
                                     / (combined + 1e-12 * abs(rs[i].value)))
     out.append(_check("route-agreement/combined-error-units", ratio_dev, 3.0))
 
-    dec_dev, bound_dev = 0.0, 0.0
-    for k in (1.0, 2.0, 3.0):
-        ev = GammaKEvaluator(k, profile)
-        prev = None
-        for x in (10.0, 20.0, 40.0, 80.0):
-            exact = ev.scaling(x + 1.0).value
-            rel = abs(exact - gamma_k_stirling(k, x)) / exact
-            bound_dev = max(bound_dev, rel * x)
-            if prev is not None:
-                dec_dev = max(dec_dev, rel - prev)
-            prev = rel
-    out.append(_check("stirling/error-decreasing", dec_dev, 0.0))
-    out.append(_check("stirling/rel-times-x-bounded", bound_dev, 0.12))
-
     exact_ok = True
     for a_num in (1, 2, 5):
         for k_num in (1, 2, 3):

@@ -137,6 +137,12 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow):
             beta_k_product(BetaKSpec(1.0, 1e-310, 1e10))
 
+    def test_product_with_underflowing_xy(self):
+        # x*y underflows to 0, but B_1(x, y) ~ (x+y)/(xy) = 2e300 is finite
+        spec = BetaKSpec(1.0, 1e-300, 1e-300)
+        got, want = beta_k_product(spec), beta_k_ratio(spec)
+        assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+
     def test_ratio_overflow_is_typed(self):
         with pytest.raises(ResultOverflow):
             beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: golden example invocations, record round-trips,
-determinism, and exit codes. Everything runs in-process through main()."""
+determinism, and exit codes. Everything runs in-process through main(),
+except TestLazyNumpy, which needs a fresh interpreter per case."""
 
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +262,24 @@ class TestExitCodes:
         assert code == 2
         assert "integers" in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", "nan"], "'nan'"),
+        (["eval", "beta-k", "--k", "1", "--x", "inf", "--y", "1"], "'inf'"),
+        (["eval", "pochhammer", "--x", "nan", "--n", "3", "--k", "1"],
+         "'nan'"),
+        (["eval", "gamma-k", "--k", "inf", "--x", "2"], "'inf'"),
+        (["eval", "gamma-k", "--k", "1", "--x", "1e400"], "'1e400'"),
+        (["eval", "pochhammer", "--x", "1/0", "--n", "3", "--k", "1"],
+         "'1/0'"),
+    ])
+    def test_non_finite_argument_is_usage_error(self, argv, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert text in captured.err and "Traceback" not in captured.err
+
 
 class TestProfiles:
     def test_env_profile_fast(self, capsys, monkeypatch):
@@ -288,3 +311,52 @@ class TestProfiles:
         err_fast = float(parse_csv(out_fast)[0]["err_estimate"])
         err_tight = float(parse_csv(out_tight)[0]["err_estimate"])
         assert err_tight < err_fast
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# prints [exit code, stdout of main(argv), whether numpy got imported]
+_PROBE = """
+import contextlib, io, json, sys
+from kspecial.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def fresh_python(code: str, *args: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "KSPECIAL_PROFILE"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return proc.stdout
+
+
+class TestLazyNumpy:
+    """numpy is imported by the array routes that use it, not by
+    `import kspecial`, so a scalar CLI call never pays for loading it."""
+
+    def test_import_loads_no_numpy(self):
+        out = fresh_python("import sys, kspecial; "
+                           "print('numpy' in sys.modules)")
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "gamma-k", "--k", "2", "--x", "1"],
+        ["eval", "hyper", "--a", "2", "--ka", "2", "--x", "0.25"],
+        ["verify", "stirling"],
+    ])
+    def test_scalar_commands_load_no_numpy(self, argv):
+        code, out, loaded = json.loads(fresh_python(_PROBE, json.dumps(argv)))
+        assert code == 0 and out
+        assert not loaded
+
+    def test_halfline_loads_numpy_and_matches_in_process(self, capsys):
+        argv = ["eval", "beta-k", "--k", "1.5", "--x", "0.7", "--y", "2.5",
+                "--method", "halfline"]
+        code, out, loaded = json.loads(fresh_python(_PROBE, json.dumps(argv)))
+        assert loaded
+        assert (code, out) == run_cli(argv, capsys)[:2]

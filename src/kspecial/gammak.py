@@ -111,6 +111,24 @@ def gamma_k_scaling(ev: GammaKEvaluator, x: float) -> EvalResult:
                       "scaling", 0)
 
 
+def gamma_k_integrand(k: float, p: float, c: float = 1.0):
+    """t -> t^p exp(-c t^k / k) on (0, inf), in log space: 0 where
+    t^k > e^700 (the decay factor alone is negligible) or where the log of
+    the product is below -745.
+    The integrand of the integral route (p = x - 1), of gamma_k_dk and of
+    the parameter-a form int t^(x-1) exp(-a t^k/k) dt = a^(-x/k) Gamma_k(x).
+    """
+    def f(t: float) -> float:
+        lt = math.log(t)
+        e = k * lt
+        if e > 700.0:
+            return 0.0
+        w = p * lt - c * math.exp(e) / k
+        return math.exp(w) if w > -745.0 else 0.0
+
+    return f
+
+
 def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
     """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
 
@@ -136,15 +154,7 @@ def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
                 f"Gamma_k({x}) with k={k} overflows a float "
                 f"(log value >= {lower:.6g})")
 
-    def integrand(t: float) -> float:
-        lt = math.log(t)
-        e = k * lt
-        if e > 700.0:       # decay factor alone is exp(-huge)
-            return 0.0
-        w = (x - 1.0) * lt - math.exp(e) / k
-        return math.exp(w) if w > -745.0 else 0.0
-
-    r = quad_halfline(integrand, ev.profile)
+    r = quad_halfline(gamma_k_integrand(k, x - 1.0), ev.profile)
     return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
 
 
@@ -248,13 +258,10 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     if not (x > -1.0):
         raise DomainError(f"gamma_k_dk requires x > -1, got {x}")
 
+    weight = gamma_k_integrand(k, x + k)
+
     def integrand(t: float) -> float:
-        lt = math.log(t)
-        e = k * lt
-        if e > 700.0:
-            return 0.0
-        w = (x + k) * lt - math.exp(e) / k
-        return lt * math.exp(w) if w > -745.0 else 0.0
+        return math.log(t) * weight(t)
 
     lead = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k,
                            x + k + 1.0) / (k * k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 _M = 20
@@ -52,19 +52,29 @@ def power_tail_sums(n_terms: int) -> tuple[float, float, float, float]:
 
 
 def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """Continued Hurwitz zeta; PoleError at s = 1, DomainError for a <= 0."""
+    """Continued Hurwitz zeta; PoleError at s = 1, DomainError for a <= 0
+    or s = nan, ResultOverflow when a term or the sum exceeds the largest
+    double (e.g. a^(-s) for tiny a)."""
     if not (a > 0.0):
         raise DomainError(f"hurwitz_zeta requires a > 0, got a={a}")
+    if math.isnan(s):
+        raise DomainError("hurwitz_zeta requires a number s, got nan")
     if s == 1.0:
         raise PoleError("hurwitz_zeta has a simple pole at s = 1")
-    head = 0.0
-    for n in range(_M):
-        head += (a + n) ** (-s)
-    big_a = a + _M
-    tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
-    for j, (b2j, fact) in enumerate(_BERNOULLI, start=1):
-        tail += b2j / fact * rising(s, 2 * j - 1) * big_a ** (-s - 2 * j + 1)
-    err = abs(_B12 / _FACT12 * rising(s, 11) * big_a ** (-s - 11))
-    value = head + tail
+    try:
+        head = 0.0
+        for n in range(_M):
+            head += (a + n) ** (-s)
+        big_a = a + _M
+        tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
+        for j, (b2j, fact) in enumerate(_BERNOULLI, start=1):
+            tail += b2j / fact * rising(s, 2 * j - 1) * big_a ** (-s - 2 * j + 1)
+        err = abs(_B12 / _FACT12 * rising(s, 11) * big_a ** (-s - 11))
+        value = head + tail
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResultOverflow(
+            f"hurwitz_zeta(s={s}, a={a}) overflows a float")
     err = max(err, 2e-16 * abs(value))
     return EvalResult(value, err, "euler_maclaurin", _M + len(_BERNOULLI))

@@ -80,13 +80,8 @@ def classify(spec: HypergeometricSpec) -> ConvergenceClass:
     if spec.p <= spec.q:
         return ConvergenceClass("entire", math.inf)
     if spec.p == spec.q + 1:
-        num = 1.0
-        for si in spec.s:
-            num *= float(si)
-        den = 1.0
-        for kj in spec.k:
-            den *= float(kj)
-        return ConvergenceClass("radius", num / den)
+        return ConvergenceClass("radius", math.prod(map(float, spec.s))
+                                / math.prod(map(float, spec.k)))
     return ConvergenceClass("divergent", 0.0)
 
 
@@ -129,12 +124,8 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
                        profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """Evaluate through the all-steps-1 form: dividing each parameter by its
     step and scaling x by kbar/sbar leaves every term unchanged."""
-    kbar = 1.0
-    for kj in spec.k:
-        kbar *= kj
-    sbar = 1.0
-    for si in spec.s:
-        sbar *= si
+    kbar = math.prod(map(float, spec.k))
+    sbar = math.prod(map(float, spec.s))
     flat = HypergeometricSpec(
         tuple(a_j / k_j for a_j, k_j in zip(spec.a, spec.k)),
         (1.0,) * spec.p,
@@ -177,15 +168,8 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
-    c = [1.0]
-    for m in range(degree):
-        num = 1.0
-        for a_j, k_j in zip(spec.a, spec.k):
-            num *= a_j + m * k_j
-        den = m + 1.0
-        for b_i, s_i in zip(spec.b, spec.s):
-            den *= b_i + m * s_i
-        c.append(c[-1] * num / den)
+    term = _term_factory(spec, 1.0)
+    c = [term(n) for n in range(degree)]
     worst = 0.0
     scale = 0.0
     for n in range(1, degree):

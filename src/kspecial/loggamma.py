@@ -1,12 +1,12 @@
-"""Classical log-gamma via the Lanczos approximation (g = 7, 9 coefficients).
+"""Classical log-gamma for x > 0: the stdlib's math.lgamma behind a domain
+check.
 
-log Gamma(x) = log(sqrt(2 pi)) + (x - 0.5) log(t) - t + log A_g(x),
-t = x + g - 0.5,  A_g(x) = c0 + sum_i c_i / (x - 1 + i).
-
-The coefficient set below is the widely used g=7, n=9 table; relative error
-of the reconstructed Gamma stays below ~1e-13 on [0.5, 100]. Arguments in
-(0, 0.5) are lifted through one recurrence step so the kernel only ever runs
-where it is most accurate.
+The check is load-bearing: math.lgamma returns log|Gamma(x)| at negative
+non-integers (finite, e.g. at -0.5) and nan for nan, and the callers here
+need log Gamma(x) itself, which exists only for x > 0. Above x ~ 2.6e305
+log Gamma(x) exceeds the largest double: math.lgamma raises there, and the
+kernel returns inf, which the callers' exp_or_overflow turns into
+ResultOverflow.
 """
 
 from __future__ import annotations
@@ -15,36 +15,12 @@ import math
 
 from .errors import DomainError
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma_classic(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not (x > 0.0):
         raise DomainError(f"log_gamma_classic requires x > 0, got {x}")
-    if x < 0.5:
-        # One recurrence step: Gamma(x) = Gamma(x + 1) / x.
-        return log_gamma_classic(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_classic(x: float) -> float:
-    return math.exp(log_gamma_classic(x))
+    try:
+        return math.lgamma(x)
+    except OverflowError:   # log Gamma(x) itself exceeds the largest double
+        return math.inf

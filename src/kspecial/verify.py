@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .betak import (BetaKSpec, beta_k_integral_halfline, beta_k_integral_unit,
                     beta_k_product, beta_k_ratio)
@@ -24,14 +25,15 @@ from .errors import CapExceeded, DivergentSeries, OutsideRadius
 from .forests import (ForestFamily, count, derivative_ratio,
                       enumerate_forests, serialize_forest, tail_count,
                       validate_forest)
-from .gammak import (GammaKEvaluator, gamma_k_stirling, log_gamma_k,
-                     pde_residual, pde_residual_variant, psi_point)
+from .gammak import (GammaKEvaluator, gamma_k_integrand, gamma_k_stirling,
+                     log_gamma_k, pde_residual, pde_residual_variant,
+                     psi_point)
 from .hypergeometric import (HypergeometricSpec, classify, coefficient,
                              evaluate, integral_representation_check,
                              ode_residual, transfer_classical)
 from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                          pochhammer_rescale, pochhammer_via_symmetric)
-from .profiles import DEFAULT, PrecisionProfile
+from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline
 from .zetak import (ZetaKSpec, zeta_k, zeta_k_dk, zeta_k_dk_printed_variant,
                     zeta_k_ds_at_zero, zeta_k_identity_trigamma)
@@ -51,6 +53,15 @@ class CheckResult:
 
 def _check(name: str, max_dev: float, tol: float) -> CheckResult:
     return CheckResult(name, max_dev, tol, max_dev <= tol)
+
+
+def _combined_error_units(rs: list[EvalResult]) -> float:
+    """Largest |v_i - v_j| / (e_i + e_j + 1e-12 |v_i|) over the pairs i < j:
+    how far two routes disagree, in units of their combined error estimates
+    (the 1e-12 relative floor keeps two exact routes from dividing by 0)."""
+    return max(abs(a.value - b.value)
+               / (a.err_estimate + b.err_estimate + 1e-12 * abs(a.value))
+               for a, b in combinations(rs, 2))
 
 
 def _fd(f, t: float, h: float) -> float:
@@ -113,13 +124,7 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
     for a in (0.5, 2.0):
         for k in (1.0, 2.0):
             for x in (0.7, 2.5):
-                def f(t, a=a, k=k, x=x):
-                    lt = math.log(t)
-                    e = k * lt
-                    if e > 700.0:
-                        return 0.0
-                    w = (x - 1.0) * lt - a * math.exp(e) / k
-                    return math.exp(w) if w > -745.0 else 0.0
+                f = gamma_k_integrand(k, x - 1.0, a)
                 got = a ** (x / k) * quad_halfline(f, profile).value
                 want = GammaKEvaluator(k, profile).scaling(x).value
                 dev = max(dev, abs(got - want) / want)
@@ -144,11 +149,7 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
         for x in GRID_X:
             rs = [ev.scaling(x), ev.integral(x), ev.limit(x, 100_000),
                   ev.product(x, 10_000)]
-            for i in range(len(rs)):
-                for j in range(i + 1, len(rs)):
-                    combined = rs[i].err_estimate + rs[j].err_estimate
-                    ratio_dev = max(ratio_dev, abs(rs[i].value - rs[j].value)
-                                    / (combined + 1e-12 * abs(rs[i].value)))
+            ratio_dev = max(ratio_dev, _combined_error_units(rs))
     out.append(_check("route-agreement/combined-error-units", ratio_dev, 3.0))
 
     exact_ok = True
@@ -199,11 +200,7 @@ def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
         for x in (0.5, 1.0, 2.5):
             for y in (0.5, 1.0, 2.5):
                 rs = [r(BetaKSpec(k, x, y)) for r in routes]
-                for i in range(len(rs)):
-                    for j in range(i + 1, len(rs)):
-                        combined = rs[i].err_estimate + rs[j].err_estimate
-                        pair_dev = max(pair_dev, abs(rs[i].value - rs[j].value)
-                                       / (combined + 1e-12 * abs(rs[i].value)))
+                pair_dev = max(pair_dev, _combined_error_units(rs))
     out.append(_check("four-routes-pairwise/combined-error-units", pair_dev, 3.0))
 
     dev = 0.0
@@ -322,10 +319,8 @@ def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
         cls = classify(spec)
         x = (rng.uniform(-1.5, 1.5) if cls.kind == "entire"
              else rng.uniform(-0.9, 0.9) * cls.radius)
-        e1 = evaluate(spec, x, profile)
-        e2 = transfer_classical(spec, x, profile)
-        combined = e1.err_estimate + e2.err_estimate + 1e-12 * abs(e1.value)
-        dev = max(dev, abs(e1.value - e2.value) / combined)
+        dev = max(dev, _combined_error_units(
+            [evaluate(spec, x, profile), transfer_classical(spec, x, profile)]))
     out.append(_check("transfer-20-seeded/combined-error-units", dev, 1.0))
 
     rng = random.Random(SEED + 1)

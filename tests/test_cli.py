@@ -227,6 +227,10 @@ class TestExitCodes:
         ["eval", "gamma-k", "--k", "1", "--x", "200"],
         ["eval", "pochhammer", "--x", "1.5", "--n", "400", "--k", "2"],
         ["eval", "beta-k", "--k", "1", "--x", "1e-320", "--y", "1"],
+        ["eval", "zeta-k", "--k", "1", "--x", "5e-324", "--s", "2"],
+        ["eval", "zeta-k", "--k", "1e300", "--x", "1", "--s", "2"],
+        # log Gamma(1e306) itself overflows: math.lgamma raises there
+        ["eval", "gamma-k", "--k", "1", "--x", "1e306"],
     ])
     def test_overflow_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -83,7 +83,7 @@ class TestTrigammaIdentity:
 
     def test_against_independent_second_difference(self):
         # both sides of the pair reduce to the same Hurwitz engine, so the
-        # real evidence comes from differencing the Lanczos-backed log
+        # real evidence comes from differencing the lgamma-backed log
         # Gamma_k, an unrelated code path
         for k, x in [(1.0, 1.0), (2.0, 2.0), (3.0, 0.5), (0.5, 2.5)]:
             lhs, _ = zeta_k_identity_trigamma(k, x)

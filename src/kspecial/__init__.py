@@ -7,93 +7,57 @@ series coefficients. Every representation is implemented at least twice
 through independent routes; `kspecial.verify` runs the cross-checks and
 the `kspecial` CLI drives evaluation, verification and forest export.
 
-numpy is imported inside the functions that work on arrays (quadrature,
-the batched series, the product routes, the chunked log-Pochhammer kernel),
-so importing the package and calling a scalar route do not load it.
+`import kspecial` loads no submodule: a public name is imported from its
+submodule when it is first accessed (PEP 562), and each CLI command and
+verify suite imports only the modules it runs. numpy is imported only
+inside the functions that work on arrays.
 """
 
-from .betak import (BetaKSpec, beta_k, beta_k_integral_halfline,
-                    beta_k_integral_unit, beta_k_product, beta_k_ratio)
-from .errors import (CapExceeded, DivergentSeries, DomainError,
-                     InvariantViolation, NonConvergent, OutsideRadius,
-                     PoleError)
-from .forests import (ForestFamily, PlanarForest, count, derivative_ratio,
-                      enumerate_forests, parse_forest, serialize_forest,
-                      tail_count, validate_forest)
-from .gammak import (GammaKEvaluator, gamma_k_dk, gamma_k_stirling,
-                     log_gamma_k, nearest_pole, pde_residual,
-                     pde_residual_variant, psi_point)
-from .hypergeometric import (ConvergenceClass, HypergeometricSpec, classify,
-                             coefficient, evaluate,
-                             integral_representation_check, ode_residual,
-                             transfer_classical)
-from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
-                         pochhammer_k_log, pochhammer_rescale,
-                         pochhammer_via_symmetric)
-from .profiles import (DEFAULT, FAST, PROFILES, STRICT, EvalResult,
-                       PrecisionProfile)
-from .verify import CheckResult, run_suite
-from .zetak import (ZetaKSpec, zeta_k, zeta_k_dk, zeta_k_ds_at_zero,
-                    zeta_k_identity_trigamma)
+from importlib import import_module
 
-__all__ = [
-    "BetaKSpec",
-    "CapExceeded",
-    "CheckResult",
-    "ConvergenceClass",
-    "DEFAULT",
-    "DivergentSeries",
-    "DomainError",
-    "EvalResult",
-    "FAST",
-    "ForestFamily",
-    "GammaKEvaluator",
-    "HypergeometricSpec",
-    "InvariantViolation",
-    "NonConvergent",
-    "OutsideRadius",
-    "PROFILES",
-    "PlanarForest",
-    "PochhammerSpec",
-    "PoleError",
-    "PrecisionProfile",
-    "STRICT",
-    "ZetaKSpec",
-    "beta_k",
-    "beta_k_integral_halfline",
-    "beta_k_integral_unit",
-    "beta_k_product",
-    "beta_k_ratio",
-    "classify",
-    "coefficient",
-    "count",
-    "derivative_ratio",
-    "enumerate_forests",
-    "evaluate",
-    "gamma_k_dk",
-    "gamma_k_stirling",
-    "integral_representation_check",
-    "log_gamma_k",
-    "nearest_pole",
-    "ode_residual",
-    "parse_forest",
-    "pde_residual",
-    "pde_residual_variant",
-    "pochhammer_dk",
-    "pochhammer_k",
-    "pochhammer_k_log",
-    "pochhammer_rescale",
-    "pochhammer_via_symmetric",
-    "psi_point",
-    "run_suite",
-    "serialize_forest",
-    "tail_count",
-    "transfer_classical",
-    "validate_forest",
-    "zeta_k",
-    "zeta_k_dk",
-    "zeta_k_ds_at_zero",
-    "zeta_k_identity_trigamma",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "betak": ("BetaKSpec", "beta_k", "beta_k_integral_halfline",
+              "beta_k_integral_unit", "beta_k_product", "beta_k_ratio"),
+    "errors": ("CapExceeded", "DivergentSeries", "DomainError",
+               "InvariantViolation", "NonConvergent", "OutsideRadius",
+               "PoleError"),
+    "forests": ("ForestFamily", "PlanarForest", "count", "derivative_ratio",
+                "enumerate_forests", "parse_forest", "serialize_forest",
+                "tail_count", "validate_forest"),
+    "gammak": ("GammaKEvaluator", "gamma_k_dk", "gamma_k_stirling",
+               "log_gamma_k", "nearest_pole", "pde_residual",
+               "pde_residual_variant", "psi_point"),
+    "hypergeometric": ("ConvergenceClass", "HypergeometricSpec", "classify",
+                       "coefficient", "evaluate",
+                       "integral_representation_check", "ode_residual",
+                       "transfer_classical"),
+    "pochhammer": ("PochhammerSpec", "pochhammer_dk", "pochhammer_k",
+                   "pochhammer_k_log", "pochhammer_rescale",
+                   "pochhammer_via_symmetric"),
+    "profiles": ("DEFAULT", "FAST", "PROFILES", "STRICT", "EvalResult",
+                 "PrecisionProfile"),
+    "verify": ("CheckResult", "run_suite"),
+    "zetak": ("ZetaKSpec", "zeta_k", "zeta_k_dk", "zeta_k_ds_at_zero",
+              "zeta_k_identity_trigamma"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "hurwitz", "loggamma", "quadrature", "series")
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # resolved on every access and never cached here, so a rebinding in the
+    # submodule (a tracer's, a test's monkeypatch) shows through at once
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, exp_or_overflow
+from .errors import DomainError, ResultOverflow, exp_or_overflow
 from .gammak import log_gamma_k
 from .hurwitz import power_tail_sums
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -44,6 +44,11 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
     lc = log_gamma_k(spec.k, spec.x + spec.y)
     v = exp_or_overflow(la + lb - lc, "B_k", spec.k, spec.x, spec.y)
     err = abs(v) * 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
+    if not math.isfinite(err):
+        # a log Gamma_k beyond the float range (inf - inf is nan), or logs
+        # so large that their cancellation leaves no digit of v
+        raise ResultOverflow(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k "
+                             f"terms {la:.6g}, {lb:.6g}, {lc:.6g} exceed the float range")
     return EvalResult(v, err, "scaling", 0)
 
 

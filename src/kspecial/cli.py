@@ -23,9 +23,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -33,19 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .betak import BetaKSpec, beta_k
 from .errors import (CapExceeded, DivergentSeries, DomainError,
                      InvariantViolation, NonConvergent, OutsideRadius,
                      PoleError, ResultOverflow)
-from .forests import ForestFamily, count, enumerate_forests, serialize_forest
-from .gammak import GammaKEvaluator
-from .hypergeometric import (HypergeometricSpec, evaluate,
-                             integral_representation_check,
-                             transfer_classical)
-from .pochhammer import PochhammerSpec, pochhammer_k
 from .profiles import DEFAULT, PROFILES, PrecisionProfile
-from .verify import SUITES, run_suite
-from .zetak import ZetaKSpec, zeta_k
+
+# verify.SUITES, spelled out so the parser needs no import of verify
+SUITE_NAMES = ("gamma", "beta", "zeta", "hyper", "forests", "pde", "stirling")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +98,7 @@ def _json_value(v):
 
 def _emit(records: list[OutputRecord], fmt: str, out) -> None:
     if fmt == "json":
+        import json
         payload = [{"function": r.function,
                     "inputs": {k: _json_value(v) for k, v in r.inputs.items()},
                     "value": _json_value(r.value),
@@ -114,6 +107,7 @@ def _emit(records: list[OutputRecord], fmt: str, out) -> None:
         json.dump(payload, out, indent=2)
         out.write("\n")
         return
+    import csv
     writer = csv.writer(out, lineterminator="\n")
     input_names = list(records[0].inputs) if records else []
     writer.writerow(["function", *input_names, "value", "err_estimate",
@@ -121,6 +115,17 @@ def _emit(records: list[OutputRecord], fmt: str, out) -> None:
     for r in records:
         writer.writerow([r.function, *(_fmt(r.inputs[n]) for n in input_names),
                          _fmt(r.value), _fmt(r.err_estimate), r.method])
+
+
+def _require_finite(records: list[OutputRecord]) -> None:
+    """No inf/nan is printed with exit 0 (exact ints and Fractions are
+    finite by construction)."""
+    for r in records:
+        if not all(math.isfinite(v) for v in (r.value, r.err_estimate)
+                   if isinstance(v, float)):
+            at = ", ".join(f"{n}={_fmt(v)}" for n, v in r.inputs.items())
+            raise ResultOverflow(f"{r.function} at {at} is not finite: value "
+                                 f"{_fmt(r.value)}, err_estimate {_fmt(r.err_estimate)}")
 
 
 def _resolve_profile(args) -> PrecisionProfile:
@@ -138,6 +143,7 @@ def _resolve_profile(args) -> PrecisionProfile:
 
 
 def _eval_gamma_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    from .gammak import GammaKEvaluator
     out = []
     for k, x in product(args.k, args.x):
         ev = GammaKEvaluator(float(k), profile, args.method)
@@ -148,6 +154,7 @@ def _eval_gamma_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
 
 
 def _eval_beta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    from .betak import BetaKSpec, beta_k
     out = []
     for k, x, y in product(args.k, args.x, args.y):
         spec = BetaKSpec(float(k), float(x), float(y))
@@ -160,6 +167,7 @@ def _eval_beta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
 
 
 def _eval_zeta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    from .zetak import ZetaKSpec, zeta_k
     out = []
     for k, x, s in product(args.k, args.x, args.s):
         r = zeta_k(ZetaKSpec(float(k), float(x), float(s)), profile)
@@ -169,6 +177,7 @@ def _eval_zeta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
 
 
 def _eval_pochhammer(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    from .pochhammer import PochhammerSpec, pochhammer_k
     out = []
     for x, n, k in product(args.x, args.n, args.k):
         if not isinstance(n, int) or n < 0:
@@ -181,6 +190,8 @@ def _eval_pochhammer(args, profile: PrecisionProfile) -> list[OutputRecord]:
 
 
 def _eval_hyper(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    from .hypergeometric import (HypergeometricSpec, evaluate,
+                                 integral_representation_check, transfer_classical)
     spec = HypergeometricSpec(tuple(args.a), tuple(args.ka),
                               tuple(args.b), tuple(args.sb))
     route = {"series": evaluate, "transfer": transfer_classical,
@@ -198,6 +209,7 @@ def _eval_hyper(args, profile: PrecisionProfile) -> list[OutputRecord]:
 
 
 def _cmd_forests(args) -> int:
+    from .forests import ForestFamily, count, enumerate_forests, serialize_forest
     family = ForestFamily(args.a, args.n, args.k)
     total = count(family)
     print(total)
@@ -214,6 +226,7 @@ def _cmd_forests(args) -> int:
 
 
 def _cmd_verify(args, profile: PrecisionProfile) -> int:
+    from .verify import run_suite
     rows = run_suite(args.suite, profile)
     worst = True
     for suite, r in rows:
@@ -291,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[tol],
                        help="run a verification suite")
     v.add_argument("suite", nargs="?", default="all",
-                   choices=("all", *SUITES))
+                   choices=("all", *SUITE_NAMES))
 
     f = sub.add_parser("forests", help="count (and export) a forest family")
     f.add_argument("--a", type=int, required=True)
@@ -311,6 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "eval":
             records = args.run(args, _resolve_profile(args))
+            _require_finite(records)
             _emit(records, args.format, sys.stdout)
             return 0
         if args.command == "verify":

@@ -49,8 +49,8 @@ class NonConvergent(ArithmeticError):
 
 
 class ResultOverflow(OverflowError):
-    """The result exists but its magnitude exceeds the largest double
-    (e.g. Gamma_k(x) for x/k above ~171)."""
+    """The result, or a quantity its route must form, exceeds the largest
+    double (e.g. Gamma_k(x) for x/k above ~171)."""
 
 
 def exp_or_overflow(log_v: float, name: str, k: float, *args: float) -> float:

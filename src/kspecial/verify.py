@@ -14,29 +14,13 @@ consecutive runs produce identical reports.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .betak import (BetaKSpec, beta_k_integral_halfline, beta_k_integral_unit,
-                    beta_k_product, beta_k_ratio)
 from .errors import CapExceeded, DivergentSeries, OutsideRadius
-from .forests import (ForestFamily, count, derivative_ratio,
-                      enumerate_forests, serialize_forest, tail_count,
-                      validate_forest)
-from .gammak import (GammaKEvaluator, gamma_k_integrand, gamma_k_stirling,
-                     log_gamma_k, pde_residual, pde_residual_variant,
-                     psi_point)
-from .hypergeometric import (HypergeometricSpec, classify, coefficient,
-                             evaluate, integral_representation_check,
-                             ode_residual, transfer_classical)
-from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
-                         pochhammer_rescale, pochhammer_via_symmetric)
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline
-from .zetak import (ZetaKSpec, zeta_k, zeta_k_dk, zeta_k_dk_printed_variant,
-                    zeta_k_ds_at_zero, zeta_k_identity_trigamma)
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -69,6 +53,9 @@ def _fd(f, t: float, h: float) -> float:
 
 
 def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .gammak import GammaKEvaluator, gamma_k_integrand, log_gamma_k, psi_point
+    from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
+                             pochhammer_rescale, pochhammer_via_symmetric)
     out = []
 
     dev_fast, dev_lim, dev_prod = 0.0, 0.0, 0.0
@@ -190,6 +177,8 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .betak import (BetaKSpec, beta_k_integral_halfline,
+                        beta_k_integral_unit, beta_k_product, beta_k_ratio)
     out = []
     routes = (beta_k_ratio,
               lambda s: beta_k_integral_halfline(s, profile),
@@ -230,6 +219,9 @@ def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .gammak import psi_point
+    from .zetak import (ZetaKSpec, zeta_k, zeta_k_dk, zeta_k_dk_printed_variant,
+                        zeta_k_ds_at_zero, zeta_k_identity_trigamma)
     out = []
     grid = [(k, x) for k in (0.5, 1.0, 2.0) for x in (0.5, 1.0, 2.5)]
 
@@ -292,6 +284,11 @@ def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    import random
+    from .hypergeometric import (HypergeometricSpec, classify, coefficient, evaluate,
+                                 integral_representation_check, ode_residual,
+                                 transfer_classical)
+    from .pochhammer import PochhammerSpec, pochhammer_k
     out = []
 
     dev = 0.0
@@ -381,21 +378,23 @@ def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .forests import (ForestFamily, count, derivative_ratio,
+                          enumerate_forests, serialize_forest)
+    from .hypergeometric import HypergeometricSpec, coefficient
+    from .pochhammer import PochhammerSpec, pochhammer_k
     out = []
     ok = True
     for a in (1, 2, 3):
         for k in (1, 2, 3):
             for n in range(5):
                 family = ForestFamily(a, n, k)
-                forests = list(enumerate_forests(family))
-                if len(forests) != count(family):
+                # serialize_forest validates each forest, and its text ends
+                # with the tail count: one call per forest checks all three
+                texts = [serialize_forest(f) for f in enumerate_forests(family)]
+                tails = f"tails={a + n * k}\n"
+                if (len(texts) != count(family) or len(set(texts)) != len(texts)
+                        or not all(t.endswith(tails) for t in texts)):
                     ok = False
-                if len({serialize_forest(f) for f in forests}) != len(forests):
-                    ok = False
-                for f in forests:
-                    validate_forest(f)
-                    if tail_count(f) != a + n * k:
-                        ok = False
                 if count(family) != pochhammer_k(PochhammerSpec(a, n, k)):
                     ok = False
     out.append(_check("enumeration-count-distinct-invariants",
@@ -422,6 +421,7 @@ def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_pde(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .gammak import pde_residual, pde_residual_variant, psi_point
     out = []
     dev, gap = 0.0, 0.0
     for k in (0.5, 1.0, 2.0):
@@ -435,6 +435,7 @@ def suite_pde(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_stirling(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from .gammak import GammaKEvaluator, gamma_k_stirling
     out = []
     dec_dev, bound_dev = 0.0, 0.0
     for k in (1.0, 2.0, 3.0):

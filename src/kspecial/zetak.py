@@ -21,9 +21,10 @@ finite-difference oracle is demonstrable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ResultOverflow, exp_or_overflow
 from .gammak import psi_point
 from .hurwitz import hurwitz_zeta, rising
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -50,7 +51,22 @@ class ZetaKSpec:
 
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     r = hurwitz_zeta(spec.s, spec.x / spec.k, profile)
-    scale = spec.k ** (-spec.s)
+    try:
+        scale = spec.k ** (-spec.s)
+    except OverflowError:
+        # k^(-s) beyond the float range: form exp(-s log k + log|v|), unless
+        # zeta_H(s, x/k) underflowed and kept too few digits to scale
+        if not abs(r.value) >= sys.float_info.min:
+            raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
+                                 f"zeta_H(s, x/k) = {r.value!r} underflows") from None
+        log_scale = -spec.s * math.log(spec.k)
+        log_v = math.log(abs(r.value))
+        value, err = (exp_or_overflow(log_scale + t, "zeta_k", spec.k, spec.x, spec.s)
+                      for t in (log_v, math.log(r.err_estimate)))
+        # exp of a sum of logs: its rounding grows with the size of the logs
+        err += value * 4.5e-16 * (1.0 + abs(log_scale) + abs(log_v))
+        return EvalResult(math.copysign(value, r.value), err, "euler_maclaurin",
+                          r.terms_or_nodes_used)
     return EvalResult(scale * r.value, scale * r.err_estimate,
                       "euler_maclaurin", r.terms_or_nodes_used)
 

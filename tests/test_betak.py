@@ -147,6 +147,13 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow):
             beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))
 
+    @pytest.mark.parametrize("x,y", [(1e306, 1.0), (1e305, 1e305)])
+    def test_ratio_log_terms_beyond_float_range_are_typed(self, x, y):
+        # log Gamma(1e306) is inf, and inf - inf gave a nan value; at
+        # x = y = 1e305 the logs are finite but their sum of magnitudes is not
+        with pytest.raises(ResultOverflow, match=r"B_k\(1e\+30[56]"):
+            beta_k_ratio(BetaKSpec(1.0, x, y))
+
     def test_product_matches_loop_reference(self):
         # summation order changed, so allow the loop's own rounding:
         # one unit of float eps per factor on the log of the result

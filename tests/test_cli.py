@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden example invocations, record round-trips,
 determinism, and exit codes. Everything runs in-process through main(),
-except TestLazyNumpy, which needs a fresh interpreter per case."""
+except TestLazyNumpy and TestLazyModules, which need a fresh interpreter
+per case."""
 
 import csv
 import io
@@ -231,6 +232,13 @@ class TestExitCodes:
         ["eval", "zeta-k", "--k", "1e300", "--x", "1", "--s", "2"],
         # log Gamma(1e306) itself overflows: math.lgamma raises there
         ["eval", "gamma-k", "--k", "1", "--x", "1e306"],
+        # the ratio route's inf - inf used to print nan,nan with exit 0
+        ["eval", "beta-k", "--k", "1", "--x", "1e306", "--y", "1"],
+        # the series sum overflows to inf; the CLI refuses to print it
+        ["eval", "hyper", "--a", "1", "--ka", "1", "--b", "1", "--sb", "1",
+         "--x", "800"],
+        # a zeta_H underflow that k^(-s) cannot scale back
+        ["eval", "zeta-k", "--k", "1e-300", "--x", "1", "--s", "3"],
     ])
     def test_overflow_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -258,6 +266,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(prefix)
         assert "Traceback" not in err and "Warning" not in err
+
+    def test_zeta_k_tiny_k_is_finite(self, capsys):
+        # k^(-s) = 1e600 used to raise an untyped OverflowError here
+        code, out, err = run_cli(
+            ["eval", "zeta-k", "--k", "1e-300", "--x", "1", "--s", "2"], capsys)
+        assert code == 0 and err == ""
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(1e300, rel=1e-12)
 
     def test_bad_pochhammer_n(self, capsys):
         code, _, err = run_cli(
@@ -319,14 +334,17 @@ class TestProfiles:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# prints [exit code, stdout of main(argv), whether numpy got imported]
+# prints [exit code, stdout of main(argv), whether numpy got imported,
+#         the kspecial submodules that got imported]
 _PROBE = """
 import contextlib, io, json, sys
 from kspecial.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
+print(json.dumps([code, out.getvalue(), "numpy" in sys.modules,
+                  sorted(m[9:] for m in sys.modules
+                         if m.startswith("kspecial."))]))
 """
 
 
@@ -354,13 +372,48 @@ class TestLazyNumpy:
         ["verify", "stirling"],
     ])
     def test_scalar_commands_load_no_numpy(self, argv):
-        code, out, loaded = json.loads(fresh_python(_PROBE, json.dumps(argv)))
+        code, out, loaded, _ = json.loads(fresh_python(_PROBE, json.dumps(argv)))
         assert code == 0 and out
         assert not loaded
 
     def test_halfline_loads_numpy_and_matches_in_process(self, capsys):
         argv = ["eval", "beta-k", "--k", "1.5", "--x", "0.7", "--y", "2.5",
                 "--method", "halfline"]
-        code, out, loaded = json.loads(fresh_python(_PROBE, json.dumps(argv)))
+        code, out, loaded, _ = json.loads(fresh_python(_PROBE, json.dumps(argv)))
         assert loaded
         assert (code, out) == run_cli(argv, capsys)[:2]
+
+
+class TestLazyModules:
+    """`import kspecial` loads no submodule, and each command imports only
+    the modules it runs, so a one-point eval does not compile the
+    verification suites or the hypergeometric series."""
+
+    def test_import_loads_no_submodule(self):
+        out = fresh_python("import sys, kspecial; print(sorted("
+                           "m for m in sys.modules if m.startswith('kspecial.')))")
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["eval", "gamma-k", "--k", "2", "--x", "1"],
+         {"verify", "forests", "hypergeometric", "series", "betak", "zetak"}),
+        (["verify", "stirling"],
+         {"forests", "hypergeometric", "betak", "zetak"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv, absent):
+        code, out, _, modules = json.loads(fresh_python(_PROBE, json.dumps(argv)))
+        assert code == 0 and out
+        assert absent.isdisjoint(modules)
+
+    def test_every_public_name_resolves(self):
+        import kspecial
+        missing = [n for n in kspecial.__all__ if not hasattr(kspecial, n)]
+        assert missing == []
+        assert set(kspecial.__all__) <= set(dir(kspecial))
+        assert kspecial.verify.run_suite is kspecial.run_suite
+        with pytest.raises(AttributeError):
+            kspecial.no_such_name  # noqa: B018
+
+    def test_cli_suite_names_match_verify(self):
+        from kspecial import cli, verify
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)

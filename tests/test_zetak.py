@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspecial.errors import DomainError, PoleError
+from kspecial.errors import DomainError, PoleError, ResultOverflow
 from kspecial.gammak import log_gamma_k, psi_point
 from kspecial.zetak import (ZetaKSpec, zeta_k, zeta_k_dk,
                             zeta_k_dk_printed_variant, zeta_k_ds_at_zero,
@@ -40,6 +40,28 @@ class TestValues:
             ZetaKSpec(0.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             ZetaKSpec(1.0, -1.0, 2.0)
+
+
+class TestScaleBeyondFloatRange:
+    """k^(-s) overflows a double while zeta_k itself is finite."""
+
+    @pytest.mark.parametrize("k,x,s", [(1e-300, 1.0, 2.0), (1e-300, 2.0, 1.5),
+                                       (1e-200, 1.0, 2.5), (1e-250, 3.0, 2.2)])
+    def test_tiny_k_against_integral_limit(self, k, x, s):
+        # k -> 0: zeta_k(x, s) = x^(1-s)/((s-1)k) + x^(-s)/2 + O(k)
+        want = x ** (1.0 - s) / (s - 1.0) / k
+        r = zeta_k(ZetaKSpec(k, x, s))
+        assert math.isfinite(r.value) and math.isfinite(r.err_estimate)
+        assert r.value == pytest.approx(want, rel=1e-12)
+        assert abs(r.value - want) <= r.err_estimate
+
+    @pytest.mark.parametrize("k,x,s", [
+        (1e-300, 1e-10, 2.0),   # the value itself is ~1e310
+        (1e-300, 1.0, 3.0),     # zeta_H(3, 1e300) underflows to 0
+    ])
+    def test_unrepresentable_is_typed(self, k, x, s):
+        with pytest.raises(ResultOverflow, match="zeta_k"):
+            zeta_k(ZetaKSpec(k, x, s))
 
 
 class TestStructure:

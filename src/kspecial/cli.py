@@ -27,8 +27,10 @@ import dataclasses
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
 
 from .errors import (CapExceeded, DivergentSeries, DomainError,
@@ -142,69 +144,74 @@ def _resolve_profile(args) -> PrecisionProfile:
     return dataclasses.replace(base, **overrides) if overrides else base
 
 
-def _eval_gamma_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
-    from .gammak import GammaKEvaluator
+def _tagged(r, method: str | None = None) -> tuple:
+    return r.value, r.err_estimate, method or r.method
+
+
+def _pochhammer(m, profile, method, x, n, k) -> tuple:
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"--n entries must be integers >= 0, got {n!r}")
+    v = m.pochhammer_k(m.PochhammerSpec(x, n, k))
+    err = 0.0 if isinstance(v, (int, Fraction)) else abs(v) * 2.3e-16 * max(n, 1)
+    return v, err, "exact"
+
+
+def _hyper(m, profile, method, a, ka, b, sb, x) -> tuple:
+    route = {"series": m.evaluate, "transfer": m.transfer_classical,
+             "integral": m.integral_representation_check}[method]
+    spec = m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb))
+    return _tagged(route(spec, float(x), profile), method)
+
+
+@dataclass(frozen=True, slots=True)
+class EvalCommand:
+    """One `eval` subcommand. Records run over the Cartesian product of the
+    grid flags; each param flag is one whole comma list, shown joined in
+    every record. methods are the --method choices, the first the default
+    (none: a single route). route(module, profile, method, *params, *point)
+    returns (value, err_estimate, method shown in the record); module is
+    imported only when the command runs."""
+    command: str
+    grid: tuple[str, ...]
+    methods: tuple[str, ...]
+    module: str
+    route: Callable[..., tuple]
+    params: tuple[tuple[str, bool, str], ...] = ()   # (flag, required, help)
+
+
+EVAL_COMMANDS = (
+    EvalCommand("gamma-k", ("k", "x"), ("scaling", "integral", "limit", "product"),
+                "gammak", lambda m, profile, method, k, x: _tagged(
+                    m.GammaKEvaluator(float(k), profile, method).evaluate(float(x)))),
+    # record the requested route, not the EvalResult tag: halfline and unit
+    # both tag "integral" and would be indistinguishable in a row
+    EvalCommand("beta-k", ("k", "x", "y"), ("ratio", "halfline", "unit", "product"),
+                "betak", lambda m, profile, method, k, x, y: _tagged(m.beta_k(
+                    m.BetaKSpec(float(k), float(x), float(y)), method, profile), method)),
+    EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
+                lambda m, profile, method, k, x, s: _tagged(
+                    m.zeta_k(m.ZetaKSpec(float(k), float(x), float(s)), profile))),
+    EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
+    EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
+                _hyper,
+                params=(("a", True, "upper parameters (comma list)"),
+                        ("ka", True, "upper deformation steps, paired with --a"),
+                        ("b", False, "lower parameters (comma list)"),
+                        ("sb", False, "lower deformation steps, paired with --b"))),
+)
+
+
+def _cmd_eval(args, profile: PrecisionProfile) -> list[OutputRecord]:
+    cmd = args.eval_command
+    module = import_module(f"{__package__}.{cmd.module}")
+    method = getattr(args, "method", None)
+    params = [getattr(args, flag) for flag, _, _ in cmd.params]
+    shown = {flag: ",".join(map(_fmt, v)) for (flag, _, _), v in zip(cmd.params, params)}
     out = []
-    for k, x in product(args.k, args.x):
-        ev = GammaKEvaluator(float(k), profile, args.method)
-        r = ev.evaluate(float(x))
-        out.append(OutputRecord("gamma-k", {"k": k, "x": x},
-                                r.value, r.err_estimate, r.method))
-    return out
-
-
-def _eval_beta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
-    from .betak import BetaKSpec, beta_k
-    out = []
-    for k, x, y in product(args.k, args.x, args.y):
-        spec = BetaKSpec(float(k), float(x), float(y))
-        r = beta_k(spec, args.method, profile)
-        # record the requested route, not the EvalResult tag: halfline and
-        # unit both tag "integral" and would be indistinguishable in a row
-        out.append(OutputRecord("beta-k", {"k": k, "x": x, "y": y},
-                                r.value, r.err_estimate, args.method))
-    return out
-
-
-def _eval_zeta_k(args, profile: PrecisionProfile) -> list[OutputRecord]:
-    from .zetak import ZetaKSpec, zeta_k
-    out = []
-    for k, x, s in product(args.k, args.x, args.s):
-        r = zeta_k(ZetaKSpec(float(k), float(x), float(s)), profile)
-        out.append(OutputRecord("zeta-k", {"k": k, "x": x, "s": s},
-                                r.value, r.err_estimate, r.method))
-    return out
-
-
-def _eval_pochhammer(args, profile: PrecisionProfile) -> list[OutputRecord]:
-    from .pochhammer import PochhammerSpec, pochhammer_k
-    out = []
-    for x, n, k in product(args.x, args.n, args.k):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"--n entries must be integers >= 0, got {n!r}")
-        v = pochhammer_k(PochhammerSpec(x, n, k))
-        err = 0.0 if isinstance(v, (int, Fraction)) else abs(v) * 2.3e-16 * max(n, 1)
-        out.append(OutputRecord("pochhammer", {"x": x, "n": n, "k": k},
-                                v, err, "exact"))
-    return out
-
-
-def _eval_hyper(args, profile: PrecisionProfile) -> list[OutputRecord]:
-    from .hypergeometric import (HypergeometricSpec, evaluate,
-                                 integral_representation_check, transfer_classical)
-    spec = HypergeometricSpec(tuple(args.a), tuple(args.ka),
-                              tuple(args.b), tuple(args.sb))
-    route = {"series": evaluate, "transfer": transfer_classical,
-             "integral": integral_representation_check}[args.method]
-    params = {"a": ",".join(map(_fmt, args.a)),
-              "ka": ",".join(map(_fmt, args.ka)),
-              "b": ",".join(map(_fmt, args.b)),
-              "sb": ",".join(map(_fmt, args.sb))}
-    out = []
-    for x in args.x:
-        r = route(spec, float(x), profile)
-        out.append(OutputRecord("hyper", {**params, "x": x},
-                                r.value, r.err_estimate, args.method))
+    for point in product(*(getattr(args, flag) for flag in cmd.grid)):
+        value, err, tag = cmd.route(module, profile, method, *params, *point)
+        out.append(OutputRecord(cmd.command, {**shown, **dict(zip(cmd.grid, point))},
+                                value, err, tag))
     return out
 
 
@@ -260,46 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate a function on a grid")
     fe = pe.add_subparsers(dest="function", required=True)
 
-    g = fe.add_parser("gamma-k", parents=[tol, fmt])
-    g.add_argument("--k", type=_num_list, required=True)
-    g.add_argument("--x", type=_num_list, required=True)
-    g.add_argument("--method", default="scaling",
-                   choices=("scaling", "integral", "limit", "product"))
-    g.set_defaults(run=_eval_gamma_k)
-
-    b = fe.add_parser("beta-k", parents=[tol, fmt])
-    b.add_argument("--k", type=_num_list, required=True)
-    b.add_argument("--x", type=_num_list, required=True)
-    b.add_argument("--y", type=_num_list, required=True)
-    b.add_argument("--method", default="ratio",
-                   choices=("ratio", "halfline", "unit", "product"))
-    b.set_defaults(run=_eval_beta_k)
-
-    z = fe.add_parser("zeta-k", parents=[tol, fmt])
-    z.add_argument("--k", type=_num_list, required=True)
-    z.add_argument("--x", type=_num_list, required=True)
-    z.add_argument("--s", type=_num_list, required=True)
-    z.set_defaults(run=_eval_zeta_k)
-
-    po = fe.add_parser("pochhammer", parents=[tol, fmt])
-    po.add_argument("--x", type=_num_list, required=True)
-    po.add_argument("--n", type=_num_list, required=True)
-    po.add_argument("--k", type=_num_list, required=True)
-    po.set_defaults(run=_eval_pochhammer)
-
-    h = fe.add_parser("hyper", parents=[tol, fmt])
-    h.add_argument("--a", type=_num_list, required=True,
-                   help="upper parameters (comma list)")
-    h.add_argument("--ka", type=_num_list, required=True,
-                   help="upper deformation steps, paired with --a")
-    h.add_argument("--b", type=_num_list, default=[],
-                   help="lower parameters (comma list)")
-    h.add_argument("--sb", type=_num_list, default=[],
-                   help="lower deformation steps, paired with --b")
-    h.add_argument("--x", type=_num_list, required=True)
-    h.add_argument("--method", default="series",
-                   choices=("series", "transfer", "integral"))
-    h.set_defaults(run=_eval_hyper)
+    for cmd in EVAL_COMMANDS:
+        e = fe.add_parser(cmd.command, parents=[tol, fmt])
+        for flag, required, text in cmd.params:
+            e.add_argument(f"--{flag}", type=_num_list, required=required,
+                           default=None if required else [], help=text)
+        for flag in cmd.grid:
+            e.add_argument(f"--{flag}", type=_num_list, required=True)
+        if cmd.methods:
+            e.add_argument("--method", default=cmd.methods[0], choices=cmd.methods)
+        e.set_defaults(eval_command=cmd)
 
     v = sub.add_parser("verify", parents=[tol],
                        help="run a verification suite")
@@ -314,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write canonical serializations to PATH")
     f.add_argument("--cap", type=int, default=1_000_000,
                    help="refuse enumeration beyond this many forests")
-    f.set_defaults(run=None)
 
     return parser
 
@@ -323,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval":
-            records = args.run(args, _resolve_profile(args))
+            records = _cmd_eval(args, _resolve_profile(args))
             _require_finite(records)
             _emit(records, args.format, sys.stdout)
             return 0

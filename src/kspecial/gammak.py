@@ -336,6 +336,12 @@ def psi_point(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> PsiPoi
                     psi_k=psi_k, psi_kk=psi_kk)
 
 
+def _pde_lhs(p: PsiPoint) -> float:
+    """-k x^2 psi_xx + k^3 psi_kk + 2 k^2 psi_k, the operator's left side."""
+    return (-p.k * p.x * p.x * p.psi_xx + p.k ** 3 * p.psi_kk
+            + 2.0 * p.k * p.k * p.psi_k)
+
+
 def pde_residual(p: PsiPoint) -> float:
     """Residual of  -k x^2 psi_xx + k^3 psi_kk + 2 k^2 psi_k = -(x + k).
 
@@ -344,9 +350,7 @@ def pde_residual(p: PsiPoint) -> float:
     contributes -x + k x^2 sum_{n>=1}(x+nk)^-2, so everything cancels except
     the n=0 term, -k, and the -x.
     """
-    lhs = (-p.k * p.x * p.x * p.psi_xx + p.k ** 3 * p.psi_kk
-           + 2.0 * p.k * p.k * p.psi_k)
-    return lhs + (p.x + p.k)
+    return _pde_lhs(p) + (p.x + p.k)
 
 
 def pde_residual_variant(p: PsiPoint) -> float:
@@ -356,6 +360,4 @@ def pde_residual_variant(p: PsiPoint) -> float:
     this residual equals k(x-1) plus numerical noise. Exposed so the
     discrepancy is demonstrable rather than silently absorbed.
     """
-    lhs = (-p.k * p.x * p.x * p.psi_xx + p.k ** 3 * p.psi_kk
-           + 2.0 * p.k * p.k * p.psi_k)
-    return lhs + p.x * (p.k + 1.0)
+    return _pde_lhs(p) + p.x * (p.k + 1.0)

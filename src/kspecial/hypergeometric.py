@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DivergentSeries, DomainError, OutsideRadius
+from .errors import DivergentSeries, DomainError, OutsideRadius, ResultOverflow
 from .gammak import log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline
@@ -85,6 +85,14 @@ def classify(spec: HypergeometricSpec) -> ConvergenceClass:
     return ConvergenceClass("divergent", 0.0)
 
 
+def _times_shifted(acc, params: tuple, steps: tuple, n: int):
+    """acc * (p_1 + n q_1) * (p_2 + n q_2) * ..., multiplied left to right
+    (exact when every operand is int/Fraction)."""
+    for p, q in zip(params, steps):
+        acc *= p + n * q
+    return acc
+
+
 def _term_factory(spec: HypergeometricSpec, x: float):
     """term(n) = c_n x^n; sum_series drives n consecutively from 0."""
     state = [0, 1.0]
@@ -92,12 +100,8 @@ def _term_factory(spec: HypergeometricSpec, x: float):
     def term(n: int) -> float:
         assert n == state[0], "terms must be requested consecutively"
         v = state[1]
-        num = x
-        for a_j, k_j in zip(spec.a, spec.k):
-            num *= a_j + n * k_j
-        den = n + 1.0
-        for b_i, s_i in zip(spec.b, spec.s):
-            den *= b_i + n * s_i
+        num = _times_shifted(x, spec.a, spec.k, n)
+        den = _times_shifted(n + 1.0, spec.b, spec.s, n)
         state[0] = n + 1
         state[1] = v * num / den
         return v
@@ -117,7 +121,12 @@ def evaluate(spec: HypergeometricSpec, x: float,
             radius=cls.radius)
     if x == 0.0:
         return EvalResult(1.0, 0.0, "series", 1)
-    return sum_series(_term_factory(spec, x), profile)
+    r = sum_series(_term_factory(spec, x), profile)
+    if not (math.isfinite(r.value) and math.isfinite(r.err_estimate)):
+        raise ResultOverflow(f"hypergeometric series at x={x} overflows a float after "
+                             f"{r.terms_or_nodes_used} terms: sum {r.value}, "
+                             f"err_estimate {r.err_estimate}")
+    return r
 
 
 def transfer_classical(spec: HypergeometricSpec, x: float,
@@ -144,14 +153,10 @@ def coefficient(spec: HypergeometricSpec, n: int):
     params = (*spec.a, *spec.k, *spec.b, *spec.s)
     exact = all(isinstance(v, Rational) for v in params)
     r = Fraction(1) if exact else 1.0
+    one = 1 if exact else 1.0
     for m in range(n):
-        num = 1 if exact else 1.0
-        for a_j, k_j in zip(spec.a, spec.k):
-            num *= a_j + m * k_j
-        den = 1 if exact else 1.0
-        for b_i, s_i in zip(spec.b, spec.s):
-            den *= b_i + m * s_i
-        r = r * num / den
+        r = (r * _times_shifted(one, spec.a, spec.k, m)
+             / _times_shifted(one, spec.b, spec.s, m))
     return r
 
 
@@ -173,12 +178,8 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     worst = 0.0
     scale = 0.0
     for n in range(1, degree):
-        lhs = n * c[n]
-        for b_i, s_i in zip(spec.b, spec.s):
-            lhs *= b_i + (n - 1) * s_i
-        rhs = c[n - 1]
-        for a_j, k_j in zip(spec.a, spec.k):
-            rhs *= a_j + (n - 1) * k_j
+        lhs = _times_shifted(n * c[n], spec.b, spec.s, n - 1)
+        rhs = _times_shifted(c[n - 1], spec.a, spec.k, n - 1)
         worst = max(worst, abs(lhs - rhs))
         scale = max(scale, abs(lhs), abs(rhs))
     return worst / scale if scale > 0.0 else 0.0
@@ -215,10 +216,7 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     import numpy as np
 
     def base_den(n: int) -> float:
-        den = n + 1.0
-        for b_i, s_i in zip(spec.b, spec.s):
-            den *= b_i + n * s_i
-        return den
+        return _times_shifted(n + 1.0, spec.b, spec.s, n)
 
     evals = 0
 

@@ -55,6 +55,13 @@ def _is_exact(v) -> bool:
     return isinstance(v, Rational)  # int and Fraction, not float
 
 
+def _int_if_whole(v):
+    """A Fraction with denominator 1 as an int; anything else unchanged."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    return v
+
+
 def pochhammer_k(spec: PochhammerSpec):
     """Direct product. Exact when x and k are both int/Fraction."""
     x, n, k = spec.x, spec.n, spec.k
@@ -65,9 +72,7 @@ def pochhammer_k(spec: PochhammerSpec):
             raise ResultOverflow(
                 f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "
                 "use pochhammer_k_log")
-    if isinstance(out, Fraction) and out.denominator == 1:
-        return int(out)
-    return out
+    return _int_if_whole(out)
 
 
 def _first_nonnegative(x: float, k: float, n: int) -> int:
@@ -172,9 +177,7 @@ def pochhammer_via_symmetric(spec: PochhammerSpec):
     out = Fraction(0) if exact else 0.0
     for s in range(n):
         out = out + e[s] * k ** s * x ** (n - s)
-    if isinstance(out, Fraction) and out.denominator == 1:
-        return int(out)
-    return out
+    return _int_if_whole(out)
 
 
 def pochhammer_dk(spec: PochhammerSpec):
@@ -191,9 +194,7 @@ def pochhammer_dk(spec: PochhammerSpec):
         left = pochhammer_k(PochhammerSpec(x, s, k))
         right = pochhammer_k(PochhammerSpec(x + (s + 1) * k, n - 1 - s, k))
         out = out + s * left * right
-    if isinstance(out, Fraction) and out.denominator == 1:
-        return int(out)
-    return out
+    return _int_if_whole(out)
 
 
 def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
@@ -208,6 +209,4 @@ def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
         ratio = s / k
         arg = k * x / s
     out = ratio ** n * pochhammer_k(PochhammerSpec(arg, n, k))
-    if isinstance(out, Fraction) and out.denominator == 1:
-        return int(out)
-    return out
+    return _int_if_whole(out)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspecial import quadrature
-from kspecial.errors import DivergentSeries, DomainError, OutsideRadius
+from kspecial.errors import (DivergentSeries, DomainError, OutsideRadius,
+                             ResultOverflow)
 from kspecial.hypergeometric import (ConvergenceClass, HypergeometricSpec,
                                      classify, coefficient, evaluate,
                                      integral_representation_check,
@@ -93,6 +94,14 @@ class TestEvaluate:
         with pytest.raises(DivergentSeries):
             evaluate(spec, 0.01)
         assert evaluate(spec, 0.0).value == 1.0
+
+    @pytest.mark.parametrize("route", [evaluate, transfer_classical])
+    def test_sum_beyond_float_range_is_typed(self, route):
+        # the sum is e^800; it used to come back as EvalResult(inf, inf)
+        spec = HypergeometricSpec((1.0,), (1.0,), (1.0,), (1.0,))
+        with pytest.raises(ResultOverflow, match="overflows a float"):
+            route(spec, 800.0)
+        assert route(spec, 700.0).value == pytest.approx(math.exp(700.0), rel=1e-9)
 
     def test_deterministic(self):
         spec = HypergeometricSpec((1.5,), (2.0,), (2.5,), (1.0,))

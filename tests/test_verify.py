@@ -1,0 +1,104 @@
+"""The verify report itself: the inventory of checks and their pinned
+tolerances, and the rule that a nan deviation fails its check."""
+
+import math
+
+import pytest
+
+from kspecial import betak
+from kspecial.cli import main
+from kspecial.profiles import EvalResult
+from kspecial.verify import _combined_error_units, _holds, _worst, run_suite
+
+# every check of `verify all` in report order, with repr(tol): a refactor
+# of the suites may neither drop, rename, reorder nor retune a check
+INVENTORY = [
+    ("gamma/functional-equation/scaling+integral", "1e-09"),
+    ("gamma/functional-equation/limit-n1e6", "0.0001"),
+    ("gamma/functional-equation/product-n1e4", "1e-05"),
+    ("gamma/normalization/scaling+integral", "1e-09"),
+    ("gamma/normalization/limit-n1e6", "0.0001"),
+    ("gamma/normalization/product-n1e4", "1e-05"),
+    ("gamma/reflection-normalized", "1e-08"),
+    ("gamma/reflection-unnormalized-gap-equals-1/k", "1e-08"),
+    ("gamma/scale-transfer", "1e-12"),
+    ("gamma/parameter-a-integral", "1e-09"),
+    ("gamma/log-convexity/psi-xx-positive", "0.0"),
+    ("gamma/log-convexity/midpoint", "1e-12"),
+    ("gamma/route-agreement/combined-error-units", "3.0"),
+    ("gamma/pochhammer/symmetric-and-rescale-exact", "0.0"),
+    ("gamma/pochhammer/dk-vs-finite-difference", "1e-06"),
+    ("gamma/pochhammer/gamma-ratio", "1e-11"),
+    ("beta/four-routes-pairwise/combined-error-units", "3.0"),
+    ("beta/scaling-collapse", "1e-09"),
+    ("beta/symmetry/halfline-route", "1e-09"),
+    ("beta/first-argument-shift", "1e-11"),
+    ("zeta/shift-telescoping", "1e-10"),
+    ("zeta/scaling-to-classical", "1e-12"),
+    ("zeta/trigamma-identity", "1e-09"),
+    ("zeta/s0-derivative-composite/positive-sign", "0.001"),
+    ("zeta/s0-derivative-composite/flipped-sign-gap-is-2x", "0.001"),
+    ("zeta/termwise-dk-m1-vs-fd", "1e-05"),
+    ("zeta/termwise-dk-m2-vs-fd", "0.001"),
+    ("zeta/printed-dk-form-gap-is-factor-minus-signed-x", "1e-12"),
+    ("hyper/binomial-collapse", "1e-10"),
+    ("hyper/transfer-20-seeded/combined-error-units", "1.0"),
+    ("hyper/ode-coefficient-residual-deg15", "1e-12"),
+    ("hyper/integral-representation-p1", "1e-08"),
+    ("hyper/integral-representation-p2-even-steps", "1e-07"),
+    ("hyper/radius-and-divergence-refusal", "0.0"),
+    ("hyper/coefficient-rational-exact", "0.0"),
+    ("forests/enumeration-count-distinct-invariants", "0.0"),
+    ("forests/derivative-ratio-equals-coefficient", "0.0"),
+    ("forests/cap-exceeded-carries-exact-count", "0.0"),
+    ("pde/balanced-rhs-residual", "0.0001"),
+    ("pde/variant-rhs-gap-equals-k(x-1)", "0.0001"),
+    ("stirling/leading-term-error-decreasing", "0.0"),
+    ("stirling/rel-error-times-x-bounded", "0.12"),
+]
+
+
+def test_inventory_and_tolerances_are_pinned_and_all_pass():
+    rows = run_suite("all")
+    assert [(f"{s}/{r.name}", repr(r.tol)) for s, r in rows] == INVENTORY
+    failed = [f"{s}/{r.name}" for s, r in rows if not r.passed]
+    assert failed == []
+    assert all(0.0 <= r.max_dev <= r.tol for _, r in rows)
+
+
+class TestNanFails:
+    def test_fold_keeps_the_max_in_order(self):
+        r = _worst("c", 1.0, iter([0.25, -1.0, 0.5, 0.125]))
+        assert (r.name, r.max_dev, r.tol, r.passed) == ("c", 0.5, 1.0, True)
+        assert _worst("c", 0.0, []).max_dev == 0.0
+        assert not _worst("c", 0.25, [0.5]).passed
+
+    @pytest.mark.parametrize("devs", [[math.nan], [0.5, math.nan, 0.25],
+                                      [math.nan, 2.0]])
+    def test_nan_deviation_fails(self, devs):
+        r = _worst("c", math.inf, devs)
+        assert math.isnan(r.max_dev) and not r.passed
+
+    def test_combined_error_units_keeps_nan(self):
+        ok = EvalResult(1.0, 1e-16, "scaling")
+        bad = EvalResult(math.nan, 0.0, "scaling")
+        assert math.isnan(_combined_error_units([ok, bad, ok]))
+        assert math.isnan(_combined_error_units([bad, ok, ok]))
+
+    def test_structural_check_is_0_or_1(self):
+        assert _holds("s", True) == _worst("s", 0.0, [0.0])
+        r = _holds("s", False)
+        assert (r.max_dev, r.tol, r.passed) == (1.0, 0.0, False)
+
+    def test_verify_beta_fails_on_a_nan_route(self, monkeypatch, capsys):
+        monkeypatch.setattr(betak, "beta_k_ratio",
+                            lambda spec: EvalResult(math.nan, 0.0, "scaling"))
+        assert main(["verify", "beta"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "FAIL beta/four-routes-pairwise/combined-error-units max_dev=nan tol=3.000e+00",
+            "FAIL beta/scaling-collapse max_dev=nan tol=1.000e-09",
+            out[2],
+            "FAIL beta/first-argument-shift max_dev=nan tol=1.000e-11",
+        ]
+        assert out[2].startswith("PASS beta/symmetry/halfline-route ")

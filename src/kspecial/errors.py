@@ -81,4 +81,4 @@ class CapExceeded(RuntimeError):
 
 
 class InvariantViolation(ValueError):
-    """A structural invariant of a combinatorial object fails to hold."""
+    """A structural invariant fails: of a forest, or a PsiPoint's psi_xx > 0."""

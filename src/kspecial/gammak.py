@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ResultOverflow, exp_or_overflow
+from .errors import DomainError, InvariantViolation, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
 from .hurwitz import hurwitz_zeta, power_tail_sums
 from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
@@ -278,7 +278,7 @@ class PsiPoint:
     psi_x and psi_k come from the series representations (head summed
     directly, Euler-Maclaurin tail), psi_xx from the k-zeta connection
     psi_xx = sum_{n>=0} (x+nk)^-2, psi_kk by central difference of psi_k.
-    Log-convexity makes psi_xx > 0 a structural invariant.
+    Log-convexity makes psi_xx > 0 an invariant (else InvariantViolation).
     """
 
     k: float
@@ -291,7 +291,7 @@ class PsiPoint:
 
     def __post_init__(self) -> None:
         if not (self.psi_xx > 0.0):
-            raise ValueError(f"psi_xx must be positive, got {self.psi_xx}")
+            raise InvariantViolation(f"psi_xx must be positive, got {self.psi_xx}")
 
 
 def _psi_x_series(k: float, x: float) -> float:

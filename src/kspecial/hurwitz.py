@@ -67,9 +67,11 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
             head += (a + n) ** (-s)
         big_a = a + _M
         tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
+        rise = 1.0 * s  # (s)_(2j-1) in step j, left to right as rising() forms it
         for j, (b2j, fact) in enumerate(_BERNOULLI, start=1):
-            tail += b2j / fact * rising(s, 2 * j - 1) * big_a ** (-s - 2 * j + 1)
-        err = abs(_B12 / _FACT12 * rising(s, 11) * big_a ** (-s - 11))
+            tail += b2j / fact * rise * big_a ** (-s - 2 * j + 1)
+            rise = rise * (s + (2 * j - 1)) * (s + 2 * j)
+        err = abs(_B12 / _FACT12 * rise * big_a ** (-s - 11))
         value = head + tail
     except OverflowError:
         value = math.inf

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from numbers import Rational
 
 from .errors import DivergentSeries, DomainError, OutsideRadius, ResultOverflow
@@ -93,20 +94,21 @@ def _times_shifted(acc, params: tuple, steps: tuple, n: int):
     return acc
 
 
-def _term_factory(spec: HypergeometricSpec, x: float):
-    """term(n) = c_n x^n; sum_series drives n consecutively from 0."""
-    state = [0, 1.0]
-
-    def term(n: int) -> float:
-        assert n == state[0], "terms must be requested consecutively"
-        v = state[1]
-        num = _times_shifted(x, spec.a, spec.k, n)
-        den = _times_shifted(n + 1.0, spec.b, spec.s, n)
-        state[0] = n + 1
-        state[1] = v * num / den
-        return v
-
-    return term
+def _terms(spec: HypergeometricSpec, x: float):
+    """The terms c_n x^n of the series at x, n = 0, 1, ... without end, each
+    from the last by the ratio of _times_shifted's products, made lazily."""
+    upper = tuple(zip(spec.a, spec.k))
+    lower = tuple(zip(spec.b, spec.s))
+    v = 1.0
+    for n in count():
+        yield v
+        num = x
+        for a_j, k_j in upper:
+            num *= a_j + n * k_j
+        den = n + 1.0
+        for b_i, s_i in lower:
+            den *= b_i + n * s_i
+        v = v * num / den
 
 
 def evaluate(spec: HypergeometricSpec, x: float,
@@ -121,7 +123,7 @@ def evaluate(spec: HypergeometricSpec, x: float,
             radius=cls.radius)
     if x == 0.0:
         return EvalResult(1.0, 0.0, "series", 1)
-    r = sum_series(_term_factory(spec, x), profile)
+    r = sum_series(_terms(spec, x), profile)
     if not (math.isfinite(r.value) and math.isfinite(r.err_estimate)):
         raise ResultOverflow(f"hypergeometric series at x={x} overflows a float after "
                              f"{r.terms_or_nodes_used} terms: sum {r.value}, "
@@ -173,8 +175,7 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
-    term = _term_factory(spec, 1.0)
-    c = [term(n) for n in range(degree)]
+    c = list(islice(_terms(spec, 1.0), degree))
     worst = 0.0
     scale = 0.0
     for n in range(1, degree):

@@ -6,15 +6,15 @@ log-space form tracks the sign separately and is the one to use for the
 huge n that show up in limit-style evaluations.
 
 pochhammer_k_log sums log|x + jk| with a scalar loop below _NUMPY_CUTOFF
-factors and with numpy above it. The numpy path works through the factors
-_CHUNK at a time in one buffer of at most _CHUNK doubles, so a 10^6-factor
-call touches 256 KB instead of building several 8 MB arrays: each chunk is
+factors and with numpy above it. Because the factors increase with j, the
+negative factors are a prefix and a zero factor, if any, is the first
+non-negative one; both paths find these, and so the sign, from ceil(-x/k)
+with no test per factor. The numpy path works through the factors _CHUNK
+at a time in one buffer of at most _CHUNK doubles, so a 10^6-factor call
+touches 256 KB instead of building several 8 MB arrays: each chunk is
 formed in place as x + k*j (bit for bit the factors of x + k*arange(n)),
-logged in place and summed, and math.fsum adds the chunk sums. Because the
-factors increase with j, the negative factors are a prefix and a zero
-factor, if any, is the first non-negative one; both follow from
-ceil(-x/k) without a pass over the array. A call with n <= _CHUNK is one
-chunk and equals the full-array sum bit for bit.
+logged in place and summed, and math.fsum adds the chunk sums. A call with
+n <= _CHUNK is one chunk and equals the full-array sum bit for bit.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def _first_nonnegative(x: float, k: float, n: int) -> int:
     float expression at the neighbouring j (one step at most while
     j < 2**52).
     """
-    if not (x < 0.0):           # x >= 0, or nan
-        return 0
     r = -x / k
+    if not (x < 0.0) or math.isnan(r):  # x >= 0 or nan; -inf with k = inf
+        return 0
     j = n if r >= n else math.ceil(r)
     while j > 0 and x + k * float(j - 1) >= 0.0:
         j -= 1
@@ -109,10 +109,11 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     x, n, k = float(spec.x), spec.n, float(spec.k)
     if n == 0:
         return 0.0, 1
+    neg = _first_nonnegative(x, k, n)
+    if neg < n and x + k * float(neg) == 0.0:
+        return -math.inf, 0
+    sign = -1 if neg % 2 else 1
     if n >= _NUMPY_CUTOFF:
-        neg = _first_nonnegative(x, k, n)
-        if neg < n and x + k * float(neg) == 0.0:
-            return -math.inf, 0
         import numpy as np
 
         table = _chunk_table()
@@ -127,16 +128,13 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
                 np.abs(b, out=b)
             np.log(b, out=b)
             sums.append(float(b.sum()))
-        return math.fsum(sums), -1 if neg % 2 else 1
+        return math.fsum(sums), sign
+    # not sum(): from Python 3.12 it rounds differently from this loop
     log_abs = 0.0
-    sign = 1
-    for j in range(n):
-        f = x + j * k
-        if f == 0.0:
-            return -math.inf, 0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
+    for j in range(neg):
+        log_abs += math.log(-(x + j * k))
+    for j in range(neg, n):
+        log_abs += math.log(x + j * k)
     return log_abs, sign
 
 

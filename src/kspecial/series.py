@@ -7,7 +7,8 @@ first omitted term, which is honest only when the terms eventually decrease;
 slowly converging series satisfy the rule long before the sum is accurate,
 which is the caller's problem to know about.
 
-sum_series sums one series through a scalar term callback. It stays scalar
+sum_series sums one series read from an iterator of its terms, so a term
+recurrence can be a generator with no per-term call. It stays scalar
 because its callers (point evaluations, the verify suites) sum one series
 per call, where numpy's per-call overhead would cost more than the loop.
 sum_series_batch applies the same rule, element by element, to a whole
@@ -26,21 +27,19 @@ from .profiles import DEFAULT, EvalResult, PrecisionProfile
 _TERM_BLOCK = 16
 
 
-def sum_series(term, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """Sum term(0) + term(1) + ... under the profile's stop rule.
-
-    term must accept consecutive integers from 0 and may be called once past
-    the final included index (for the error estimate).
-    """
+def sum_series(terms, profile: PrecisionProfile = DEFAULT) -> EvalResult:
+    """Sum an iterator of terms (term 0 first, without end) under the
+    profile's stop rule; the term after the last included one is read, as
+    the error estimate."""
+    abs_tol, rel_tol = profile.abs_tol, profile.rel_tol
     total = 0.0
     consecutive = 0
-    for n in range(profile.max_terms):
-        t = term(n)
+    for n, t in zip(range(profile.max_terms), terms):
         total += t
-        if abs(t) <= profile.abs_tol + profile.rel_tol * abs(total):
+        if abs(t) <= abs_tol + rel_tol * abs(total):
             consecutive += 1
             if consecutive == 3:
-                return EvalResult(total, abs(term(n + 1)), "series", n + 1)
+                return EvalResult(total, abs(next(terms)), "series", n + 1)
         else:
             consecutive = 0
     raise NonConvergent(

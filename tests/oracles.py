@@ -89,3 +89,100 @@ def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
         return -math.inf, 0
     sign = -1 if int(np.count_nonzero(factors < 0.0)) % 2 else 1
     return float(np.log(np.abs(factors)).sum()), sign
+
+
+# -- per-term and per-factor references ----------------------------------------
+#
+# The loops below are the kernels' earlier, plainer forms: one callback call
+# per series term, one test per Pochhammer factor, one rising factorial per
+# Euler-Maclaurin correction. They run the same floating-point operations in
+# the same order as the package's streamlined kernels, so the two must agree
+# bit for bit.
+
+def sum_series_callback(term, abs_tol: float, rel_tol: float, max_terms: int):
+    """term(0) + term(1) + ... until |term_n| <= abs_tol + rel_tol |sum|
+    three times in a row; (sum, |first omitted term|, terms used). Raises
+    ArithmeticError carrying the partial sum after max_terms terms."""
+    total = 0.0
+    consecutive = 0
+    for n in range(max_terms):
+        t = term(n)
+        total += t
+        if abs(t) <= abs_tol + rel_tol * abs(total):
+            consecutive += 1
+            if consecutive == 3:
+                return total, abs(term(n + 1)), n + 1
+        else:
+            consecutive = 0
+    raise ArithmeticError(total)
+
+
+def _shifted_product(acc, params, steps, n):
+    for p, q in zip(params, steps):
+        acc *= p + n * q
+    return acc
+
+
+def hyper_term_callback(a, k, b, s, x):
+    """term(n) = c_n x^n of the step-generalized series, for n = 0, 1, ...
+    in order, by the recurrence c_{n+1} x^{n+1} = c_n x^n *
+    x prod_j (a_j + n k_j) / ((n+1) prod_i (b_i + n s_i))."""
+    state = [0, 1.0]
+
+    def term(n):
+        assert n == state[0], "terms must be requested consecutively"
+        v = state[1]
+        state[1] = v * _shifted_product(x, a, k, n) / _shifted_product(n + 1.0, b, s, n)
+        state[0] = n + 1
+        return v
+
+    return term
+
+
+def hyper_ode_residual_callback(a, k, b, s, degree):
+    """hypergeometric.ode_residual with c_n from hyper_term_callback at x = 1."""
+    term = hyper_term_callback(a, k, b, s, 1.0)
+    c = [term(n) for n in range(degree)]
+    worst = scale = 0.0
+    for n in range(1, degree):
+        lhs = _shifted_product(n * c[n], b, s, n - 1)
+        rhs = _shifted_product(c[n - 1], a, k, n - 1)
+        worst = max(worst, abs(lhs - rhs))
+        scale = max(scale, abs(lhs), abs(rhs))
+    return worst / scale if scale > 0.0 else 0.0
+
+
+def pochhammer_k_log_loop(x: float, n: int, k: float) -> tuple[float, int]:
+    """(log|(x)_{n,k}|, sign), testing each factor for zero and sign."""
+    log_abs = 0.0
+    sign = 1
+    for j in range(n):
+        f = x + j * k
+        if f == 0.0:
+            return -math.inf, 0
+        if f < 0.0:
+            sign = -sign
+        log_abs += math.log(abs(f))
+    return log_abs, sign
+
+
+def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float]:
+    """(value, B_12 error term) of hurwitz.hurwitz_zeta's Euler-Maclaurin
+    sum (M = 20, B_2..B_10), forming each rising factorial (s)_m afresh."""
+    def rising(m):
+        out = 1.0
+        for i in range(m):
+            out *= s + i
+        return out
+
+    bernoulli = ((1.0 / 6.0, 2.0), (-1.0 / 30.0, 24.0), (1.0 / 42.0, 720.0),
+                 (-1.0 / 30.0, 40320.0), (5.0 / 66.0, 3628800.0))
+    head = 0.0
+    for n in range(20):
+        head += (a + n) ** (-s)
+    big_a = a + 20
+    tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
+    for j, (b2j, fact) in enumerate(bernoulli, start=1):
+        tail += b2j / fact * rising(2 * j - 1) * big_a ** (-s - 2 * j + 1)
+    err = abs(-691.0 / 2730.0 / 479001600.0 * rising(11) * big_a ** (-s - 11))
+    return head + tail, err

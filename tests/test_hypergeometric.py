@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspecial import quadrature
-from kspecial.errors import (DivergentSeries, DomainError, OutsideRadius,
-                             ResultOverflow)
+from kspecial.errors import (DivergentSeries, DomainError, NonConvergent,
+                             OutsideRadius, ResultOverflow)
 from kspecial.hypergeometric import (ConvergenceClass, HypergeometricSpec,
                                      classify, coefficient, evaluate,
                                      integral_representation_check,
                                      ode_residual, transfer_classical)
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
+from kspecial.profiles import DEFAULT, FAST, STRICT, PrecisionProfile
+
+from oracles import (hyper_ode_residual_callback, hyper_term_callback,
+                     sum_series_callback)
 
 TRANSFER_SEED = 20240817  # frozen; regenerating specs must not change results
 
@@ -108,6 +112,109 @@ class TestEvaluate:
         a = evaluate(spec, 0.4)
         b = evaluate(spec, 0.4)
         assert a.value == b.value and a.terms_or_nodes_used == b.terms_or_nodes_used
+
+
+def _callback_sum(spec, x, profile=DEFAULT):
+    """(value, err_estimate, terms) of the series at x by the per-term
+    callback and stop loop of oracles.py."""
+    term = hyper_term_callback(spec.a, spec.k, spec.b, spec.s, x)
+    return sum_series_callback(term, profile.abs_tol, profile.rel_tol,
+                               profile.max_terms)
+
+
+def _fields(r):
+    return r.value, r.err_estimate, r.terms_or_nodes_used
+
+
+class TestTermGeneratorMatchesCallback:
+    """evaluate's term generator and iterator stop rule give, bit for bit,
+    the value, error estimate and term count of the callback recurrence,
+    and refuse where it overflows or runs out of terms."""
+
+    def test_transfer_check_ranges(self):
+        # verify's transfer check: |x| < 1.5 when entire, 0.9 of the radius
+        rng = random.Random(TRANSFER_SEED + 2)
+        for spec in _random_specs(150, rng):
+            cls = classify(spec)
+            x = (rng.uniform(-1.5, 1.5) if cls.kind == "entire"
+                 else rng.uniform(-0.9, 0.9) * cls.radius)
+            for profile in (DEFAULT, STRICT, FAST):
+                assert _fields(evaluate(spec, x, profile)) == \
+                    _callback_sum(spec, x, profile), (spec, x)
+
+    def test_near_the_radius_and_entire_at_negative_x(self):
+        rng = random.Random(TRANSFER_SEED + 3)
+        specs = _random_specs(300, rng)
+        points = [(s, sign * 0.97 * classify(s).radius) for s in specs
+                  if classify(s).kind == "radius" for sign in (1.0, -1.0)]
+        points += [(s, -rng.uniform(1.0, 40.0)) for s in specs
+                   if classify(s).kind == "entire"]
+        assert len(points) > 200
+        # the converging points stop within ~2,100 terms; a lower cap keeps
+        # the few that never do cheap
+        profile = PrecisionProfile(max_terms=5_000)
+        unmet = 0
+        for spec, x in points:
+            try:
+                want = _callback_sum(spec, x, profile)
+            except ArithmeticError as exc:
+                # the cap ends both loops alike; here the terms passed the
+                # float range and the partial sum is nan
+                unmet += 1
+                with pytest.raises(NonConvergent) as got:
+                    evaluate(spec, x, profile)
+                assert repr(got.value.last_value) == repr(exc.args[0])
+                continue
+            assert _fields(evaluate(spec, x, profile)) == want, (spec, x)
+        assert 0 < unmet < len(points) // 10
+
+    def test_transfer_classical_is_evaluate_on_the_flat_spec(self):
+        rng = random.Random(TRANSFER_SEED + 4)
+        for spec in _random_specs(60, rng):
+            cls = classify(spec)
+            x = (rng.uniform(-1.5, 1.5) if cls.kind == "entire"
+                 else rng.uniform(-0.9, 0.9) * cls.radius)
+            flat = HypergeometricSpec(
+                tuple(a_j / k_j for a_j, k_j in zip(spec.a, spec.k)),
+                (1.0,) * spec.p,
+                tuple(b_i / s_i for b_i, s_i in zip(spec.b, spec.s)),
+                (1.0,) * spec.q)
+            kbar, sbar = math.prod(spec.k), math.prod(spec.s)
+            assert _fields(transfer_classical(spec, x)) == \
+                _callback_sum(flat, x * kbar / sbar)
+
+    def test_ode_residual(self):
+        rng = random.Random(TRANSFER_SEED + 5)
+        for spec in _random_specs(80, rng, allow_divergent=True):
+            degree = rng.randint(2, 30)
+            assert ode_residual(spec, degree) == hyper_ode_residual_callback(
+                spec.a, spec.k, spec.b, spec.s, degree)
+        exact = HypergeometricSpec((Fraction(3), Fraction(2)), (Fraction(2), 1),
+                                   (Fraction(4),), (1,))
+        assert ode_residual(exact, 15) == hyper_ode_residual_callback(
+            exact.a, exact.k, exact.b, exact.s, 15)
+
+    def test_nonconvergent_under_a_small_cap(self):
+        rng = random.Random(TRANSFER_SEED + 6)
+        small = PrecisionProfile(max_terms=6)
+        for spec in _random_specs(40, rng):
+            x = 0.9 * classify(spec).radius if spec.p == spec.q + 1 else 1.4
+            with pytest.raises(ArithmeticError) as want:
+                _callback_sum(spec, x, small)
+            with pytest.raises(NonConvergent) as got:
+                evaluate(spec, x, small)
+            assert got.value.last_value == want.value.args[0]
+
+    def test_overflow_of_the_exp_family(self):
+        for spec in (HypergeometricSpec((), (), (), ()),
+                     HypergeometricSpec((1.0,), (1.0,), (1.0,), (1.0,)),
+                     HypergeometricSpec((3.0,), (3.0,), (2.0,), (2.0,))):
+            value, err, terms = _callback_sum(spec, 800.0)
+            assert not (math.isfinite(value) and math.isfinite(err))
+            with pytest.raises(ResultOverflow,
+                               match=f"after {terms} terms: sum {value}, "
+                                     f"err_estimate {err}"):
+                evaluate(spec, 800.0)
 
 
 class TestSpecValidation:

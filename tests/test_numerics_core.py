@@ -5,6 +5,8 @@ Frozen constants: "trapezoid" = brute-force trapezoid oracle in oracles.py,
 """
 
 import math
+import random
+from itertools import count
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from kspecial import quadrature, series
 from kspecial.quadrature import quad_halfline, quad_unit
 from kspecial.series import sum_series, sum_series_batch
 
-from oracles import direct_zeta2, trapezoid
+from oracles import direct_zeta2, hurwitz_zeta_rising, trapezoid
 
 SQRT_HALF_PI = 1.2533141373155001   # trapezoid oracle 1.2533141373147676 (h=1e-5, [0,40]); closed sqrt(pi/2)
 ZETA2 = 1.6449340668482264          # direct sum + EM tail oracle 1.6449340668482415; closed pi^2/6
@@ -268,6 +270,19 @@ class TestHurwitz:
         with pytest.raises(DomainError):
             hurwitz_zeta(math.nan, 1.0)
 
+    def test_matches_per_correction_rising_factorials(self):
+        # (s)_1 .. (s)_11 built once per call, against one rising factorial
+        # per Bernoulli correction: bit for bit, integer s <= 0 included
+        rng = random.Random(20240819)
+        for i in range(5000):
+            s = float(rng.randint(-12, 0)) if i % 5 == 0 else rng.uniform(-12.0, 45.0)
+            if s == 1.0:
+                continue
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            value, err = hurwitz_zeta_rising(s, a)
+            r = hurwitz_zeta(s, a)
+            assert (r.value, r.err_estimate) == (value, max(err, 2e-16 * abs(value))), (s, a)
+
     @pytest.mark.parametrize("s,a", [(2.0, 5e-324), (2.0, 1e-300)])
     def test_overflow_is_typed(self, s, a):
         # the first term a^-s alone exceeds the largest double
@@ -277,33 +292,30 @@ class TestHurwitz:
 
 class TestSumSeries:
     def test_geometric(self):
-        r = sum_series(lambda n: 0.5 ** n)
+        r = sum_series(0.5 ** n for n in count())
         assert abs(r.value - 2.0) < 1e-10
         assert r.err_estimate <= 1e-10
 
     def test_exponential(self):
-        r = sum_series(lambda n: 1.0 / math.factorial(n) if n < 170 else 0.0)
+        r = sum_series(1.0 / math.factorial(n) if n < 170 else 0.0
+                       for n in count())
         assert abs(r.value - math.e) < 1e-12
 
     def test_basel_converges_at_default_profile_with_visible_tail(self):
         # stop rule triggers near n ~ 7.9e4; the unseen tail is ~1.3e-5,
         # which is exactly why err_estimate documents "first omitted term"
-        r = sum_series(lambda n: 1.0 / (1.0 + n) ** 2)
+        r = sum_series(1.0 / (1.0 + n) ** 2 for n in count())
         assert abs(r.value - ZETA2) < 5e-5
         assert 70_000 < r.terms_or_nodes_used <= 100_000
 
     def test_basel_nonconvergent_with_reduced_cap(self):
         prof = PrecisionProfile(max_terms=50_000)
         with pytest.raises(NonConvergent):
-            sum_series(lambda n: 1.0 / (1.0 + n) ** 2, prof)
+            sum_series((1.0 / (1.0 + n) ** 2 for n in count()), prof)
 
     def test_three_in_a_row_guards_accidental_zeros(self):
         # term 0 at n=3 only; the rule must not stop there
-        def term(n):
-            if n == 3:
-                return 0.0
-            return 0.5 ** n
-        r = sum_series(term)
+        r = sum_series(0.0 if n == 3 else 0.5 ** n for n in count())
         assert abs(r.value - (2.0 - 0.125)) < 1e-9
 
 
@@ -321,13 +333,13 @@ class TestSumSeriesBatch:
         """The same series through sum_series, one argument at a time."""
         if x == 0.0:
             return 1.0, 1
-        state = [1.0]
 
-        def term(n):
-            v = state[0]
-            state[0] = v * x / self.den(n)
-            return v
-        r = sum_series(term)
+        def terms():
+            v = 1.0
+            for n in count():
+                yield v
+                v = v * x / self.den(n)
+        r = sum_series(terms())
         return r.value, r.terms_or_nodes_used
 
     @pytest.mark.parametrize("block", [1, 2, 3, 16])

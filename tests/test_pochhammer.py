@@ -20,7 +20,8 @@ from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
                                  pochhammer_via_symmetric)
 
-from oracles import central_diff, pochhammer_k_log_array, rising_product
+from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_loop,
+                     rising_product)
 
 # strategies shared by the exact-mode property tests
 _exact_x = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -110,6 +111,32 @@ def _lattice_x(rng: random.Random, n: int, k: float) -> float:
     return math.nextafter(x, step * math.inf) if step else x
 
 
+class TestScalarLoop:
+    """The scalar path of pochhammer_k_log (n < _NUMPY_CUTOFF) against the
+    loop that tests every factor for zero and sign: bit for bit."""
+
+    def test_matches_per_factor_loop(self):
+        rng = random.Random(20240818)
+        for i in range(2000):
+            n = rng.randint(0, pochhammer._NUMPY_CUTOFF - 1)
+            k = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            if i % 3 == 0:
+                x = _lattice_x(rng, n, k)
+            else:
+                x = (math.exp(rng.uniform(math.log(1e-3), math.log(3e3)))
+                     * rng.choice((1.0, -1.0)))
+            got = pochhammer_k_log(PochhammerSpec(x, n, k))
+            assert got == pochhammer_k_log_loop(x, n, k), (x, n, k)
+
+    def test_nonfinite_arguments(self):
+        for x, k in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                     (-1.0, math.inf), (1.0, math.inf), (-math.inf, math.inf),
+                     (-0.0, 1.0)):
+            for n in (1, 2, 5, 511):
+                got = pochhammer_k_log(PochhammerSpec(x, n, k))
+                assert repr(got) == repr(pochhammer_k_log_loop(x, n, k)), (x, n, k)
+
+
 class TestChunkedKernel:
     """The numpy path of pochhammer_k_log against the full-array formula."""
 
@@ -171,7 +198,9 @@ class TestChunkedKernel:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_arguments_follow_the_array(self):
-        for x, k in ((-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        # (-inf, inf): every factor is nan, and ceil(-x/k) = ceil(nan) raised
+        for x, k in ((-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                     (-math.inf, math.inf)):
             got = pochhammer_k_log(PochhammerSpec(x, 600, k))
             want = pochhammer_k_log_array(x, 600, k)
             assert got[1] == want[1]

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from kspecial import betak
+from kspecial import betak, gammak
 from kspecial.cli import main
+from kspecial.errors import InvariantViolation
 from kspecial.profiles import EvalResult
 from kspecial.verify import _combined_error_units, _holds, _worst, run_suite
 
@@ -102,3 +103,20 @@ class TestNanFails:
             "FAIL beta/first-argument-shift max_dev=nan tol=1.000e-11",
         ]
         assert out[2].startswith("PASS beta/symmetry/halfline-route ")
+
+
+def test_verify_gamma_fails_on_a_nonpositive_psi_xx(monkeypatch, capsys):
+    # psi_point refuses a non-positive psi_xx; the log-convexity row must
+    # report it as FAIL while every other gamma row is still printed
+    monkeypatch.setattr(gammak, "hurwitz_zeta", lambda s, a, profile=None:
+                        EvalResult(-1.0, 0.0, "euler_maclaurin"))
+    with pytest.raises(InvariantViolation, match="psi_xx must be positive"):
+        gammak.psi_point(1.0, 1.0)
+    assert main(["verify", "gamma"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert [line.split()[1] for line in out] == [
+        name for name, _ in INVENTORY if name.startswith("gamma/")]
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL gamma/log-convexity/psi-xx-positive max_dev=1.000e+00 tol=0.000e+00"]
+    assert captured.err == "15/16 checks passed\n"

@@ -25,9 +25,10 @@ _EXPORTS = {
     "forests": ("ForestFamily", "PlanarForest", "count", "derivative_ratio",
                 "enumerate_forests", "parse_forest", "serialize_forest",
                 "tail_count", "validate_forest"),
-    "gammak": ("GammaKEvaluator", "gamma_k_dk", "gamma_k_stirling",
-               "log_gamma_k", "nearest_pole", "pde_residual",
-               "pde_residual_variant", "psi_point"),
+    "gammak": ("GammaKEvaluator", "gamma_k_dk", "gamma_k_integral",
+               "gamma_k_limit", "gamma_k_product", "gamma_k_scaling",
+               "gamma_k_stirling", "log_gamma_k", "nearest_pole",
+               "pde_residual", "pde_residual_variant", "psi_point"),
     "hypergeometric": ("ConvergenceClass", "HypergeometricSpec", "classify",
                        "coefficient", "evaluate",
                        "integral_representation_check", "ode_residual",

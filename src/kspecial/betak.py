@@ -122,8 +122,7 @@ _ROUTES = ("ratio", "halfline", "unit", "product")
 
 
 def beta_k(spec: BetaKSpec, method: str = "ratio",
-           profile: PrecisionProfile = DEFAULT,
-           n_terms: int = 10_000) -> EvalResult:
+           profile: PrecisionProfile = DEFAULT) -> EvalResult:
     if method == "ratio":
         return beta_k_ratio(spec)
     if method == "halfline":
@@ -131,5 +130,5 @@ def beta_k(spec: BetaKSpec, method: str = "ratio",
     if method == "unit":
         return beta_k_integral_unit(spec, profile)
     if method == "product":
-        return beta_k_product(spec, n_terms)
+        return beta_k_product(spec)
     raise ValueError(f"unknown B_k route {method!r}; choose from {_ROUTES}")

@@ -33,9 +33,7 @@ from fractions import Fraction
 from importlib import import_module
 from itertools import product
 
-from .errors import (CapExceeded, DivergentSeries, DomainError,
-                     InvariantViolation, NonConvergent, OutsideRadius,
-                     PoleError, ResultOverflow)
+from .errors import CapExceeded, DomainError, NonConvergent, ResultOverflow
 from .profiles import DEFAULT, PROFILES, PrecisionProfile
 
 # verify.SUITES, spelled out so the parser needs no import of verify
@@ -310,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         print(exc.count)
         print(f"enumeration refused: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PoleError, OutsideRadius, DivergentSeries,
-            InvariantViolation, ValueError) as exc:
+    except ValueError as exc:   # DomainError and InvariantViolation among them
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except ResultOverflow as exc:

@@ -1,18 +1,18 @@
 """The k-gamma function Gamma_k and its surroundings.
 
 Gamma_k(x) interpolates (x)_{n,k}: Gamma_k(x+k) = x Gamma_k(x), with
-Gamma_k(k) = 1 and poles on {0, -k, -2k, ...}. Four computational routes
-are exposed and deliberately kept independent so they can cross-check each
-other:
+Gamma_k(k) = 1 and poles on {0, -k, -2k, ...}. Four routes, each a function
+of (k, x) that refuses k <= 0, are kept independent to cross-check:
 
-  scaling   k^(x/k - 1) Gamma(x/k)                       (closed reference)
-  integral  int_0^inf t^(x-1) exp(-t^k/k) dt              (DE quadrature)
-  limit     lim_n  n! k^n (nk)^(x/k-1) / (x)_{n,k}        (O(1/n) slow)
-  product   reciprocal Weierstrass-type product           (tail-corrected)
+  gamma_k_scaling   k^(x/k - 1) Gamma(x/k)                  (closed reference)
+  gamma_k_integral  int_0^inf t^(x-1) exp(-t^k/k) dt         (DE quadrature)
+  gamma_k_limit     lim_n  n! k^n (nk)^(x/k-1) / (x)_{n,k}   (O(1/n) slow)
+  gamma_k_product   reciprocal Weierstrass-type product      (tail-corrected)
 
-plus the Stirling-type leading term, the k-derivative of Gamma_k(x+1), and
-psi = log Gamma_k machinery (series-summed derivatives) feeding a PDE
-residual check.
+GammaKEvaluator(k, profile, method).evaluate(x) runs the route named at run
+time (the CLI's --method) with its default iteration count. Also here: the
+Stirling-type leading term, the k-derivative of Gamma_k(x+1), and psi =
+log Gamma_k machinery (series-summed derivatives) feeding a PDE residual.
 """
 
 from __future__ import annotations
@@ -57,10 +57,14 @@ def _require_off_pole(k: float, x: float) -> None:
             f"Gamma_k has a pole at x={pole} (k={k})", nearest_pole=pole)
 
 
-def log_gamma_k(k: float, x: float) -> float:
-    """log Gamma_k(x) for x > 0, via the scaling relation."""
+def _require_k(k: float) -> None:
     if not (k > 0.0):
         raise DomainError(f"k must be > 0, got {k}")
+
+
+def log_gamma_k(k: float, x: float) -> float:
+    """log Gamma_k(x) for x > 0, via the scaling relation."""
+    _require_k(k)
     if not (x > 0.0):
         raise DomainError(f"log_gamma_k requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x) if x <= 0 else None)
@@ -69,44 +73,24 @@ def log_gamma_k(k: float, x: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class GammaKEvaluator:
-    """Bundles the deformation parameter, precision profile and preferred
-    route for Gamma_k evaluations."""
+    """k, a precision profile and a route name; evaluate(x) runs that route
+    with its default iteration count."""
 
     k: float
     profile: PrecisionProfile = field(default=DEFAULT)
     method: str = "scaling"
 
     def __post_init__(self) -> None:
-        if not (self.k > 0.0):
-            raise DomainError(f"k must be > 0, got {self.k}")
-        if self.method not in {"scaling", "integral", "limit", "product"}:
+        _require_k(self.k)
+        if self.method not in _ROUTES:
             raise ValueError(f"unknown Gamma_k route {self.method!r}")
 
-    def scaling(self, x: float) -> EvalResult:
-        return gamma_k_scaling(self, x)
-
-    def integral(self, x: float) -> EvalResult:
-        return gamma_k_integral(self, x)
-
-    def limit(self, x: float, n: int) -> EvalResult:
-        return gamma_k_limit(self, x, n)
-
-    def product(self, x: float, n_terms: int) -> EvalResult:
-        return gamma_k_product(self, x, n_terms)
-
     def evaluate(self, x: float) -> EvalResult:
-        """Dispatch on the configured route with default iteration counts."""
-        if self.method == "scaling":
-            return self.scaling(x)
-        if self.method == "integral":
-            return self.integral(x)
-        if self.method == "limit":
-            return self.limit(x, 100_000)
-        return self.product(x, 10_000)
+        return _ROUTES[self.method](self.k, x, self.profile)
 
 
-def gamma_k_scaling(ev: GammaKEvaluator, x: float) -> EvalResult:
-    v = exp_or_overflow(log_gamma_k(ev.k, x), "Gamma_k", ev.k, x)
+def gamma_k_scaling(k: float, x: float) -> EvalResult:
+    v = exp_or_overflow(log_gamma_k(k, x), "Gamma_k", k, x)
     return EvalResult(v, 5e-14 * abs(v) * max(1.0, abs(math.log(max(v, 1e-300)))),
                       "scaling", 0)
 
@@ -129,7 +113,8 @@ def gamma_k_integrand(k: float, p: float, c: float = 1.0):
     return f
 
 
-def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
+def gamma_k_integral(k: float, x: float,
+                     profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
 
     ResultOverflow when the value exceeds the largest double. With t = e^u
@@ -141,7 +126,7 @@ def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
     integrand or level sum that still overflows is the DomainError of
     quad_halfline: the value may be finite, but this route cannot reach it.
     """
-    k = ev.k
+    _require_k(k)
     if not (x > 0.0):
         raise DomainError(f"integral route requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x))
@@ -154,11 +139,11 @@ def gamma_k_integral(ev: GammaKEvaluator, x: float) -> EvalResult:
                 f"Gamma_k({x}) with k={k} overflows a float "
                 f"(log value >= {lower:.6g})")
 
-    r = quad_halfline(gamma_k_integrand(k, x - 1.0), ev.profile)
+    r = quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
     return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
 
 
-def gamma_k_limit(ev: GammaKEvaluator, x: float, n: int) -> EvalResult:
+def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     """n! k^n (nk)^(x/k - 1) / (x)_{n,k} at finite n; converges O(1/n).
 
     err_estimate is |iterate(n) - iterate(h)| with h = max(1, n//2), an
@@ -171,7 +156,7 @@ def gamma_k_limit(ev: GammaKEvaluator, x: float, n: int) -> EvalResult:
     Each factor is read once: (x)_{n,k} = (x)_{h,k} (x+hk)_{n-h,k}, and the
     first part alone gives iterate(h).
     """
-    k = ev.k
+    _require_k(k)
     if n < 1:
         raise DomainError(f"limit route needs n >= 1, got {n}")
     _require_off_pole(k, x)
@@ -194,13 +179,13 @@ def gamma_k_limit(ev: GammaKEvaluator, x: float, n: int) -> EvalResult:
     return EvalResult(v, abs(v - prev) + _EPS * scale * abs(v), "limit", n)
 
 
-def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
+def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     """Reciprocal of the truncated product
         1/Gamma_k(x) = x k^(-x/k) e^(x gamma / k) prod_{n=1..N} (1+x/(nk)) e^(-x/(nk)),
     with the tail of sum_n [log(1+q/n) - q/n] (q = x/k) restored through
     fourth order in q/n. Valid off the pole set, including negative x.
     """
-    k = ev.k
+    _require_k(k)
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     _require_off_pole(k, x)
@@ -233,6 +218,17 @@ def gamma_k_product(ev: GammaKEvaluator, x: float, n_terms: int) -> EvalResult:
     return EvalResult(v, err, "product", n_terms)
 
 
+# route name -> call of that route at (k, x, profile) with its default
+# iteration count. Each entry looks its function up by name when called, so
+# a rebinding of gamma_k_* (a tracer's, a test's monkeypatch) is what runs.
+_ROUTES = {
+    "scaling": lambda k, x, profile: gamma_k_scaling(k, x),
+    "integral": lambda k, x, profile: gamma_k_integral(k, x, profile),
+    "limit": lambda k, x, profile: gamma_k_limit(k, x),
+    "product": lambda k, x, profile: gamma_k_product(k, x),
+}
+
+
 def gamma_k_stirling(k: float, x: float) -> float:
     """Leading Stirling-type term for Gamma_k(x+1):
     sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k)."""
@@ -253,8 +249,7 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     overflows too once x + 1 > e^2. An integrand that overflows below that
     is the DomainError of quad_halfline.
     """
-    if not (k > 0.0):
-        raise DomainError(f"k must be > 0, got {k}")
+    _require_k(k)
     if not (x > -1.0):
         raise DomainError(f"gamma_k_dk requires x > -1, got {x}")
 

@@ -113,6 +113,8 @@ def _terms(spec: HypergeometricSpec, x: float):
 
 def evaluate(spec: HypergeometricSpec, x: float,
              profile: PrecisionProfile = DEFAULT) -> EvalResult:
+    if x != x:
+        raise DomainError(f"hypergeometric series needs a number x, got {x}")
     cls = classify(spec)
     if cls.kind == "divergent" and x != 0.0:
         raise DivergentSeries(

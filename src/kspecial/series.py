@@ -5,7 +5,8 @@ three consecutive n (one small term can be an accidental zero of an
 alternating or polynomial series). err_estimate is the magnitude of the
 first omitted term, which is honest only when the terms eventually decrease;
 slowly converging series satisfy the rule long before the sum is accurate,
-which is the caller's problem to know about.
+which is the caller's problem to know about. A nan partial sum can never
+meet the rule, so sum_series raises ResultOverflow at the first one.
 
 sum_series sums one series read from an iterator of its terms, so a term
 recurrence can be a generator with no per-term call. It stays scalar
@@ -19,7 +20,9 @@ that series at thousands of arguments per quadrature level.
 
 from __future__ import annotations
 
-from .errors import NonConvergent
+import math
+
+from .errors import NonConvergent, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 # Terms made per numpy step in sum_series_batch. A plain one-term-per-step
@@ -40,8 +43,13 @@ def sum_series(terms, profile: PrecisionProfile = DEFAULT) -> EvalResult:
             consecutive += 1
             if consecutive == 3:
                 return EvalResult(total, abs(next(terms)), "series", n + 1)
-        else:
+        elif math.isfinite(total):
             consecutive = 0
+        else:
+            # nan (or inf under rel_tol 0) never meets the rule; an inf sum
+            # under rel_tol > 0 does, and the caller refuses the result
+            raise ResultOverflow(f"sum_series: the partial sum is {total} after "
+                                 f"{n + 1} terms; the terms pass the float range")
     raise NonConvergent(
         f"sum_series: stop rule unmet after {profile.max_terms} terms",
         last_value=total)

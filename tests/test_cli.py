@@ -417,3 +417,13 @@ class TestLazyModules:
     def test_cli_suite_names_match_verify(self):
         from kspecial import cli, verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+    def test_cli_route_choices_match_the_modules(self):
+        # the parser spells the --method choices out so that it imports
+        # neither module; they must stay the routes the modules dispatch on
+        from kspecial import betak, cli, gammak
+        methods = {cmd.command: cmd.methods for cmd in cli.EVAL_COMMANDS}
+        assert methods["gamma-k"] == tuple(gammak._ROUTES)
+        assert methods["beta-k"] == betak._ROUTES
+        with pytest.raises(ValueError, match="unknown Gamma_k route 'gamma'"):
+            gammak.GammaKEvaluator(1.0, method="gamma")

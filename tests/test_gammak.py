@@ -6,6 +6,7 @@ evaluation of the closed scaling form; closed = exact closed form.
 """
 
 import math
+import re
 import sys
 
 import pytest
@@ -13,9 +14,12 @@ import pytest
 from kspecial import gammak
 from kspecial.errors import DomainError, ResultOverflow
 from kspecial.gammak import (GammaKEvaluator, PsiPoint, gamma_k_dk,
-                             gamma_k_stirling, log_gamma_k, nearest_pole,
-                             pde_residual, pde_residual_variant, psi_point)
+                             gamma_k_integral, gamma_k_limit, gamma_k_product,
+                             gamma_k_scaling, gamma_k_stirling, log_gamma_k,
+                             nearest_pole, pde_residual, pde_residual_variant,
+                             psi_point)
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
+from kspecial.profiles import STRICT
 from kspecial.quadrature import quad_halfline
 
 from oracles import central_diff, gamma_k_product_loop
@@ -31,59 +35,82 @@ MINUS_TWO_SQRT_PI = -3.54490770181103205459633496668  # mp30: Gamma(-1/2)
 
 class TestReferenceValues:
     def test_frozen_points(self):
-        assert GammaKEvaluator(2.0).scaling(1.0).value == pytest.approx(
+        assert gamma_k_scaling(2.0, 1.0).value == pytest.approx(
             SQRT_HALF_PI, rel=1e-13)
-        assert GammaKEvaluator(3.0).scaling(1.0).value == pytest.approx(
+        assert gamma_k_scaling(3.0, 1.0).value == pytest.approx(
             GAMMA3_AT_1, rel=1e-13)
-        assert GammaKEvaluator(2.0).scaling(5.0).value == pytest.approx(
+        assert gamma_k_scaling(2.0, 5.0).value == pytest.approx(
             GAMMA2_AT_5, rel=1e-13)
-        assert GammaKEvaluator(0.5).scaling(2.0).value == pytest.approx(
+        assert gamma_k_scaling(0.5, 2.0).value == pytest.approx(
             0.75, rel=1e-13)  # closed: (1/2)^3 Gamma(4)
 
     def test_k_equals_1_is_classical(self):
         for x in GRID_X:
-            assert GammaKEvaluator(1.0).scaling(x).value == pytest.approx(
+            assert gamma_k_scaling(1.0, x).value == pytest.approx(
                 math.gamma(x), rel=1e-13)
 
     def test_normalization_all_routes(self):
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
-            assert ev.scaling(k).value == pytest.approx(1.0, abs=1e-12)
-            assert ev.integral(k).value == pytest.approx(1.0, abs=1e-11)
-            assert ev.product(k, 10_000).value == pytest.approx(1.0, abs=1e-10)
-            assert ev.limit(k, 200_000).value == pytest.approx(1.0, abs=1e-4)
+            assert gamma_k_scaling(k, k).value == pytest.approx(1.0, abs=1e-12)
+            assert gamma_k_integral(k, k).value == pytest.approx(1.0, abs=1e-11)
+            assert gamma_k_product(k, k, 10_000).value == pytest.approx(1.0, abs=1e-10)
+            assert gamma_k_limit(k, k, 200_000).value == pytest.approx(1.0, abs=1e-4)
+
+
+class TestOneApi:
+    ROUTES = {"scaling": gamma_k_scaling, "integral": gamma_k_integral,
+              "limit": gamma_k_limit, "product": gamma_k_product}
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("route", [*ROUTES.values(), log_gamma_k, gamma_k_dk])
+    def test_k_must_be_positive(self, route, k):
+        with pytest.raises(DomainError, match=re.escape(f"k must be > 0, got {k}")):
+            route(k, 1.0)
+        with pytest.raises(DomainError, match=re.escape(f"k must be > 0, got {k}")):
+            GammaKEvaluator(k)
+
+    @pytest.mark.parametrize("method,call", [
+        ("scaling", lambda: gamma_k_scaling(2.0, 1.3)),
+        ("integral", lambda: gamma_k_integral(2.0, 1.3, STRICT)),
+        ("limit", lambda: gamma_k_limit(2.0, 1.3, 100_000)),
+        ("product", lambda: gamma_k_product(2.0, 1.3, 10_000))])
+    def test_evaluate_runs_the_named_route(self, method, call):
+        assert GammaKEvaluator(2.0, STRICT, method).evaluate(1.3) == call()
+
+    @pytest.mark.parametrize("method", ROUTES)
+    def test_evaluate_looks_the_route_up_when_called(self, method, monkeypatch):
+        # a tracer rebinds gammak.gamma_k_*: evaluate must run the rebinding
+        monkeypatch.setattr(gammak, f"gamma_k_{method}", lambda k, x, *rest: (k, x))
+        assert GammaKEvaluator(2.0, method=method).evaluate(1.3) == (2.0, 1.3)
 
 
 class TestRouteAgreement:
     def test_integral_vs_scaling_grid(self):
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
             for x in GRID_X:
-                s, i = ev.scaling(x), ev.integral(x)
+                s, i = gamma_k_scaling(k, x), gamma_k_integral(k, x)
                 assert abs(i.value - s.value) <= 1e-9 * s.value
 
     def test_product_vs_scaling_grid(self):
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
             for x in GRID_X:
-                s, p = ev.scaling(x), ev.product(x, 10_000)
+                s, p = gamma_k_scaling(k, x), gamma_k_product(k, x, 10_000)
                 assert abs(p.value - s.value) <= 1e-5 * s.value
                 # the tail-corrected product is much better than the pinned bound
                 assert abs(p.value - s.value) <= max(p.err_estimate, 5e-12 * s.value)
 
     def test_limit_route_convergence_rate(self):
-        ev = GammaKEvaluator(2.0)
-        s = ev.scaling(2.5).value
-        errs = [abs(ev.limit(2.5, n).value - s) / s for n in (10_000, 100_000, 1_000_000)]
+        s = gamma_k_scaling(2.0, 2.5).value
+        errs = [abs(gamma_k_limit(2.0, 2.5, n).value - s) / s
+                for n in (10_000, 100_000, 1_000_000)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-4
 
     def test_err_estimates_honest(self):
-        ev = GammaKEvaluator(0.5)
-        s = ev.scaling(2.5).value
-        lim = ev.limit(2.5, 100_000)
+        s = gamma_k_scaling(0.5, 2.5).value
+        lim = gamma_k_limit(0.5, 2.5, 100_000)
         assert abs(lim.value - s) <= 3.0 * lim.err_estimate
-        prod = ev.product(2.5, 10_000)
+        prod = gamma_k_product(0.5, 2.5, 10_000)
         assert abs(prod.value - s) <= max(prod.err_estimate, 1e-12 * s)
 
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000, 1_000_000])
@@ -92,81 +119,76 @@ class TestRouteAgreement:
         # there is rounding, and only the log-space term of err_estimate
         # can cover it
         for k in GRID_K:
-            r = GammaKEvaluator(k).limit(k, n)
+            r = gamma_k_limit(k, k, n)
             assert abs(r.value - 1.0) <= r.err_estimate
 
 
 class TestFunctionalEquation:
     def test_scaling_and_integral(self):
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
             for x in GRID_X:
-                for r in (ev.scaling, ev.integral):
-                    lhs = r(x + k).value
-                    rhs = x * r(x).value
+                for r in (gamma_k_scaling, gamma_k_integral):
+                    lhs = r(k, x + k).value
+                    rhs = x * r(k, x).value
                     assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
     def test_product_route(self):
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
             for x in GRID_X:
-                lhs = ev.product(x + k, 10_000).value
-                rhs = x * ev.product(x, 10_000).value
+                lhs = gamma_k_product(k, x + k, 10_000).value
+                rhs = x * gamma_k_product(k, x, 10_000).value
                 assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
     def test_limit_route_spot(self):
-        ev = GammaKEvaluator(1.0)
-        lhs = ev.limit(3.5, 1_000_000).value
-        rhs = 2.5 * ev.limit(2.5, 1_000_000).value
+        lhs = gamma_k_limit(1.0, 3.5, 1_000_000).value
+        rhs = 2.5 * gamma_k_limit(1.0, 2.5, 1_000_000).value
         assert abs(lhs - rhs) <= 1e-4 * abs(rhs)
 
 
 class TestNegativeArguments:
     def test_limit_at_minus_half(self):
-        r = GammaKEvaluator(1.0).limit(-0.5, 1_000_000)
+        r = gamma_k_limit(1.0, -0.5, 1_000_000)
         assert r.value == pytest.approx(MINUS_TWO_SQRT_PI, rel=1e-5)
 
     def test_product_at_minus_half(self):
-        r = GammaKEvaluator(1.0).product(-0.5, 10_000)
+        r = gamma_k_product(1.0, -0.5, 10_000)
         assert r.value == pytest.approx(MINUS_TWO_SQRT_PI, rel=1e-11)
 
     def test_product_sign_pattern(self):
         # Gamma(x) alternates sign between consecutive negative poles
-        ev = GammaKEvaluator(1.0)
-        assert ev.product(-0.5, 2_000).value < 0.0
-        assert ev.product(-1.5, 2_000).value > 0.0
-        assert ev.product(-2.5, 2_000).value < 0.0
+        assert gamma_k_product(1.0, -0.5, 2_000).value < 0.0
+        assert gamma_k_product(1.0, -1.5, 2_000).value > 0.0
+        assert gamma_k_product(1.0, -2.5, 2_000).value < 0.0
 
     def test_product_matches_loop_reference(self):
         # summation order changed, so allow the loop's own rounding:
         # one unit of float eps per factor on the log of the result
         for k in GRID_K:
-            ev = GammaKEvaluator(k)
             for x in (*GRID_X, -0.45 * k, -1.3 * k, -7.7 * k, -25.3 * k):
                 want = gamma_k_product_loop(k, x, 10_000)
                 tol = 10_000 * sys.float_info.epsilon * max(1.0, abs(math.log(abs(want))))
-                assert ev.product(x, 10_000).value == pytest.approx(want, rel=tol)
+                got = gamma_k_product(k, x, 10_000).value
+                assert got == pytest.approx(want, rel=tol)
 
 
 class TestPoles:
     @pytest.mark.parametrize("k,x", [(1.0, 0.0), (1.0, -1.0), (2.0, -4.0), (0.5, -1.5)])
     def test_pole_raises_with_location(self, k, x):
-        ev = GammaKEvaluator(k)
         with pytest.raises(DomainError) as exc:
-            ev.limit(x, 1000)
+            gamma_k_limit(k, x, 1000)
         assert exc.value.nearest_pole == x
         with pytest.raises(DomainError):
-            ev.product(x, 1000)
+            gamma_k_product(k, x, 1000)
 
     def test_vanishing_product_factor_names_pole(self, monkeypatch):
         # the lattice test catches this first; the factor check backs it up
         monkeypatch.setattr(gammak, "_require_off_pole", lambda k, x: None)
         with pytest.raises(DomainError) as exc:
-            GammaKEvaluator(2.0).product(-6.0, 1000)
+            gamma_k_product(2.0, -6.0, 1000)
         assert exc.value.nearest_pole == -6.0
 
     def test_near_pole_is_fine(self):
-        assert math.isfinite(GammaKEvaluator(1.0).product(-0.9999, 1000).value)
+        assert math.isfinite(gamma_k_product(1.0, -0.9999, 1000).value)
 
     def test_nearest_pole_helper(self):
         assert nearest_pole(2.0, -4.0) == -4.0
@@ -176,7 +198,7 @@ class TestPoles:
 
     def test_scaling_overflow_is_typed(self):
         with pytest.raises(ResultOverflow):
-            GammaKEvaluator(1.0).scaling(200.0)
+            gamma_k_scaling(1.0, 200.0)
         assert issubclass(ResultOverflow, OverflowError)
 
     @pytest.mark.parametrize("k,x", [(1.0, 172.0), (1.0, 200.0),
@@ -185,14 +207,14 @@ class TestPoles:
         # Gamma_k(x) itself exceeds the largest double here
         assert log_gamma_k(k, x) > math.log(sys.float_info.max)
         with pytest.raises(ResultOverflow):
-            GammaKEvaluator(k).integral(x)
+            gamma_k_integral(k, x)
 
     def test_integral_weight_overflow_is_domain_error(self):
         # Gamma(171.5) ~ 9.5e307 is finite, but integrand times weight is
         # not at the outer nodes: the route cannot reach the value
         assert log_gamma_k(1.0, 171.5) < math.log(sys.float_info.max)
         with pytest.raises(DomainError):
-            GammaKEvaluator(1.0).integral(171.5)
+            gamma_k_integral(1.0, 171.5)
 
     def test_dk_overflow_is_typed(self):
         assert math.isfinite(gamma_k_dk(1.0, 168.0).value)
@@ -203,34 +225,34 @@ class TestPoles:
         with pytest.raises(DomainError):
             log_gamma_k(1.0, -0.5)  # scaling route is x > 0 only
         with pytest.raises(DomainError):
-            GammaKEvaluator(2.0).integral(0.0)
+            gamma_k_integral(2.0, 0.0)
 
 
 class TestReflection:
     def test_normalized_identity(self):
         # k * Gamma_k(x) Gamma_k(k-x) * sin(pi x/k) / pi = 1
         for k in (1.0, 2.0):
-            ev = GammaKEvaluator(k)
             for ratio in (0.25, 0.5, 0.75):
                 x = ratio * k
-                prod = ev.product(x, 10_000).value * ev.product(k - x, 10_000).value
+                prod = (gamma_k_product(k, x, 10_000).value
+                        * gamma_k_product(k, k - x, 10_000).value)
                 lhs = k * prod * math.sin(math.pi * ratio) / math.pi
                 assert abs(lhs - 1.0) <= 1e-8
 
     def test_unnormalized_variant_misses_factor_k(self):
         # without the k factor the same quantity equals 1/k, demonstrating
         # that the variant normalization cannot hold for k != 1
-        ev = GammaKEvaluator(2.0)
         x = 1.0
-        prod = ev.product(x, 10_000).value * ev.product(2.0 - x, 10_000).value
+        prod = (gamma_k_product(2.0, x, 10_000).value
+                * gamma_k_product(2.0, 2.0 - x, 10_000).value)
         unnormalized = prod * math.sin(math.pi * 0.5) / math.pi
         assert abs(unnormalized - 0.5) <= 1e-8
         assert abs(unnormalized - 1.0) > 0.4
 
     def test_via_limit_route(self):
-        ev = GammaKEvaluator(2.0)
         x = 0.5 * 2.0
-        prod = ev.limit(x, 100_000).value * ev.limit(2.0 - x, 100_000).value
+        prod = (gamma_k_limit(2.0, x, 100_000).value
+                * gamma_k_limit(2.0, 2.0 - x, 100_000).value)
         lhs = 2.0 * prod * math.sin(math.pi * 0.5) / math.pi
         assert abs(lhs - 1.0) <= 1e-4
 
@@ -241,14 +263,14 @@ class TestScaleTransfer:
         for s in GRID_K:
             for k in GRID_K:
                 for x in (0.7, 1.0, 2.5):
-                    lhs = GammaKEvaluator(s).scaling(x).value
+                    lhs = gamma_k_scaling(s, x).value
                     rhs = ((s / k) ** (x / s - 1.0)
-                           * GammaKEvaluator(k).scaling(k * x / s).value)
+                           * gamma_k_scaling(k, k * x / s).value)
                     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_with_integral_route(self):
-        lhs = GammaKEvaluator(3.0).integral(2.0).value
-        rhs = (3.0 / 1.0) ** (2.0 / 3.0 - 1.0) * GammaKEvaluator(1.0).integral(2.0 / 3.0).value
+        lhs = gamma_k_integral(3.0, 2.0).value
+        rhs = (3.0 / 1.0) ** (2.0 / 3.0 - 1.0) * gamma_k_integral(1.0, 2.0 / 3.0).value
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
@@ -266,17 +288,16 @@ class TestParameterizedIntegral:
                         w = (x - 1.0) * lt - a * math.exp(e) / k
                         return math.exp(w) if w > -745.0 else 0.0
                     got = a ** (x / k) * quad_halfline(f).value
-                    want = GammaKEvaluator(k).scaling(x).value
+                    want = gamma_k_scaling(k, x).value
                     assert abs(got - want) <= 1e-9 * want
 
 
 class TestStirling:
     def test_leading_term_error_decays(self):
         for k in (1.0, 2.0, 3.0):
-            ev = GammaKEvaluator(k)
             prev_rel = None
             for x in (10.0, 20.0, 40.0, 80.0):
-                exact = ev.scaling(x + 1.0).value
+                exact = gamma_k_scaling(k, x + 1.0).value
                 rel = abs(exact - gamma_k_stirling(k, x)) / exact
                 assert rel * x <= 0.12
                 if prev_rel is not None:
@@ -325,10 +346,10 @@ class TestPsiAndPDE:
 
     def test_midpoint_logconvexity(self):
         for k in (0.5, 2.0):
-            ev = GammaKEvaluator(k)
             for (x, y) in [(0.5, 3.0), (1.0, 7.0)]:
-                mid = ev.scaling(0.5 * (x + y)).value
-                assert mid <= math.sqrt(ev.scaling(x).value * ev.scaling(y).value) * (1 + 1e-12)
+                mid = gamma_k_scaling(k, 0.5 * (x + y)).value
+                ends = gamma_k_scaling(k, x).value * gamma_k_scaling(k, y).value
+                assert mid <= math.sqrt(ends) * (1 + 1e-12)
 
     def test_digamma_reference(self):
         # k=1: psi_x(1, x) is the classical digamma; mp30 digamma(0.8)

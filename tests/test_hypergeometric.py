@@ -107,6 +107,22 @@ class TestEvaluate:
             route(spec, 800.0)
         assert route(spec, 700.0).value == pytest.approx(math.exp(700.0), rel=1e-9)
 
+    @pytest.mark.parametrize("x,says", [(2.0, "after 162 terms: sum inf"),
+                                        (-2.0, "partial sum is nan after 161 terms")])
+    def test_terms_beyond_float_range_overflow_on_both_signs(self, x, says):
+        # at x = -2 the terms alternate past the float range and the partial
+        # sum turns nan; it used to sum all 100,000 terms and raise
+        # NonConvergent
+        spec = HypergeometricSpec((4.0,) * 3, (4.0,) * 3, (0.3,) * 3, (0.3,) * 3)
+        with pytest.raises(ResultOverflow, match=says):
+            evaluate(spec, x)
+
+    @pytest.mark.parametrize("route", [evaluate, transfer_classical])
+    def test_nan_argument_is_a_domain_error(self, route):
+        spec = HypergeometricSpec((1.0,), (1.0,), (2.0,), (1.0,))
+        with pytest.raises(DomainError, match="got nan"):
+            route(spec, math.nan)
+
     def test_deterministic(self):
         spec = HypergeometricSpec((1.5,), (2.0,), (2.5,), (1.0,))
         a = evaluate(spec, 0.4)
@@ -153,20 +169,21 @@ class TestTermGeneratorMatchesCallback:
         # the converging points stop within ~2,100 terms; a lower cap keeps
         # the few that never do cheap
         profile = PrecisionProfile(max_terms=5_000)
-        unmet = 0
+        overflowed = 0
         for spec, x in points:
             try:
                 want = _callback_sum(spec, x, profile)
             except ArithmeticError as exc:
-                # the cap ends both loops alike; here the terms passed the
-                # float range and the partial sum is nan
-                unmet += 1
-                with pytest.raises(NonConvergent) as got:
+                # the terms passed the float range and the partial sum is
+                # nan: the callback loop runs on to the cap, evaluate stops
+                # at the first nan sum
+                assert math.isnan(exc.args[0]), (spec, x)
+                overflowed += 1
+                with pytest.raises(ResultOverflow, match="partial sum is nan"):
                     evaluate(spec, x, profile)
-                assert repr(got.value.last_value) == repr(exc.args[0])
                 continue
             assert _fields(evaluate(spec, x, profile)) == want, (spec, x)
-        assert 0 < unmet < len(points) // 10
+        assert 0 < overflowed < len(points) // 10
 
     def test_transfer_classical_is_evaluate_on_the_flat_spec(self):
         rng = random.Random(TRANSFER_SEED + 4)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from kspecial import pochhammer
 from kspecial.errors import DomainError, ResultOverflow
-from kspecial.gammak import GammaKEvaluator
+from kspecial.gammak import gamma_k_limit
 from kspecial.loggamma import log_gamma_classic
 from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
@@ -226,14 +226,14 @@ class TestLimitSplit:
     @pytest.mark.parametrize("n", [513, 1025, 3001, 65_537])
     @pytest.mark.parametrize("k,x", [(1.0, 2.5), (0.5, -0.3), (2.0, 7.0)])
     def test_odd_n_matches_one_pass(self, k, x, n):
-        got = GammaKEvaluator(k).limit(x, n).value
+        got = gamma_k_limit(k, x, n).value
         want, tol = self._unsplit(k, x, n)
         assert got == pytest.approx(want, rel=tol)
 
     def test_n_one(self):
         # h = 1 and an empty second range: iterate(1) = k^(x/k) / x
         for k, x in ((1.0, 2.5), (2.0, -0.7)):
-            r = GammaKEvaluator(k).limit(x, 1)
+            r = gamma_k_limit(k, x, 1)
             assert r.value == pytest.approx(k ** (x / k) / x, rel=1e-14)
             assert r.err_estimate <= 1e-14 * abs(r.value)
 
@@ -245,17 +245,16 @@ class TestLimitSplit:
         h = n // 2
         for extra in (0, 1, 2):
             x = -(h + extra + 0.5)
-            got = GammaKEvaluator(1.0).limit(x, n).value
+            got = gamma_k_limit(1.0, x, n).value
             want, tol = self._unsplit(1.0, x, n)
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
             assert got == pytest.approx(want, rel=tol)
 
     def test_peak_allocation_below_1mb(self):
-        ev = GammaKEvaluator(2.0)
-        ev.limit(0.7, 1_000_000)        # build the chunk table first
+        gamma_k_limit(2.0, 0.7, 1_000_000)      # build the chunk table first
         tracemalloc.start()
         try:
-            ev.limit(0.7, 1_000_000)
+            gamma_k_limit(2.0, 0.7, 1_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -59,8 +59,8 @@ INVENTORY = [
 ]
 
 
-def test_inventory_and_tolerances_are_pinned_and_all_pass():
-    rows = run_suite("all")
+def test_inventory_and_tolerances_are_pinned_and_all_pass(verify_rows):
+    rows = verify_rows
     assert [(f"{s}/{r.name}", repr(r.tol)) for s, r in rows] == INVENTORY
     failed = [f"{s}/{r.name}" for s, r in rows if not r.passed]
     assert failed == []
@@ -105,18 +105,42 @@ class TestNanFails:
         assert out[2].startswith("PASS beta/symmetry/halfline-route ")
 
 
-def test_verify_gamma_fails_on_a_nonpositive_psi_xx(monkeypatch, capsys):
-    # psi_point refuses a non-positive psi_xx; the log-convexity row must
-    # report it as FAIL while every other gamma row is still printed
+# the rows that read psi_point's psi_xx, as a refused point prints them
+PSI_XX_FAILS = {
+    "gamma": ["FAIL gamma/log-convexity/psi-xx-positive max_dev=1.000e+00 tol=0.000e+00"],
+    "zeta": ["FAIL zeta/trigamma-identity max_dev=nan tol=1.000e-09",
+             "FAIL zeta/s0-derivative-composite/positive-sign max_dev=nan tol=1.000e-03",
+             "FAIL zeta/s0-derivative-composite/flipped-sign-gap-is-2x max_dev=nan "
+             "tol=1.000e-03"],
+    "pde": ["FAIL pde/balanced-rhs-residual max_dev=nan tol=1.000e-04",
+            "FAIL pde/variant-rhs-gap-equals-k(x-1) max_dev=nan tol=1.000e-04"],
+}
+
+
+def _check_psi_xx_refusal_report(suite, monkeypatch, capsys):
+    # psi_point refuses a non-positive psi_xx; each row that reads it must
+    # report FAIL while every other row of the suite is still printed
     monkeypatch.setattr(gammak, "hurwitz_zeta", lambda s, a, profile=None:
                         EvalResult(-1.0, 0.0, "euler_maclaurin"))
     with pytest.raises(InvariantViolation, match="psi_xx must be positive"):
         gammak.psi_point(1.0, 1.0)
-    assert main(["verify", "gamma"]) == 1
+    assert main(["verify", suite]) == 1
     captured = capsys.readouterr()
     out = captured.out.splitlines()
-    assert [line.split()[1] for line in out] == [
-        name for name, _ in INVENTORY if name.startswith("gamma/")]
-    assert [line for line in out if line.startswith("FAIL")] == [
-        "FAIL gamma/log-convexity/psi-xx-positive max_dev=1.000e+00 tol=0.000e+00"]
-    assert captured.err == "15/16 checks passed\n"
+    names = [name for name, _ in INVENTORY
+             if suite == "all" or name.startswith(f"{suite}/")]
+    assert [line.split()[1] for line in out] == names
+    fails = [line for s in PSI_XX_FAILS if suite in (s, "all")
+             for line in PSI_XX_FAILS[s]]
+    assert [line for line in out if line.startswith("FAIL")] == fails
+    assert captured.err == f"{len(names) - len(fails)}/{len(names)} checks passed\n"
+
+
+def test_verify_gamma_fails_on_a_nonpositive_psi_xx(monkeypatch, capsys):
+    _check_psi_xx_refusal_report("gamma", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("suite", ["zeta", "pde", "all"])
+def test_verify_suites_reading_psi_xx_fail_rather_than_abort(suite, monkeypatch,
+                                                             capsys):
+    _check_psi_xx_refusal_report(suite, monkeypatch, capsys)

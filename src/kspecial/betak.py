@@ -15,6 +15,7 @@ relative accuracy for moderate arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ResultOverflow, exp_or_overflow
@@ -22,6 +23,8 @@ from .gammak import log_gamma_k
 from .hurwitz import power_tail_sums
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,30 +95,60 @@ def beta_k_integral_unit(spec: BetaKSpec,
 
 def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     """Truncated product with the tail of
-        sum_n [log(1 + (x+y)w) - log(1 + xw) - log(1 + yw)],  w = 1/(nk),
-    restored through w^4: the linear terms cancel and the expansion gives
-        -xy w^2 + xy(x+y) w^3 + (x^4 + y^4 - (x+y)^4)/4 w^4 + ...
-    err_estimate comes from the first dropped (w^5) order.
+        sum_n [log(1 + c w) - log(1 + a w) - log(1 + b w)],  w = 1/n,
+    (a, b, c) = (x, y, x+y)/k, restored through w^4: the linear terms
+    cancel and the expansion gives
+        -ab w^2 + abc w^3 + (a^4 + b^4 - c^4)/4 w^4 + ...
+    It converges for c < N; beyond, ResultOverflow if B_k(x, y) provably
+    exceeds the largest double, else DomainError.
+
+    The N terms, all negative, are summed pairwise in numpy (ndarray.sum),
+    and math.fsum adds that sum to the three head logs. err_estimate takes
+    the first dropped (w^5) order of the tail and the pairwise sum's
+    rounding, eps log2(N) sum |term|.
     """
     k, x, y = spec.k, spec.x, spec.y
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
+    s = x + y
+    a, b, c = x / k, y / k, s / k
+    if not c < n_terms:
+        _require_below_overflow(spec)
+        raise DomainError(
+            f"product route needs (x+y)/k < n_terms = {n_terms}, where its "
+            f"tail series converges; got (x+y)/k = {c:.6g}")
     import numpy as np
 
-    s = x + y
     nk = k * np.arange(1, n_terms + 1, dtype=np.float64)
     terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
+    total = float(terms.sum())
     # log s - log x - log y as three terms: x*y underflows to 0 when both
     # are tiny, though B_k itself is finite there
-    log_v = math.fsum([math.log(s), -math.log(x), -math.log(y),
-                       *terms.tolist()])
+    log_v = math.fsum([math.log(s), -math.log(x), -math.log(y), total])
     s2, s3, s4, s5 = power_tail_sums(n_terms)
-    log_v += (-(x * y / k ** 2) * s2
-              + (x * y * s / k ** 3) * s3
-              + ((x ** 4 + y ** 4 - s ** 4) / (4.0 * k ** 4)) * s4)
+    log_v += (-(a * b) * s2 + (a * b * c) * s3
+              + ((a ** 4 + b ** 4 - c ** 4) / 4.0) * s4)
     v = exp_or_overflow(log_v, "B_k", k, x, y)
-    c5 = abs(s ** 5 - x ** 5 - y ** 5) / (5.0 * k ** 5)
-    return EvalResult(v, abs(v) * (c5 * s5 + 1e-13), "product", n_terms)
+    c5 = abs(c ** 5 - a ** 5 - b ** 5) / 5.0
+    rounding = sys.float_info.epsilon * math.log2(n_terms) * abs(total)
+    return EvalResult(v, abs(v) * (c5 * s5 + 1e-13 + rounding), "product",
+                      n_terms)
+
+
+def _require_below_overflow(spec: BetaKSpec) -> None:
+    """ResultOverflow when B_k(x, y) provably exceeds the largest double.
+
+    With lo = min(x, y), a = lo/k and b = max(x, y)/k >= 1 (the product
+    route asks only where (x+y)/k >= 10), the integrand t^(a-1) (1-t)^(b-1)
+    of B(a, b) is at least t^(a-1) e^-1 on t < 1/b, so
+        log B_k(x, y) = log(B(a, b)/k) >= -1 - a log b - log lo.
+    """
+    lo, hi = sorted((spec.x, spec.y))
+    lower = -1.0 - (lo / spec.k) * math.log(hi / spec.k) - math.log(lo)
+    if lower > _LOG_MAX:
+        raise ResultOverflow(
+            f"B_k({spec.x}, {spec.y}) with k={spec.k} overflows a float "
+            f"(log value >= {lower:.6g})")
 
 
 _ROUTES = ("ratio", "halfline", "unit", "product")

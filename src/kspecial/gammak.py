@@ -95,6 +95,25 @@ def gamma_k_scaling(k: float, x: float) -> EvalResult:
                       "scaling", 0)
 
 
+def _require_below_overflow(k: float, x: float) -> None:
+    """ResultOverflow when Gamma_k(x) provably exceeds the largest double.
+
+    With t = e^u, Gamma_k(x) = int exp(g(u)) du, g(u) = x u - e^(ku)/k,
+    concave with maximum g* = (x/k)(log x - 1) at e^(ku) = x. On
+    |u - u*| <= d, d = 1/sqrt(kx), g >= g* - e^(kd)/2, so for x >= k
+    (kd <= 1)
+        log Gamma_k(x) >= g* + log(2d) - e^(kd)/2.
+    """
+    if x >= k:
+        d = 1.0 / (math.sqrt(k) * math.sqrt(x))
+        lower = ((x / k) * (math.log(x) - 1.0) + math.log(2.0 * d)
+                 - 0.5 * math.exp(k * d))
+        if lower > _LOG_MAX:
+            raise ResultOverflow(
+                f"Gamma_k({x}) with k={k} overflows a float "
+                f"(log value >= {lower:.6g})")
+
+
 def gamma_k_integrand(k: float, p: float, c: float = 1.0):
     """t -> t^p exp(-c t^k / k) on (0, inf), in log space: 0 where
     t^k > e^700 (the decay factor alone is negligible) or where the log of
@@ -117,28 +136,16 @@ def gamma_k_integral(k: float, x: float,
                      profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
 
-    ResultOverflow when the value exceeds the largest double. With t = e^u
-    the integral is int exp(g(u)) du, g(u) = x u - e^(ku)/k, concave with
-    maximum g* = (x/k)(log x - 1) at e^(ku) = x. On |u - u*| <= d,
-    d = 1/sqrt(kx), g >= g* - e^(kd)/2, so for x >= k (kd <= 1)
-        log Gamma_k(x) >= g* + log(2d) - e^(kd)/2,
-    and the route raises when that bound exceeds log(DBL_MAX). Below it, an
-    integrand or level sum that still overflows is the DomainError of
-    quad_halfline: the value may be finite, but this route cannot reach it.
+    ResultOverflow when _require_below_overflow's lower bound on the value
+    exceeds the largest double. Below it, an integrand or level sum that
+    still overflows is the DomainError of quad_halfline: the value may be
+    finite, but this route cannot reach it.
     """
     _require_k(k)
     if not (x > 0.0):
         raise DomainError(f"integral route requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x))
-    if x >= k:
-        d = 1.0 / (math.sqrt(k) * math.sqrt(x))
-        lower = ((x / k) * (math.log(x) - 1.0) + math.log(2.0 * d)
-                 - 0.5 * math.exp(k * d))
-        if lower > _LOG_MAX:
-            raise ResultOverflow(
-                f"Gamma_k({x}) with k={k} overflows a float "
-                f"(log value >= {lower:.6g})")
-
+    _require_below_overflow(k, x)
     r = quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
     return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
 
@@ -149,7 +156,7 @@ def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     err_estimate is |iterate(n) - iterate(h)| with h = max(1, n//2), an
     observed-rate proxy for the truncation error, plus the rounding of the
     log-space combination: eps * |iterate(n)| times the sum of |log term|,
-    each log-Pochhammer part weighted by pochhammer.log_sum_rounding. The
+    with pochhammer.log_sum_rounding's bound for each log-Pochhammer part. The
     log terms are ~log(n!) in size and cancel to log|value|, so their
     rounding is what is left at x = k, where every iterate is exactly 1.
 
@@ -172,8 +179,8 @@ def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     terms = log_terms(n)
     v = head_sign * rest_sign * exp_or_overflow(
         math.fsum([*terms, -head, -rest]), "Gamma_k", k, x)
-    scale = math.fsum([*map(abs, terms), log_sum_rounding(h) * abs(head),
-                       log_sum_rounding(n - h) * abs(rest)])
+    scale = math.fsum([*map(abs, terms), log_sum_rounding(h, head),
+                       log_sum_rounding(n - h, rest)])
     prev = head_sign * exp_or_overflow(math.fsum([*log_terms(h), -head]),
                                        "Gamma_k", k, x)
     return EvalResult(v, abs(v - prev) + _EPS * scale * abs(v), "limit", n)
@@ -183,15 +190,27 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     """Reciprocal of the truncated product
         1/Gamma_k(x) = x k^(-x/k) e^(x gamma / k) prod_{n=1..N} (1+x/(nk)) e^(-x/(nk)),
     with the tail of sum_n [log(1+q/n) - q/n] (q = x/k) restored through
-    fourth order in q/n. Valid off the pole set, including negative x.
+    fourth order in q/n. Valid off the pole set, including negative x, for
+    |q| < N, where the tail series converges; beyond, ResultOverflow if
+    Gamma_k(x) provably exceeds the largest double, else DomainError.
+
+    The N terms log|1+q/n| - q/n are summed pairwise in numpy (ndarray.sum),
+    and math.fsum adds that sum to the three head logs and the tail. The
+    pairwise sum's rounding, taken as eps log2(N) sum |term|, is part of
+    err_estimate, with the first dropped (fifth) order of the tail.
     """
     _require_k(k)
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     _require_off_pole(k, x)
+    q = x / k
+    if not abs(q) < n_terms:
+        _require_below_overflow(k, x)
+        raise DomainError(
+            f"product route needs |x/k| < n_terms = {n_terms}, where its tail "
+            f"series converges; got x/k = {q:.6g}")
     import numpy as np
 
-    q = x / k
     r = q / np.arange(1, n_terms + 1, dtype=np.float64)
     f = 1.0 + r
     zero = np.flatnonzero(f == 0.0)
@@ -209,12 +228,13 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     if np.count_nonzero(f < 0.0) % 2:
         sign = -sign
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
-                           *terms.tolist()])
+                           float(terms.sum())])
     s2, s3, s4, s5 = power_tail_sums(n_terms)
     # tail of sum [log(1+q/n) - q/n] = -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 + ...
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
     v = sign * exp_or_overflow(-log_recip, "Gamma_k", k, x)
-    err = abs(v) * (abs(q) ** 5 / 5.0 * s5 + 1e-12)
+    rounding = _EPS * math.log2(n_terms) * float(np.abs(terms).sum())
+    err = abs(v) * (abs(q) ** 5 / 5.0 * s5 + 1e-12 + rounding)
     return EvalResult(v, err, "product", n_terms)
 
 

@@ -11,10 +11,15 @@ negative factors are a prefix and a zero factor, if any, is the first
 non-negative one; both paths find these, and so the sign, from ceil(-x/k)
 with no test per factor. The numpy path works through the factors _CHUNK
 at a time in one buffer of at most _CHUNK doubles, so a 10^6-factor call
-touches 256 KB instead of building several 8 MB arrays: each chunk is
-formed in place as x + k*j (bit for bit the factors of x + k*arange(n)),
-logged in place and summed, and math.fsum adds the chunk sums. A call with
-n <= _CHUNK is one chunk and equals the full-array sum bit for bit.
+touches 256 KB instead of building several 8 MB arrays. Each chunk is
+formed in place as x + k*j (bit for bit the factors of x + k*arange(n)).
+Where the chunk holds no sign change and its two end factors, which bound
+every magnitude in it, lie in [2^-64, 2^64], it is folded in place into
+products of 2^_FOLD factors by _FOLD halvings (b[:m] *= b[m:2m]), so one
+log covers 2^_FOLD factors and no product leaves [2^-512, 2^512]; the
+< 2^_FOLD factors past the last whole group stay single. Any other chunk
+keeps one log per factor. The logs are summed pairwise (ndarray.sum) in
+place, and math.fsum adds the chunk sums.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ Number = float | int | Fraction
 _NUMPY_CUTOFF = 512
 # factors per numpy step above the cutoff: a 256 KB buffer stays in L2
 _CHUNK = 1 << 15
+# halvings per chunk: one log per 2**_FOLD factors
+_FOLD = 3
+# a chunk folds only when every factor magnitude lies in this range, so a
+# product of 2**_FOLD factors stays inside [2**-512, 2**512]
+_FOLD_LO, _FOLD_HI = 2.0 ** -64, 2.0 ** 64
 # read-only 0, 1, ..., _CHUNK-1 as float64; built on first use
 _J: np.ndarray | None = None
 
@@ -103,6 +113,20 @@ def _chunk_table() -> np.ndarray:
     return _J
 
 
+def _fold(b: np.ndarray) -> np.ndarray:
+    """Multiply b's first m - m % 2**_FOLD entries together 2**_FOLD at a
+    time, in place, by _FOLD halvings; the view of b holding those m >> _FOLD
+    products followed by the m % 2**_FOLD entries left over."""
+    m = b.size
+    w = m >> _FOLD << _FOLD
+    rest = m - w
+    for _ in range(_FOLD):
+        w //= 2
+        b[:w] *= b[w:2 * w]
+    b[w:w + rest] = b[m - rest:]
+    return b[:w + rest]
+
+
 def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     """(log |(x)_{n,k}|, sign). sign is 0 when some factor is exactly zero
     (then the log is -inf)."""
@@ -126,6 +150,11 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
             b += x
             if start < neg:
                 np.abs(b, out=b)
+            # |factors| are monotone in j, so the ends bound the chunk
+            lo, hi = sorted((b[0], b[-1]))
+            if (not start < neg < start + b.size
+                    and _FOLD_LO <= lo and hi <= _FOLD_HI):
+                b = _fold(b)
             np.log(b, out=b)
             sums.append(float(b.sum()))
         return math.fsum(sums), sign
@@ -138,17 +167,24 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     return log_abs, sign
 
 
-def log_sum_rounding(n: int) -> float:
-    """Rounding of pochhammer_k_log's sum of n logs, in units of
-    eps * |log|(x)_{n,k}||.
+def log_sum_rounding(n: int, log_abs: float) -> float:
+    """Rounding of pochhammer_k_log's log_abs = log|(x)_{n,k}|, a sum of n
+    logs, in units of eps.
 
     The scalar loop adds the logs one by one, so its error is a random walk
-    of n roundings of a growing partial sum: about sqrt(n)/6 units at one
-    standard deviation, and sqrt(n) is taken. The chunked numpy path sums
-    pairwise within each chunk and exactly (fsum) across chunks, which
-    leaves about one rounding of the result.
+    of n roundings of a growing partial sum: about sqrt(n)/6 units of
+    eps * |log_abs| at one standard deviation, and sqrt(n) is taken. The
+    chunked numpy path sums pairwise within each chunk and exactly (fsum)
+    across chunks, which leaves about one rounding of the result. Its fold
+    adds an absolute error that does not shrink with |log_abs|: a product of
+    2**_FOLD factors takes 2**_FOLD - 1 multiplications, each rounding at
+    most eps relative, so at most eps in its log, and up to n >> _FOLD such
+    products are logged. Where the factors are near 1 and |log_abs| < n,
+    this term is the larger one.
     """
-    return math.sqrt(n) if n < _NUMPY_CUTOFF else 1.0
+    if n < _NUMPY_CUTOFF:
+        return math.sqrt(n) * abs(log_abs)
+    return abs(log_abs) + ((1 << _FOLD) - 1) * (n >> _FOLD)
 
 
 def _elementary_symmetric_table(m: int) -> list[int]:

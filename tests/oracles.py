@@ -43,6 +43,16 @@ def rising_product(x: float, n: int, step: float) -> float:
     return out
 
 
+def _tail_sums(n_terms: int) -> tuple[float, float, float]:
+    """sum_{n > N} n^-p for p = 2, 3, 4, by Euler-Maclaurin: the sums that
+    restore the product routes' tails."""
+    N = float(n_terms)
+    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
+    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
+    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
+    return s2, s3, s4
+
+
 def gamma_k_product_loop(k: float, x: float, n_terms: int) -> float:
     """The truncated reciprocal product of gammak.gamma_k_product, factor by
     factor in a plain loop, with the same fourth-order tail."""
@@ -54,10 +64,7 @@ def gamma_k_product_loop(k: float, x: float, n_terms: int) -> float:
         if f < 0.0:
             sign = -sign
         log_recip += math.log(abs(f)) - q / n
-    N = float(n_terms)
-    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
-    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
-    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
+    s2, s3, s4 = _tail_sums(n_terms)
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
     return sign * math.exp(-log_recip)
 
@@ -70,13 +77,41 @@ def beta_k_product_loop(k: float, x: float, y: float, n_terms: int) -> float:
     for n in range(1, n_terms + 1):
         nk = n * k
         log_v += math.log1p(s / nk) - math.log1p(x / nk) - math.log1p(y / nk)
-    N = float(n_terms)
-    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
-    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
-    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
+    s2, s3, s4 = _tail_sums(n_terms)
     log_v += (-(x * y / k ** 2) * s2 + (x * y * s / k ** 3) * s3
               + ((x ** 4 + y ** 4 - s ** 4) / (4.0 * k ** 4)) * s4)
     return math.exp(log_v)
+
+
+def gamma_k_product_fsum(k: float, x: float, n_terms: int) -> tuple[float, float]:
+    """gamma_k_product's truncated product and tail with its log terms made
+    one at a time by math and summed exactly (math.fsum); (value, sum of
+    |log|1 + q/n| - q/n| over the n_terms product terms)."""
+    q = x / k
+    terms = [math.log1p(q / n) - q / n if q / n >= -0.5
+             else math.log(abs(1.0 + q / n)) - q / n
+             for n in range(1, n_terms + 1)]
+    sign = (1 if x > 0.0 else -1) * (-1) ** sum(q / n < -1.0 for n in range(1, n_terms + 1))
+    s2, s3, s4 = _tail_sums(n_terms)
+    log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * 0.5772156649015329,
+                           *terms, -0.5 * q * q * s2, (q ** 3 / 3.0) * s3,
+                           -(q ** 4 / 4.0) * s4])
+    return sign * math.exp(-log_recip), math.fsum(map(abs, terms))
+
+
+def beta_k_product_fsum(k: float, x: float, y: float, n_terms: int) -> tuple[float, float]:
+    """beta_k_product's truncated product and tail with its log terms made
+    one at a time by math and summed exactly (math.fsum); (value, sum of
+    |term| over the n_terms product terms)."""
+    s = x + y
+    terms = [math.log1p(s / (n * k)) - math.log1p(x / (n * k)) - math.log1p(y / (n * k))
+             for n in range(1, n_terms + 1)]
+    a, b, c = x / k, y / k, s / k
+    s2, s3, s4 = _tail_sums(n_terms)
+    log_v = math.fsum([math.log(s), -math.log(x), -math.log(y), *terms,
+                       -(a * b) * s2, (a * b * c) * s3,
+                       ((a ** 4 + b ** 4 - c ** 4) / 4.0) * s4])
+    return math.exp(log_v), math.fsum(map(abs, terms))
 
 
 def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
@@ -89,6 +124,35 @@ def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
         return -math.inf, 0
     sign = -1 if int(np.count_nonzero(factors < 0.0)) % 2 else 1
     return float(np.log(np.abs(factors)).sum()), sign
+
+
+def pochhammer_k_log_folded(x: float, n: int, k: float, chunk: int,
+                            fold: int, bound: float) -> tuple[float, int]:
+    """(log|(x)_{n,k}|, sign) by the folded formula: every factor in one
+    numpy array, zero and negative factors counted over the whole array.
+    The magnitudes are cut into slices of `chunk`; a slice whose factors all
+    have one sign and all lie in [1/bound, bound] has its first
+    len - len % 2**fold entries multiplied in groups by `fold` halvings
+    (p[:h] * p[h:]), the rest left single. Each slice's logs get one
+    pairwise sum, and math.fsum adds the slice sums."""
+    import numpy as np
+    factors = x + k * np.arange(n, dtype=np.float64)
+    if np.any(factors == 0.0):
+        return -math.inf, 0
+    sign = -1 if int(np.count_nonzero(factors < 0.0)) % 2 else 1
+    sums = []
+    for start in range(0, n, chunk):
+        f = factors[start:start + chunk]
+        mags = np.abs(f)
+        if ((np.all(f < 0.0) or np.all(f > 0.0))
+                and np.all((mags >= 1.0 / bound) & (mags <= bound))):
+            w = f.size - f.size % (1 << fold)
+            p = mags[:w]
+            for _ in range(fold):
+                p = p[:p.size // 2] * p[p.size // 2:]
+            mags = np.concatenate([p, mags[w:]])
+        sums.append(float(np.log(mags).sum()))
+    return math.fsum(sums), sign
 
 
 # -- per-term and per-factor references ----------------------------------------

@@ -9,7 +9,7 @@ from kspecial.betak import (BetaKSpec, beta_k, beta_k_integral_halfline,
                             beta_k_integral_unit, beta_k_product, beta_k_ratio)
 from kspecial.errors import DomainError, ResultOverflow
 
-from oracles import beta_k_product_loop
+from oracles import beta_k_product_fsum, beta_k_product_loop
 
 ROUTES = (beta_k_ratio, beta_k_integral_halfline, beta_k_integral_unit,
           beta_k_product)
@@ -143,6 +143,13 @@ class TestDispatchAndDomain:
         got, want = beta_k_product(spec), beta_k_ratio(spec)
         assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
 
+    def test_product_with_underflowing_powers_of_k(self):
+        # k ** 4 underflows to 0 at k = 1e-100 and the tail divided by it;
+        # the tail is formed from (x, y, x+y)/k, all of order 1 here
+        spec = BetaKSpec(1e-100, 1e-100, 2e-100)
+        got, want = beta_k_product(spec), beta_k_ratio(spec)
+        assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+
     def test_ratio_overflow_is_typed(self):
         with pytest.raises(ResultOverflow):
             beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))
@@ -164,3 +171,19 @@ class TestDispatchAndDomain:
                     tol = 10_000 * sys.float_info.epsilon * max(1.0, abs(math.log(want)))
                     got = beta_k_product(BetaKSpec(k, x, y)).value
                     assert got == pytest.approx(want, rel=tol)
+
+    @pytest.mark.parametrize("k,x,y", [(1.0, 0.5, 0.5), (0.5, 2.5, 9.0),
+                                       (2.0, 1.0, 2.5), (1e-3, 0.15, 1.5),
+                                       (0.1, 30.0, 50.0)])
+    def test_product_err_covers_the_pairwise_sum(self, k, x, y):
+        # the route sums its terms pairwise in numpy; the oracle makes the
+        # same terms with math and sums them by fsum. Their gap in log space
+        # stays inside the estimate's share eps log2(N) sum|term|, plus the
+        # rounding of the terms, the head logs and exp
+        got = beta_k_product(BetaKSpec(k, x, y))
+        want, abs_sum = beta_k_product_fsum(k, x, y, 10_000)
+        assert abs(got.value - want) <= got.err_estimate
+        eps = sys.float_info.epsilon
+        gap = abs(math.log(got.value / want))
+        assert gap <= eps * (math.log2(10_000) * abs_sum
+                             + 4 * abs(math.log(want)) + 4)

@@ -259,6 +259,18 @@ class TestExitCodes:
          "overflow:"),
         (["eval", "gamma-k", "--k", "1", "--x", "200", "--method",
           "product"], "overflow:"),
+        # past the product routes' tail series (x/k or (x+y)/k >= n_terms),
+        # where x ** 4, k ** 4 and q ** 3 raised untyped errors
+        (["eval", "beta-k", "--k", "1", "--x", "1e306", "--y", "1",
+          "--method", "product"], "domain error:"),
+        (["eval", "beta-k", "--k", "1", "--x", "1e100", "--y", "1",
+          "--method", "product"], "domain error:"),
+        (["eval", "beta-k", "--k", "1e-100", "--x", "1", "--y", "1",
+          "--method", "product"], "domain error:"),
+        (["eval", "gamma-k", "--k", "1", "--x", "1e200", "--method",
+          "product"], "overflow:"),
+        (["eval", "gamma-k", "--k", "1e-300", "--x", "1", "--method",
+          "product"], "domain error:"),
     ])
     def test_integrand_overflow_exit_2(self, argv, prefix, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -22,7 +22,7 @@ from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.profiles import STRICT
 from kspecial.quadrature import quad_halfline
 
-from oracles import central_diff, gamma_k_product_loop
+from oracles import central_diff, gamma_k_product_fsum, gamma_k_product_loop
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -122,6 +122,22 @@ class TestRouteAgreement:
             r = gamma_k_limit(k, k, n)
             assert abs(r.value - 1.0) <= r.err_estimate
 
+    @pytest.mark.parametrize("k,x,n", [
+        (1e-3, 1.0, 1000),        # factors near 1 (the value underflows to 0)
+        (1e-3, 1e-3, 1025),       # x = k: rounding only; both halves fold
+        (1e-6, 1e-6, 1_000_000),  # x = k, every factor in (0, 1]
+        (2.0, 0.7, 1_000_000),
+    ])
+    def test_limit_err_bounds_the_lgamma_error(self, k, x, n):
+        # Gamma_k(x) = k^(q-1) Gamma(q), q = x/k, with the reference's own
+        # rounding of its two logs
+        q = x / k
+        a, b = (q - 1.0) * math.log(k), math.lgamma(q)
+        want = math.exp(a + b)
+        r = gamma_k_limit(k, x, n)
+        allowance = 8 * sys.float_info.epsilon * (abs(a) + abs(b)) * want
+        assert abs(r.value - want) <= r.err_estimate + allowance
+
 
 class TestFunctionalEquation:
     def test_scaling_and_integral(self):
@@ -169,6 +185,21 @@ class TestNegativeArguments:
                 tol = 10_000 * sys.float_info.epsilon * max(1.0, abs(math.log(abs(want))))
                 got = gamma_k_product(k, x, 10_000).value
                 assert got == pytest.approx(want, rel=tol)
+
+    @pytest.mark.parametrize("q", [0.15, 1.5, 15.0, 150.0, 1000.0, -0.5, -7.3])
+    def test_product_err_covers_the_pairwise_sum(self, q):
+        # the route sums its terms pairwise in numpy; the oracle makes the
+        # same terms with math and sums them by fsum. Their gap in log space
+        # stays inside the estimate's share eps log2(N) sum|term|, plus the
+        # rounding of the terms, the head logs and exp
+        k = 3e-3 if q > 200 else 2.0     # keeps Gamma_k(qk) a finite double
+        got = gamma_k_product(k, q * k, 10_000)
+        want, abs_sum = gamma_k_product_fsum(k, q * k, 10_000)
+        assert abs(got.value - want) <= got.err_estimate
+        eps = sys.float_info.epsilon
+        gap = abs(math.log(abs(got.value / want)))
+        assert gap <= eps * (math.log2(10_000) * abs_sum
+                             + 4 * abs(math.log(abs(want))) + 4)
 
 
 class TestPoles:

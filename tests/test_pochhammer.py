@@ -20,8 +20,8 @@ from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
                                  pochhammer_via_symmetric)
 
-from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_loop,
-                     rising_product)
+from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_folded,
+                     pochhammer_k_log_loop, rising_product)
 
 # strategies shared by the exact-mode property tests
 _exact_x = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -137,21 +137,66 @@ class TestScalarLoop:
                 assert repr(got) == repr(pochhammer_k_log_loop(x, n, k)), (x, n, k)
 
 
+def _folded(x, n, k):
+    """The fold-formula oracle at the kernel's chunk, fold depth and range."""
+    return pochhammer_k_log_folded(x, n, k, pochhammer._CHUNK, pochhammer._FOLD,
+                                   1.0 / pochhammer._FOLD_LO)
+
+
 class TestChunkedKernel:
-    """The numpy path of pochhammer_k_log against the full-array formula."""
+    """The numpy path of pochhammer_k_log against the fold formula (bit for
+    bit) and the full-array formula (to within rounding)."""
 
     def test_one_chunk_is_bit_identical(self):
-        # n in [_NUMPY_CUTOFF, _CHUNK]: one chunk, so the same factors and
-        # the same pairwise sum as the full array
-        assert pochhammer._CHUNK == 32768
+        # n in [_NUMPY_CUTOFF, _CHUNK]: one chunk, so the same factors, the
+        # same products and the same pairwise sum as the oracle; against the
+        # unfolded full array, within test_many_chunks_against_lgamma's bound
+        assert pochhammer._CHUNK == 32768 and pochhammer._FOLD == 3
+        assert pochhammer._FOLD_LO == 2.0 ** -64 == 1.0 / pochhammer._FOLD_HI
         rng = random.Random(20240817)
-        for _ in range(300):
+        for i in range(300):
             n = rng.randint(pochhammer._NUMPY_CUTOFF, pochhammer._CHUNK)
             k = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
-            x = (_lattice_x(rng, n, k) if rng.random() < 0.5
-                 else rng.uniform(-1.2 * n * k, 50.0))
+            if i % 3 == 0:
+                x = _lattice_x(rng, n, k)
+            elif i % 3 == 1:
+                x = rng.uniform(-1.2 * n * k, 50.0)
+            else:
+                x = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
             got = pochhammer_k_log(PochhammerSpec(x, n, k))
-            assert got == pochhammer_k_log_array(x, n, k), (x, n, k)
+            assert got == _folded(x, n, k), (x, n, k)
+            want = pochhammer_k_log_array(x, n, k)
+            assert got[1] == want[1]
+            if got[1]:
+                tol = 8 * sys.float_info.epsilon * (abs(want[0]) + n)
+                assert abs(got[0] - want[0]) <= tol, (x, n, k)
+
+    @pytest.mark.parametrize("n", [512, 513, 519, 1001, 32767, 32768, 32769,
+                                   32775, 65_543, 100_003])
+    @pytest.mark.parametrize("x,k", [
+        (0.7, 2.0), (-7.3, 1.0), (1.0, 1e-3),
+        (-1000.25, 0.5),          # the sign change in the first chunk
+        (-40_000.5, 1.0),         # a negative chunk, then the sign change
+        (1e300, 1.0),             # every factor beyond 2^64: no fold
+        (3e-20, 1e-3),            # the first chunk starts below 2^-64
+        (math.nextafter(-300e-9, 0.0), 1e-9),   # one ulp off the lattice
+    ])
+    def test_fold_formula_at_chunk_edges(self, n, x, k):
+        # odd and even chunk lengths, a last chunk of 1, 7 or 3 factors,
+        # chunks that hold the sign change and factors outside the fold range
+        assert pochhammer_k_log(PochhammerSpec(x, n, k)) == _folded(x, n, k)
+
+    @pytest.mark.parametrize("x,k,want", [
+        # every factor rounds to 1e300: products of 8 would overflow
+        (1e300, 1.0, lambda n: n * math.log(1e300)),
+        # (k)_{n,k} = k^n n!: products of 8 would underflow
+        (1e-300, 1e-300, lambda n: n * math.log(1e-300) + math.lgamma(n + 1.0)),
+    ])
+    def test_factors_outside_the_fold_range(self, x, k, want):
+        n = 1024
+        log_abs, sign = pochhammer_k_log(PochhammerSpec(x, n, k))
+        assert sign == 1
+        assert log_abs == pytest.approx(want(n), rel=4 * n * sys.float_info.epsilon)
 
     @pytest.mark.parametrize("n", [32769, 100_000, 1_000_000])
     @pytest.mark.parametrize("x,k", [(0.7, 2.0), (1.0, 1.0), (3.3, 0.5),
@@ -165,6 +210,23 @@ class TestChunkedKernel:
         tol = 8 * sys.float_info.epsilon * (sum(map(abs, parts)) + n)
         assert sign == 1
         assert abs(log_abs - math.fsum(parts)) <= tol
+
+    @pytest.mark.parametrize("x,n,k", [
+        (1.0, 200_000, 1e-12),    # factors within 2e-7 of 1: |log| ~ 0.02
+        (1.0, 200_000, 1e-9),
+        (-1.001, 100_000, 1e-9),  # all negative, magnitudes near 1
+        (1.0, 1000, 1e-3),
+        (0.7, 200_000, 2.0),
+        (1e-6, 200_000, 1e-6),    # every factor in (0, 0.2]
+    ])
+    def test_log_sum_rounding_bounds_the_error(self, x, n, k):
+        # the reference sums the logs of the same rounded factors by fsum;
+        # where the factors are near 1 the fold's roundings, up to 7 eps
+        # per 8 factors, outgrow eps |log|, and the bound must cover them
+        got, _ = pochhammer_k_log(PochhammerSpec(x, n, k))
+        want = math.fsum(math.log(abs(x + j * k)) for j in range(n))
+        bound = sys.float_info.epsilon * pochhammer.log_sum_rounding(n, want)
+        assert abs(got - want) <= bound, (got, want, bound)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(k=st.floats(1e-9, 10.0), j=st.integers(0, 70_000),

@@ -57,14 +57,19 @@ def _require_off_pole(k: float, x: float) -> None:
             f"Gamma_k has a pole at x={pole} (k={k})", nearest_pole=pole)
 
 
-def _require_k(k: float) -> None:
+def _require_k(k: float, x: float = 0.0) -> None:
+    """DomainError unless k > 0 and both k and x are finite."""
     if not (k > 0.0):
         raise DomainError(f"k must be > 0, got {k}")
+    if k == math.inf:
+        raise DomainError("k must be finite, got inf")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
 
 
 def log_gamma_k(k: float, x: float) -> float:
     """log Gamma_k(x) for x > 0, via the scaling relation."""
-    _require_k(k)
+    _require_k(k, x)
     if not (x > 0.0):
         raise DomainError(f"log_gamma_k requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x) if x <= 0 else None)
@@ -96,38 +101,47 @@ def gamma_k_scaling(k: float, x: float) -> EvalResult:
 
 
 def _require_below_overflow(k: float, x: float) -> None:
-    """ResultOverflow when Gamma_k(x) provably exceeds the largest double.
+    """ResultOverflow when |Gamma_k(x)| provably exceeds the largest double,
+    for finite x off the poles.
 
     With t = e^u, Gamma_k(x) = int exp(g(u)) du, g(u) = x u - e^(ku)/k,
     concave with maximum g* = (x/k)(log x - 1) at e^(ku) = x. On
     |u - u*| <= d, d = 1/sqrt(kx), g >= g* - e^(kd)/2, so for x >= k
     (kd <= 1)
         log Gamma_k(x) >= g* + log(2d) - e^(kd)/2.
+    For x < 0 the log itself is at hand, log|Gamma_k(x)| = (q - 1) log k +
+    lgamma(q) with q = x/k (math.lgamma gives log|Gamma| off the poles).
     """
-    if x >= k:
+    if x < 0.0:
+        q = x / k
+        lower = (q - 1.0) * math.log(k) + math.lgamma(q)
+    elif x >= k:
         d = 1.0 / (math.sqrt(k) * math.sqrt(x))
         lower = ((x / k) * (math.log(x) - 1.0) + math.log(2.0 * d)
                  - 0.5 * math.exp(k * d))
-        if lower > _LOG_MAX:
-            raise ResultOverflow(
-                f"Gamma_k({x}) with k={k} overflows a float "
-                f"(log value >= {lower:.6g})")
+    else:
+        return
+    if lower > _LOG_MAX:
+        raise ResultOverflow(
+            f"Gamma_k({x}) with k={k} overflows a float "
+            f"(log value >= {lower:.6g})")
 
 
 def gamma_k_integrand(k: float, p: float, c: float = 1.0):
-    """t -> t^p exp(-c t^k / k) on (0, inf), in log space: 0 where
-    t^k > e^700 (the decay factor alone is negligible) or where the log of
-    the product is below -745.
+    """The array integrand t -> t^p exp(-c t^k / k) on (0, inf), for
+    quad_halfline, in log space: 0 where t^k > e^700 (the decay factor alone
+    is negligible) or where the log of the product is below -745.
     The integrand of the integral route (p = x - 1), of gamma_k_dk and of
     the parameter-a form int t^(x-1) exp(-a t^k/k) dt = a^(-x/k) Gamma_k(x).
     """
-    def f(t: float) -> float:
-        lt = math.log(t)
+    import numpy as np
+
+    def f(t: np.ndarray) -> np.ndarray:
+        lt = np.log(t)
         e = k * lt
-        if e > 700.0:
-            return 0.0
-        w = p * lt - c * math.exp(e) / k
-        return math.exp(w) if w > -745.0 else 0.0
+        # e is clipped so that the discarded branch does not overflow
+        w = p * lt - c * np.exp(np.minimum(e, 700.0)) / k
+        return np.where((e <= 700.0) & (w > -745.0), np.exp(w), 0.0)
 
     return f
 
@@ -141,7 +155,7 @@ def gamma_k_integral(k: float, x: float,
     still overflows is the DomainError of quad_halfline: the value may be
     finite, but this route cannot reach it.
     """
-    _require_k(k)
+    _require_k(k, x)
     if not (x > 0.0):
         raise DomainError(f"integral route requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x))
@@ -163,7 +177,7 @@ def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     Each factor is read once: (x)_{n,k} = (x)_{h,k} (x+hk)_{n-h,k}, and the
     first part alone gives iterate(h).
     """
-    _require_k(k)
+    _require_k(k, x)
     if n < 1:
         raise DomainError(f"limit route needs n >= 1, got {n}")
     _require_off_pole(k, x)
@@ -199,7 +213,7 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     pairwise sum's rounding, taken as eps log2(N) sum |term|, is part of
     err_estimate, with the first dropped (fifth) order of the tail.
     """
-    _require_k(k)
+    _require_k(k, x)
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     _require_off_pole(k, x)
@@ -269,14 +283,16 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     overflows too once x + 1 > e^2. An integrand that overflows below that
     is the DomainError of quad_halfline.
     """
-    _require_k(k)
+    _require_k(k, x)
     if not (x > -1.0):
         raise DomainError(f"gamma_k_dk requires x > -1, got {x}")
 
+    import numpy as np
+
     weight = gamma_k_integrand(k, x + k)
 
-    def integrand(t: float) -> float:
-        return math.log(t) * weight(t)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.log(t) * weight(t)
 
     lead = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k,
                            x + k + 1.0) / (k * k)

@@ -234,33 +234,23 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
         a_p, k_p = float(spec.a[depth - 1]), float(spec.k[depth - 1])
 
         def integrand(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-            # the factors that depend on t alone, node by node through
-            # math.log/exp: numpy's may differ from them in the last bit
-            need, keep, scale, weight = [], [], [], []
-            for j, tj in enumerate(t.tolist()):
-                lt = math.log(tj)
-                e = k_p * lt
-                if e > 700.0:
-                    continue
-                tk = math.exp(e)
-                decay = tk / k_p
-                w = (a_p - 1.0) * lt - decay
-                # reserve half the decay budget to dominate the inner
-                # factor's sub-exponential growth before skipping the
-                # recursion
-                if tj > 1.0 and w + 0.5 * decay < -745.0:
-                    continue
-                if w > -745.0:
-                    keep.append(len(need))
-                    weight.append(math.exp(w))
-                need.append(j)
-                scale.append(tk)
+            # the factors that depend on t alone; e is clipped so that the
+            # nodes dropped for e > 700 do not overflow
+            lt = np.log(t)
+            e = k_p * lt
+            tk = np.exp(np.minimum(e, 700.0))
+            decay = tk / k_p
+            w = (a_p - 1.0) * lt - decay
+            # the nodes that need the recursion: past t = 1, half the decay
+            # budget is reserved to dominate the inner factor's
+            # sub-exponential growth before it is skipped
+            need = (e <= 700.0) & ~((t > 1.0) & (w + 0.5 * decay < -745.0))
+            keep = need & (w > -745.0)
             out = np.zeros((rows.size, t.size))
-            if need:
-                inner_args = np.multiply.outer(args[rows], scale).ravel()
+            if np.count_nonzero(need):
+                inner_args = np.multiply.outer(args[rows], tk[need]).ravel()
                 inner = level(depth - 1, inner_args)[0].reshape(rows.size, -1)
-                keep = np.array(keep, dtype=np.intp)
-                out[:, np.array(need)[keep]] = weight * inner[:, keep]
+                out[:, keep] = np.exp(w[keep]) * inner[:, keep[need]]
             return out
 
         r = quad_halfline(integrand, profile, batch=args.size)

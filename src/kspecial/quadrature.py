@@ -17,8 +17,10 @@ asks the integrand for every active row at all of the level's nodes in one
 array call, and each row keeps its own stop rule, error estimate and node
 count, leaving the batch once it converges. A level is summed in node order
 (u = 0 first at level 0), so a row's result is bit for bit what the same
-integrand gives alone. quad_halfline and quad_unit run it for one scalar
-integrand; quad_halfline(batch=n) runs it for n rows of an array integrand,
+integrand gives alone. Every integrand is an array function, called once per
+level (or per _BLOCK values) and never once per node: quad_halfline and
+quad_unit run the loop for one integrand f(*nodes) as a batch of one row,
+and quad_halfline(batch=n) runs it for n rows of an integrand f(rows, t),
 which the iterated-integral hypergeometric route uses.
 
 Node/jacobian tables depend only on (map, level), so they are built on first
@@ -31,9 +33,9 @@ batch) can take at any depth.
 The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
 still be written so that *their* values stay finite wherever the weight has
-not underflowed to zero: a non-finite integrand value, an OverflowError from
-the integrand, or an integrand times weight that overflows raises
-DomainError.
+not underflowed to zero: a non-finite integrand value or an integrand times
+weight that overflows raises DomainError. numpy's overflow warnings are
+silenced inside the loop, since that check reports the overflow.
 """
 
 from __future__ import annotations
@@ -55,56 +57,34 @@ _BLOCK = 1 << 13  # most integrand values requested in one call
 _node_cache: dict[tuple[str, int], tuple] = {}
 
 
-def _halfline_nodes(level: int) -> list[tuple[float, float]]:
-    """(t, weight) for the exp-sinh map, level L, weight = t * c * cosh(u).
+def _node_list(kind: str, level: int) -> list[tuple]:
+    """(t, weight) for the exp-sinh map, t = exp(c sinh u), weight =
+    t c cosh(u); (t, 1-t, weight) for the tanh-sinh map on (0, 1), t =
+    sigma(2 c sinh u), weight = 2 t (1-t) c cosh(u), with the unit nodes
+    whose weight underflows to 0 dropped.
 
     Level 0: the u = 0 node, then all nonzero multiples of h0. Level L>0: odd
     multiples of h_L only (the even ones were already seen at coarser
     levels). Nonzero u come in both signs, +u first.
     """
     h = _BASE_H / (1 << level)
-    out = [(1.0, _C)] if level == 0 else []
-    step = 1 if level == 0 else 2
-    j = 1
-    while True:
-        u = j * h
-        if u > _U_MAX_HALFLINE:
-            break
-        sh = _C * math.sinh(u)
-        ch = _C * math.cosh(u)
-        for sign in (1.0, -1.0):
-            t = math.exp(sign * sh)
-            out.append((t, t * ch))
-        j += step
-    return out
-
-
-def _unit_nodes(level: int) -> list[tuple[float, float, float]]:
-    """(t, 1-t, weight) for the tanh-sinh map on (0,1), in the order of
-    _halfline_nodes; nodes whose weight underflows to 0 are dropped."""
-    h = _BASE_H / (1 << level)
-    out = [(0.5, 0.5, 2.0 * 0.25 * _C)] if level == 0 else []
-    step = 1 if level == 0 else 2
-    j = 1
-    while True:
-        u = j * h
-        if u > _U_MAX_UNIT:
-            break
-        z = _C * math.sinh(u)
-        ch = _C * math.cosh(u)
+    halfline = kind == "halfline"
+    out = [] if level else [(1.0, _C) if halfline else (0.5, 0.5, 0.5 * _C)]
+    u_max = _U_MAX_HALFLINE if halfline else _U_MAX_UNIT
+    for j in range(1, int(u_max / h) + 1, 2 if level else 1):
+        z = _C * math.sinh(j * h)
+        ch = _C * math.cosh(j * h)
+        if halfline:
+            out += [(t, t * ch) for t in (math.exp(z), math.exp(-z))]
+            continue
         # t = sigma(2z), 1-t = sigma(-2z); compute the small one stably.
         e = math.exp(-2.0 * z)  # z > 0 here
         small = e / (1.0 + e)   # = 1 - t
         big = 1.0 / (1.0 + e)   # = t
-        w = 2.0 * big * small * ch  # dt/du = 2 t (1-t) c cosh u
-        if w > 0.0:
-            out.append((big, small, w))    # node at +u
-            out.append((small, big, w))    # node at -u (t and 1-t swap)
-        j += step
+        w = 2.0 * big * small * ch
+        if w > 0.0:  # at -u, t and 1-t swap
+            out += [(big, small, w), (small, big, w)]
     return out
-
-
-_NODE_TABLES = {"halfline": _halfline_nodes, "unit": _unit_nodes}
 
 
 def _nodes(kind: str, level: int) -> tuple:
@@ -113,7 +93,7 @@ def _nodes(kind: str, level: int) -> tuple:
         import numpy as np
 
         _node_cache[key] = tuple(np.array(col) for col in
-                                 zip(*_NODE_TABLES[kind](level)))
+                                 zip(*_node_list(kind, level)))
     return _node_cache[key]
 
 
@@ -137,11 +117,7 @@ def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray,
     neither on the batch it is in nor on how its nodes are split."""
     import numpy as np
 
-    try:
-        fv = np.asarray(f(rows, *cols), dtype=np.float64)
-    except OverflowError:
-        raise DomainError(f"integrand overflows a float on nodes "
-                          f"t in [{cols[0].min()}, {cols[0].max()}]") from None
+    fv = np.asarray(f(rows, *cols), dtype=np.float64)
     fw = fv * w
     if acc is not None:
         fw[:, 0] += acc
@@ -220,16 +196,17 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
         last_value=float(prev[0]), last_delta=float(delta[0]))
 
 
-def _one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
-    """_refine for a single scalar integrand f(*node)."""
+def _quad(kind: str, f, profile: PrecisionProfile, batch: int | None
+          ) -> EvalResult | QuadBatch:
+    """_refine for n = batch rows of f(rows, *nodes), or, with batch None,
+    for the single integrand f(*nodes) as one row."""
     import numpy as np
 
-    def rows_f(rows, *cols):
-        values = map(f, *(c.tolist() for c in cols))
-        return np.fromiter(values, np.float64, cols[0].size).reshape(1, -1)
-
     with np.errstate(over="ignore"):    # reported by _block_sums
-        value, err, used = _refine(kind, rows_f, 1, profile)
+        if batch is not None:
+            return _refine(kind, f, batch, profile)
+        value, err, used = _refine(
+            kind, lambda rows, *cols: f(*cols).reshape(1, -1), 1, profile)
     return EvalResult(float(value[0]), float(err[0]), "integral", int(used[0]))
 
 
@@ -237,10 +214,12 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
                   batch: int | None = None) -> EvalResult | QuadBatch:
     """Integrate f over (0, inf).
 
-    f maps t -> value and must return finite floats on (0, inf); values are
-    allowed to underflow to 0. Raises DomainError on a non-finite value and
-    NonConvergent if the refinement cap is hit before two successive levels
-    agree.
+    f is an array function: f(t) gets a float64 array of nodes and returns
+    the integrand's values there, an array of t's shape, finite on (0, inf);
+    values are allowed to underflow to 0. It is called once per refinement
+    level (a level of more than quadrature._BLOCK nodes is asked for in
+    blocks). Raises DomainError on a non-finite value and NonConvergent if
+    the refinement cap is hit before two successive levels agree.
 
     With batch=n, n integrands are integrated at once and the result is a
     QuadBatch: f(rows, t) gets an int array of row numbers and an array of
@@ -249,19 +228,15 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
     err_estimate and node count are those of integrating it alone.
     NonConvergent is raised if any row is still open at the cap.
     """
-    if batch is None:
-        return _one("halfline", f, profile)
-    import numpy as np
-
-    with np.errstate(over="ignore"):    # reported by _block_sums
-        return _refine("halfline", f, batch, profile)
+    return _quad("halfline", f, profile, batch)
 
 
 def quad_unit(f, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """Integrate f over (0, 1); f is called as f(t, 1-t).
+    """Integrate f over (0, 1); f is called as f(t, 1-t) on two node arrays
+    and returns an array of their shape, under quad_halfline's contract.
 
     Passing 1-t explicitly keeps endpoint-singular factors like (1-t)**(c-1)
     accurate near t = 1, where 1-t computed by subtraction would lose all
     precision.
     """
-    return _one("unit", f, profile)
+    return _quad("unit", f, profile, None)

@@ -250,3 +250,138 @@ def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float]:
         tail += b2j / fact * rising(2 * j - 1) * big_a ** (-s - 2 * j + 1)
     err = abs(-691.0 / 2730.0 / 479001600.0 * rising(11) * big_a ** (-s - 11))
     return head + tail, err
+
+
+# The quadrature node tables and the scalar integrands as they were before
+# every integrand became an array function: the node lists built one node at
+# a time, and each integrand called once per node through math.log/exp.
+
+_C = math.pi / 2.0
+
+
+def halfline_nodes(level: int) -> list[tuple[float, float]]:
+    """(t, weight) for the exp-sinh map, level L, weight = t * c * cosh(u).
+
+    Level 0: the u = 0 node, then all nonzero multiples of h0. Level L>0: odd
+    multiples of h_L only (the even ones were already seen at coarser
+    levels). Nonzero u come in both signs, +u first.
+    """
+    h = 0.5 / (1 << level)
+    out = [(1.0, _C)] if level == 0 else []
+    step = 1 if level == 0 else 2
+    j = 1
+    while True:
+        u = j * h
+        if u > 6.75:
+            break
+        sh = _C * math.sinh(u)
+        ch = _C * math.cosh(u)
+        for sign in (1.0, -1.0):
+            t = math.exp(sign * sh)
+            out.append((t, t * ch))
+        j += step
+    return out
+
+
+def unit_nodes(level: int) -> list[tuple[float, float, float]]:
+    """(t, 1-t, weight) for the tanh-sinh map on (0,1), in the order of
+    halfline_nodes; nodes whose weight underflows to 0 are dropped."""
+    h = 0.5 / (1 << level)
+    out = [(0.5, 0.5, 2.0 * 0.25 * _C)] if level == 0 else []
+    step = 1 if level == 0 else 2
+    j = 1
+    while True:
+        u = j * h
+        if u > 6.5:
+            break
+        z = _C * math.sinh(u)
+        ch = _C * math.cosh(u)
+        e = math.exp(-2.0 * z)
+        small = e / (1.0 + e)
+        big = 1.0 / (1.0 + e)
+        w = 2.0 * big * small * ch
+        if w > 0.0:
+            out.append((big, small, w))
+            out.append((small, big, w))
+        j += step
+    return out
+
+
+def gamma_k_integrand_scalar(k: float, p: float, c: float = 1.0):
+    """t -> t^p exp(-c t^k / k), 0 where t^k > e^700 or the log is below
+    -745."""
+    def f(t: float) -> float:
+        lt = math.log(t)
+        e = k * lt
+        if e > 700.0:
+            return 0.0
+        w = p * lt - c * math.exp(e) / k
+        return math.exp(w) if w > -745.0 else 0.0
+
+    return f
+
+
+def gamma_k_dk_integrand_scalar(k: float, x: float):
+    """t -> log(t) t^(x+k) exp(-t^k / k), gammak.gamma_k_dk's integrand."""
+    weight = gamma_k_integrand_scalar(k, x + k)
+    return lambda t: math.log(t) * weight(t)
+
+
+def beta_k_halfline_integrand_scalar(k: float, x: float, y: float):
+    """t -> t^(x-1) (1 + t^k)^(-(x+y)/k)."""
+    power = (x + y) / k
+
+    def f(t: float) -> float:
+        lt = math.log(t)
+        e = k * lt
+        lp = e if e > 700.0 else math.log1p(math.exp(e))
+        w = (x - 1.0) * lt - power * lp
+        return math.exp(w) if w > -745.0 else 0.0
+
+    return f
+
+
+def beta_k_unit_integrand_scalar(k: float, x: float, y: float):
+    """(t, 1-t) -> t^(x/k-1) (1-t)^(y/k-1)."""
+    p = x / k - 1.0
+    q = y / k - 1.0
+
+    def f(t: float, omt: float) -> float:
+        w = p * math.log(t) + q * math.log(omt)
+        return math.exp(w) if w > -745.0 else 0.0
+
+    return f
+
+
+def hyper_integrand_loop(level, args, a_p: float, k_p: float, depth: int):
+    """hypergeometric.integral_representation_check's integrand at one
+    nesting depth, its t-only factors formed node by node through
+    math.log/exp; level(depth - 1, arguments) gives the inner factor."""
+    import numpy as np
+
+    def integrand(rows, t):
+        need, keep, scale, weight = [], [], [], []
+        for j, tj in enumerate(t.tolist()):
+            lt = math.log(tj)
+            e = k_p * lt
+            if e > 700.0:
+                continue
+            tk = math.exp(e)
+            decay = tk / k_p
+            w = (a_p - 1.0) * lt - decay
+            if tj > 1.0 and w + 0.5 * decay < -745.0:
+                continue
+            if w > -745.0:
+                keep.append(len(need))
+                weight.append(math.exp(w))
+            need.append(j)
+            scale.append(tk)
+        out = np.zeros((rows.size, t.size))
+        if need:
+            inner_args = np.multiply.outer(args[rows], scale).ravel()
+            inner = level(depth - 1, inner_args)[0].reshape(rows.size, -1)
+            keep = np.array(keep, dtype=np.intp)
+            out[:, np.array(need)[keep]] = weight * inner[:, keep]
+        return out
+
+    return integrand

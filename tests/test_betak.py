@@ -1,6 +1,7 @@
 """B_k: four-route agreement, classical collapse, symmetry, shift identity."""
 
 import math
+import re
 import sys
 
 import pytest
@@ -120,6 +121,16 @@ class TestDispatchAndDomain:
                                        (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)])
     def test_spec_validation(self, k, x, y):
         with pytest.raises(DomainError):
+            BetaKSpec(k, x, y)
+
+    @pytest.mark.parametrize("k,x,y,message", [
+        (1.0, math.inf, 1.0, "B_k needs finite x, y > 0, got x=inf, y=1.0"),
+        (1.0, 1.0, math.inf, "B_k needs finite x, y > 0, got x=1.0, y=inf"),
+        (math.inf, 1.0, 1.0, "k must be finite, got inf")])
+    def test_nonfinite_spec_is_domain_error(self, k, x, y, message):
+        # at (1, inf, 1) the halfline and unit routes returned 0.0 with
+        # err_estimate 0.0; at k = inf the halfline route did not converge
+        with pytest.raises(DomainError, match=re.escape(message)):
             BetaKSpec(k, x, y)
 
     def test_product_needs_enough_terms(self):

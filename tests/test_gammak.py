@@ -9,6 +9,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from kspecial import gammak
@@ -258,6 +259,46 @@ class TestPoles:
         with pytest.raises(DomainError):
             gamma_k_integral(2.0, 0.0)
 
+    @pytest.mark.parametrize("k,x,message", [
+        (1.0, math.inf, "x must be finite, got inf"),
+        (1.0, -math.inf, "x must be finite, got -inf"),
+        (1.0, math.nan, "x must be finite, got nan"),
+        (math.inf, 1.0, "k must be finite, got inf")])
+    @pytest.mark.parametrize("route", [gamma_k_scaling, gamma_k_integral,
+                                       gamma_k_limit, gamma_k_product,
+                                       gamma_k_dk, log_gamma_k])
+    def test_nonfinite_input_is_domain_error(self, route, k, x, message,
+                                             monkeypatch):
+        # gamma_k_integral(1, inf) and gamma_k_product(1, inf) raised an
+        # untyped ValueError, gamma_k_integral(1, nan) another, and
+        # gamma_k_integral(inf, 1) ran 12 refinements into NonConvergent
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(gammak, "quad_halfline", no_quadrature)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            route(k, x)
+
+    def test_nonfinite_k_refused_by_evaluator(self):
+        with pytest.raises(DomainError, match="k must be finite, got inf"):
+            GammaKEvaluator(math.inf)
+
+    @pytest.mark.parametrize("k,x", [(1e-10, -1e-5 - 0.5e-10),
+                                     (1e-5, -0.100005)])
+    def test_product_overflow_at_negative_x_is_typed(self, k, x):
+        # past |x/k| = n_terms, log|Gamma_k(x)| = (q-1) log k + lgamma(q)
+        # exceeds the float range: ResultOverflow, not DomainError
+        q = x / k
+        assert (q - 1.0) * math.log(k) + math.lgamma(q) > math.log(sys.float_info.max)
+        with pytest.raises(ResultOverflow):
+            gamma_k_product(k, x)
+
+    @pytest.mark.parametrize("k,x", [(1.0, -10000.5), (1.0, -20000.5)])
+    def test_product_at_negative_x_past_the_radius_is_domain_error(self, k, x):
+        # |Gamma(-10000.5)| ~ e^-82110: finite, but past the tail's radius
+        with pytest.raises(DomainError, match="n_terms"):
+            gamma_k_product(k, x)
+
 
 class TestReflection:
     def test_normalized_identity(self):
@@ -312,12 +353,10 @@ class TestParameterizedIntegral:
             for k in (1.0, 2.0):
                 for x in (0.7, 2.5):
                     def f(t, a=a, k=k, x=x):
-                        lt = math.log(t)
+                        lt = np.log(t)
                         e = k * lt
-                        if e > 700.0:
-                            return 0.0
-                        w = (x - 1.0) * lt - a * math.exp(e) / k
-                        return math.exp(w) if w > -745.0 else 0.0
+                        w = (x - 1.0) * lt - a * np.exp(np.minimum(e, 700.0)) / k
+                        return np.where((e <= 700.0) & (w > -745.0), np.exp(w), 0.0)
                     got = a ** (x / k) * quad_halfline(f).value
                     want = gamma_k_scaling(k, x).value
                     assert abs(got - want) <= 1e-9 * want

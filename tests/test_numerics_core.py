@@ -6,6 +6,7 @@ Frozen constants: "trapezoid" = brute-force trapezoid oracle in oracles.py,
 
 import math
 import random
+import sys
 from itertools import count
 
 import numpy as np
@@ -21,7 +22,9 @@ from kspecial import quadrature, series
 from kspecial.quadrature import quad_halfline, quad_unit
 from kspecial.series import sum_series, sum_series_batch
 
-from oracles import direct_zeta2, hurwitz_zeta_rising, trapezoid
+import oracles
+from oracles import (direct_zeta2, halfline_nodes, hurwitz_zeta_rising,
+                     trapezoid, unit_nodes)
 
 SQRT_HALF_PI = 1.2533141373155001   # trapezoid oracle 1.2533141373147676 (h=1e-5, [0,40]); closed sqrt(pi/2)
 ZETA2 = 1.6449340668482264          # direct sum + EM tail oracle 1.6449340668482415; closed pi^2/6
@@ -31,45 +34,50 @@ LGAMMA_100 = 359.13420536957539877604401046  # mp30
 LGAMMA_0P1 = 2.25271265173420595986970164637  # mp30
 
 
+def _gaussian(t):
+    return np.exp(-0.5 * t * t)
+
+
 class TestQuadHalfline:
     def test_exponential(self):
-        r = quad_halfline(lambda t: math.exp(-t))
+        r = quad_halfline(lambda t: np.exp(-t))
         assert abs(r.value - 1.0) < 1e-12
         assert r.method == "integral"
 
     def test_gaussian_matches_trapezoid_oracle(self):
         oracle = trapezoid(lambda t: math.exp(-0.5 * t * t), 0.0, 40.0, 200_000)
-        r = quad_halfline(lambda t: math.exp(-0.5 * t * t))
+        r = quad_halfline(_gaussian)
         assert abs(oracle - SQRT_HALF_PI) < 1e-9
         assert abs(r.value - SQRT_HALF_PI) < 1e-12
 
     def test_rayleigh(self):
-        r = quad_halfline(lambda t: t * math.exp(-0.5 * t * t))
+        r = quad_halfline(lambda t: t * np.exp(-0.5 * t * t))
         assert abs(r.value - 1.0) < 1e-12
 
     def test_endpoint_singularity(self):
         # t^(-1/2) e^(-t) integrates to Gamma(1/2) = sqrt(pi)
-        def f(t):
-            w = -0.5 * math.log(t) - t
-            return math.exp(w) if w > -745.0 else 0.0
-        r = quad_halfline(f)
+        r = quad_halfline(_power_exp(0.5))
         assert abs(r.value - math.sqrt(math.pi)) < 1e-12
 
     def test_err_estimate_covers_true_error(self):
-        r = quad_halfline(lambda t: math.exp(-0.5 * t * t))
+        r = quad_halfline(_gaussian)
         assert abs(r.value - SQRT_HALF_PI) <= max(r.err_estimate, 5e-15)
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):
-            quad_halfline(lambda t: float("nan"))
+            quad_halfline(lambda t: np.full_like(t, np.nan))
+
+    def test_overflowing_integrand_rejected(self):
+        with pytest.raises(DomainError, match="non-finite value inf"):
+            quad_halfline(lambda t: np.exp(t))
 
     def test_nonconvergent_when_cap_tiny(self):
         prof = PrecisionProfile(rel_tol=1e-15, abs_tol=1e-300, max_quad_refinements=2)
         with pytest.raises(NonConvergent):
-            quad_halfline(lambda t: math.exp(-t) * math.sin(50.0 * t) ** 2, prof)
+            quad_halfline(lambda t: np.exp(-t) * np.sin(50.0 * t) ** 2, prof)
 
     def test_deterministic(self):
-        f = lambda t: math.exp(-t) / (1.0 + t)
+        f = lambda t: np.exp(-t) / (1.0 + t)
         a = quad_halfline(f)
         b = quad_halfline(f)
         assert a.value == b.value and a.terms_or_nodes_used == b.terms_or_nodes_used
@@ -89,24 +97,59 @@ class TestQuadUnit:
         # near u>0 nodes t -> 1; the omt argument must keep full precision
         seen = []
         def probe(t, omt):
-            seen.append((t, omt))
-            return 1.0
+            seen.append(omt)
+            return np.ones_like(t)
         r = quad_unit(probe)
         assert abs(r.value - 1.0) < 1e-12
-        assert any(omt < 1e-30 for _, omt in seen)  # genuinely tiny, not 1-t rounding to 0
+        # genuinely tiny, not 1-t rounding to 0
+        assert min(omt.min() for omt in seen) < 1e-30
+
+
+class TestOneCallPerLevel:
+    """A single integral asks its integrand for each level's nodes in one
+    call, in the order and number of the node tables."""
+
+    @pytest.mark.parametrize("quad,f,nodes", [
+        (quad_halfline, lambda t: np.exp(-t) / (1.0 + t), halfline_nodes),
+        (quad_unit, lambda t, omt: t ** (-0.75) * omt ** (-0.5), unit_nodes)])
+    def test_calls_match_levels(self, quad, f, nodes):
+        sizes = []
+
+        def counted(t, *rest):
+            sizes.append(t.size)
+            return f(t, *rest)
+
+        r = quad(counted)
+        levels = [len(nodes(level))
+                  for level in range(DEFAULT.max_quad_refinements + 1)]
+        assert len(sizes) >= 3 and sizes == levels[:len(sizes)]
+        assert sum(sizes) == r.terms_or_nodes_used
+
+
+@pytest.mark.parametrize("kind,node_list", [("halfline", halfline_nodes),
+                                            ("unit", unit_nodes)])
+def test_node_tables_match_the_per_map_lists(kind, node_list):
+    """The cached tables hold, bit for bit, what the per-map node lists of
+    oracles.py give, at every level of 0-12."""
+    for level in range(DEFAULT.max_quad_refinements + 1):
+        want = [np.array(col) for col in zip(*node_list(level))]
+        got = quadrature._nodes(kind, level)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def _power_exp(a):
-    """t^(a-1) e^(-t), integrating to Gamma(a)."""
+    """t^(a-1) e^(-t), integrating to Gamma(a); a numpy function of a node
+    or of an array of nodes."""
     def f(t):
-        w = (a - 1.0) * math.log(t) - t
-        return math.exp(w) if w > -745.0 else 0.0
+        w = (a - 1.0) * np.log(t) - t
+        return np.where(w > -745.0, np.exp(w), 0.0)
     return f
 
 
 def _batch_of(fs, seen=None):
-    """Batched integrand for the scalar integrands fs, one per row; appends
-    the number of values each call asks for to seen."""
+    """Batched integrand for the integrands fs, one per row, each called
+    once per node; appends the number of values each call asks for to
+    seen."""
     def f(rows, *cols):
         if seen is not None:
             seen.append(rows.size * cols[0].size)
@@ -118,8 +161,7 @@ def _batch_of(fs, seen=None):
 def _level_loop(kind, f):
     """The scalar level loop the batched one replaced, node by node in
     node order, at the default profile: (value, err_estimate, nodes used)."""
-    nodes = {"halfline": quadrature._halfline_nodes,
-             "unit": quadrature._unit_nodes}[kind]
+    nodes = {"halfline": halfline_nodes, "unit": unit_nodes}[kind]
     evals = 0
     for level in range(DEFAULT.max_quad_refinements + 1):
         add = 0.0
@@ -138,14 +180,17 @@ def _level_loop(kind, f):
 
 
 class TestQuadBatch:
+    """Each integrand here is a numpy function that takes one node or an
+    array of nodes, so the batch and level-loop oracles can call it once
+    per node, and quad_halfline and quad_unit once per level."""
     HALFLINE = [_power_exp(a) for a in (0.3, 1.0, 2.5, 7.0, 30.0)] + [
-        lambda t: math.exp(-0.5 * t * t),
-        lambda t: math.exp(-t) / (1.0 + t),
+        _gaussian,
+        lambda t: np.exp(-t) / (1.0 + t),
     ]
     UNIT = [lambda t, omt: t * t,
             lambda t, omt: t ** (-0.75) * omt ** (-0.5),
-            lambda t, omt: math.exp(-3.0 * t) * omt ** 0.5,
-            lambda t, omt: 1.0]
+            lambda t, omt: np.exp(-3.0 * t) * omt ** 0.5,
+            lambda t, omt: np.ones_like(t)]
 
     @pytest.mark.parametrize("kind,fs,quad", [("halfline", HALFLINE, quad_halfline),
                                               ("unit", UNIT, quad_unit)])
@@ -177,17 +222,139 @@ class TestQuadBatch:
         assert [quad_halfline(f) for f in self.HALFLINE] == alone
 
     def test_nonfinite_row_rejected(self):
-        fs = [lambda t: math.exp(-t), lambda t: math.exp(-2.0 * t),
-              lambda t: float("inf")]
+        fs = [lambda t: np.exp(-t), lambda t: np.exp(-2.0 * t),
+              lambda t: np.inf]
         with pytest.raises(DomainError):
             quad_halfline(_batch_of(fs), batch=3)
 
     def test_row_at_cap_is_nonconvergent(self):
         prof = PrecisionProfile(rel_tol=1e-15, abs_tol=1e-300, max_quad_refinements=2)
         fs = [lambda t: 0.0,
-              lambda t: math.exp(-t) * math.sin(50.0 * t) ** 2]
+              lambda t: np.exp(-t) * np.sin(50.0 * t) ** 2]
         with pytest.raises(NonConvergent):
             quad_halfline(_batch_of(fs), prof, batch=2)
+
+
+def _all_nodes(kind):
+    """Every node column of levels 0-12, the default profile's reach."""
+    tables = [quadrature._nodes(kind, level)[:-1]
+              for level in range(DEFAULT.max_quad_refinements + 1)]
+    return [np.concatenate(cols) for cols in zip(*tables)]
+
+
+def _integrand_of(monkeypatch, module, quad_name, call):
+    """The integrand that call() hands to module.<quad_name>."""
+    seen = []
+    real = getattr(module, quad_name)
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, quad_name, spy)
+        call()
+    return seen[0]
+
+
+class TestArrayIntegrandsMatchScalarOracles:
+    """Each array integrand against the per-node math.log/exp integrand it
+    replaced (tests/oracles.py), at every node of levels 0-12.
+
+    Both give 0 at the same nodes. Elsewhere they agree to 4 eps in units
+    of the integrand's condition: each integrand is exp of a sum of log
+    terms, numpy's log, exp and log1p may round an ulp away from libm's,
+    and an ulp in a term of size S moves exp(sum) by S eps relative. scale
+    is 1 plus the size of those terms (times 1 + |e| for a term through
+    exp(e), whose argument e is itself rounded). A value below the smallest
+    normal double may also differ by its own spacing.
+    """
+
+    POINTS = [(1.0, 2.5), (0.5, 0.7), (2.0, 7.3), (3.0, 0.2)]
+
+    @staticmethod
+    def assert_close(got, want, scale):
+        assert np.array_equal(got == 0.0, want == 0.0)
+        tol = 4.0 * sys.float_info.epsilon * scale * np.abs(want) + math.ulp(0.0)
+        assert np.all(np.abs(got - want) <= tol)
+
+    @staticmethod
+    def decay_terms(k, t):
+        """log t, e = k log t and the decay t^k/k with its exp(e) scale."""
+        lt = np.log(t)
+        e = k * lt
+        return lt, e, np.exp(np.minimum(e, 700.0)) / k * (1.0 + np.abs(e))
+
+    @pytest.mark.parametrize("k,x,c", [(k, x, 1.0) for k, x in POINTS]
+                             + [(1.0, 2.5, 0.5), (2.0, 0.7, 2.0)])
+    def test_gamma_k_integrand(self, k, x, c):
+        from kspecial.gammak import gamma_k_integrand
+        t, = _all_nodes("halfline")
+        scalar = oracles.gamma_k_integrand_scalar(k, x - 1.0, c)
+        lt, e, decay = self.decay_terms(k, t)
+        self.assert_close(gamma_k_integrand(k, x - 1.0, c)(t),
+                          np.array([scalar(v) for v in t.tolist()]),
+                          1.0 + np.abs((x - 1.0) * lt) + c * decay)
+
+    @pytest.mark.parametrize("k,x", POINTS)
+    def test_gamma_k_dk_integrand(self, k, x, monkeypatch):
+        from kspecial import gammak
+        t, = _all_nodes("halfline")
+        f = _integrand_of(monkeypatch, gammak, "quad_halfline",
+                          lambda: gammak.gamma_k_dk(k, x))
+        scalar = oracles.gamma_k_dk_integrand_scalar(k, x)
+        lt, e, decay = self.decay_terms(k, t)
+        self.assert_close(f(t), np.array([scalar(v) for v in t.tolist()]),
+                          1.0 + np.abs((x + k) * lt) + decay)
+
+    @pytest.mark.parametrize("k,x,y", [(k, x, y) for (k, x), y
+                                       in zip(POINTS, [0.3, 3.0, 0.3, 3.0])])
+    def test_beta_k_integrands(self, k, x, y, monkeypatch):
+        from kspecial import betak
+        spec = betak.BetaKSpec(k, x, y)
+        t, = _all_nodes("halfline")
+        f = _integrand_of(monkeypatch, betak, "quad_halfline",
+                          lambda: betak.beta_k_integral_halfline(spec))
+        scalar = oracles.beta_k_halfline_integrand_scalar(k, x, y)
+        lt = np.log(t)
+        e = k * lt
+        lp = np.where(e > 700.0, e, np.log1p(np.exp(np.minimum(e, 700.0))))
+        self.assert_close(f(t), np.array([scalar(v) for v in t.tolist()]),
+                          1.0 + np.abs((x - 1.0) * lt)
+                          + (x + y) / k * (np.abs(lp) + np.abs(e)))
+
+        t, omt = _all_nodes("unit")
+        f = _integrand_of(monkeypatch, betak, "quad_unit",
+                          lambda: betak.beta_k_integral_unit(spec))
+        scalar = oracles.beta_k_unit_integrand_scalar(k, x, y)
+        self.assert_close(f(t, omt),
+                          np.array([scalar(*n) for n in zip(t.tolist(), omt.tolist())]),
+                          1.0 + np.abs((x / k - 1.0) * np.log(t))
+                          + np.abs((y / k - 1.0) * np.log(omt)))
+
+    @pytest.mark.parametrize("a,k,b,s,x", [(1.0, 1.0, 2.0, 1.0, 0.5),
+                                           (2.0, 2.0, 3.0, 2.0, 1.0)])
+    def test_hypergeometric_integrand(self, a, k, b, s, x, monkeypatch):
+        """The p = 1 integrands of verify's integral-representation check,
+        with the inner series (through the captured integrand's own level
+        function) on both sides; its argument x t^k carries exp(e)'s
+        rounding too."""
+        import inspect
+
+        from kspecial import hypergeometric
+        spec = hypergeometric.HypergeometricSpec((a,), (k,), (b,), (s,))
+        f = _integrand_of(monkeypatch, hypergeometric, "quad_halfline",
+                          lambda: hypergeometric.integral_representation_check(spec, x))
+        inner = inspect.getclosurevars(f).nonlocals
+        scalar = oracles.hyper_integrand_loop(inner["level"], inner["args"],
+                                              a, k, inner["depth"])
+        t, = _all_nodes("halfline")
+        rows = np.arange(1)
+        lt, e, decay = self.decay_terms(k, t)
+        with np.errstate(over="ignore"):
+            got, want = f(rows, t), scalar(rows, t)
+        self.assert_close(got, want,
+                          1.0 + np.abs((a - 1.0) * lt) + (1.0 + k * x) * decay)
 
 
 class TestLogGamma:
@@ -213,10 +380,7 @@ class TestLogGamma:
     def test_agrees_with_quadrature(self):
         # Gamma(x) = int t^(x-1) e^-t for a few x; the two routes are independent
         for x in (0.5, 1.0, 2.5, 7.0):
-            def f(t, x=x):
-                w = (x - 1.0) * math.log(t) - t
-                return math.exp(w) if w > -745.0 else 0.0
-            r = quad_halfline(f)
+            r = quad_halfline(_power_exp(x))
             assert abs(r.value - math.gamma(x)) <= 1e-11 * r.value
 
     def test_domain(self):

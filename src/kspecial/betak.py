@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ResultOverflow, exp_or_overflow
 from .gammak import _require_k, log_gamma_k
@@ -27,17 +27,14 @@ from .quadrature import quad_halfline, quad_unit
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True, slots=True)
-class BetaKSpec:
-    k: float
-    x: float
-    y: float
+class BetaKSpec(NamedTuple("BetaKSpec", [("k", float), ("x", float), ("y", float)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_k(self.k)
-        if not (0.0 < self.x < math.inf and 0.0 < self.y < math.inf):
-            raise DomainError(
-                f"B_k needs finite x, y > 0, got x={self.x}, y={self.y}")
+    def __new__(cls, k, x, y):
+        _require_k(k)
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise DomainError(f"B_k needs finite x, y > 0, got x={x}, y={y}")
+        return super().__new__(cls, k, x, y)
 
 
 def beta_k_ratio(spec: BetaKSpec) -> EvalResult:

@@ -23,15 +23,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
-from fractions import Fraction
 from importlib import import_module
 from itertools import product
+from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError, NonConvergent, ResultOverflow
 from .profiles import DEFAULT, PROFILES, PrecisionProfile
@@ -40,8 +38,7 @@ from .profiles import DEFAULT, PROFILES, PrecisionProfile
 SUITE_NAMES = ("gamma", "beta", "zeta", "hyper", "forests", "pde", "stirling")
 
 
-@dataclass(frozen=True, slots=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     function: str
     inputs: dict
     value: object
@@ -59,6 +56,7 @@ def _parse_number(text: str):
     except ValueError:
         pass
     if "/" in text:
+        from fractions import Fraction
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -85,15 +83,16 @@ def _fmt(v) -> str:
         raise TypeError("boolean has no record form")
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+    if not isinstance(v, float):
+        from fractions import Fraction
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
     return repr(float(v))
 
 
 def _json_value(v):
-    if isinstance(v, Fraction):
-        return _fmt(v)
-    return v
+    """v itself, or a p/q string for a Fraction, which JSON cannot hold."""
+    return v if isinstance(v, (str, int, float)) else _fmt(v)
 
 
 def _emit(records: list[OutputRecord], fmt: str, out) -> None:
@@ -139,7 +138,8 @@ def _resolve_profile(args) -> PrecisionProfile:
         overrides["rel_tol"] = args.rel_tol
     if args.abs_tol is not None:
         overrides["abs_tol"] = args.abs_tol
-    return dataclasses.replace(base, **overrides) if overrides else base
+    # through the constructor, which checks the overrides (_replace would not)
+    return PrecisionProfile(**{**base._asdict(), **overrides}) if overrides else base
 
 
 def _tagged(r, method: str | None = None) -> tuple:
@@ -150,7 +150,8 @@ def _pochhammer(m, profile, method, x, n, k) -> tuple:
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"--n entries must be integers >= 0, got {n!r}")
     v = m.pochhammer_k(m.PochhammerSpec(x, n, k))
-    err = 0.0 if isinstance(v, (int, Fraction)) else abs(v) * 2.3e-16 * max(n, 1)
+    # an int or Fraction result is exact
+    err = abs(v) * 2.3e-16 * max(n, 1) if isinstance(v, float) else 0.0
     return v, err, "exact"
 
 
@@ -161,8 +162,7 @@ def _hyper(m, profile, method, a, ka, b, sb, x) -> tuple:
     return _tagged(route(spec, float(x), profile), method)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalCommand:
+class EvalCommand(NamedTuple):
     """One `eval` subcommand. Records run over the Cartesian product of the
     grid flags; each param flag is one whole comma list, shown joined in
     every record. methods are the --method choices, the first the default

@@ -68,6 +68,14 @@ def exp_or_overflow(log_v: float, name: str, k: float, *args: float) -> float:
     return v
 
 
+def require_finite(name: str, *values) -> None:
+    """DomainError naming the first float among values that is inf or nan.
+    Exact ints and Fractions pass, however large."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
+
+
 class CapExceeded(RuntimeError):
     """Enumeration would produce more objects than the requested cap.
 

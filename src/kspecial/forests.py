@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceeded, InvariantViolation
 
@@ -27,23 +26,20 @@ Parent = tuple[str, int]           # ("r", j) root, ("v", m) internal, 1-based
 Attachment = tuple[Parent, int]    # (parent, slot)
 
 
-@dataclass(frozen=True, slots=True)
-class ForestFamily:
-    a: int
-    n: int
-    k: int
+class ForestFamily(NamedTuple("ForestFamily", [("a", int), ("n", int), ("k", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and self.a >= 1):
-            raise InvariantViolation(f"root count must be an integer >= 1, got {self.a}")
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise InvariantViolation(f"internal count must be an integer >= 0, got {self.n}")
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise InvariantViolation(f"arity parameter must be an integer >= 1, got {self.k}")
+    def __new__(cls, a, n, k):
+        if not (isinstance(a, int) and a >= 1):
+            raise InvariantViolation(f"root count must be an integer >= 1, got {a}")
+        if not (isinstance(n, int) and n >= 0):
+            raise InvariantViolation(f"internal count must be an integer >= 0, got {n}")
+        if not (isinstance(k, int) and k >= 1):
+            raise InvariantViolation(f"arity parameter must be an integer >= 1, got {k}")
+        return super().__new__(cls, a, n, k)
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarForest:
+class PlanarForest(NamedTuple):
     """nodes[i-1] is the attachment of internal vertex v_i. Structural
     validity is checked by validate_forest/tail_count, not at construction,
     so malformed instances can be built and then rejected."""

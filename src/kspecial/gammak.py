@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
 from .hurwitz import hurwitz_zeta, power_tail_sums
-from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
 from .profiles import DEFAULT, EULER_GAMMA, EvalResult, PrecisionProfile
-from .quadrature import quad_halfline
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EPS = sys.float_info.epsilon
@@ -35,6 +33,15 @@ _LOG_MAX = math.log(sys.float_info.max)
 # partial-sum length before the Euler-Maclaurin tail takes over in the
 # psi_x / psi_k series
 _PSI_HEAD = 200
+
+
+def __getattr__(name: str):
+    # quad_halfline is imported where it runs; as an attribute of this
+    # module (read by kbench's tracer test) it resolves to quadrature's
+    if name == "quad_halfline":
+        from .quadrature import quad_halfline
+        return quad_halfline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def nearest_pole(k: float, x: float) -> float | None:
@@ -76,19 +83,18 @@ def log_gamma_k(k: float, x: float) -> float:
     return (x / k - 1.0) * math.log(k) + log_gamma_classic(x / k)
 
 
-@dataclass(frozen=True, slots=True)
-class GammaKEvaluator:
+class GammaKEvaluator(NamedTuple("GammaKEvaluator", [
+        ("k", float), ("profile", PrecisionProfile), ("method", str)])):
     """k, a precision profile and a route name; evaluate(x) runs that route
     with its default iteration count."""
 
-    k: float
-    profile: PrecisionProfile = field(default=DEFAULT)
-    method: str = "scaling"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_k(self.k)
-        if self.method not in _ROUTES:
-            raise ValueError(f"unknown Gamma_k route {self.method!r}")
+    def __new__(cls, k, profile=DEFAULT, method="scaling"):
+        _require_k(k)
+        if method not in _ROUTES:
+            raise ValueError(f"unknown Gamma_k route {method!r}")
+        return super().__new__(cls, k, profile, method)
 
     def evaluate(self, x: float) -> EvalResult:
         return _ROUTES[self.method](self.k, x, self.profile)
@@ -160,6 +166,7 @@ def gamma_k_integral(k: float, x: float,
         raise DomainError(f"integral route requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x))
     _require_below_overflow(k, x)
+    from .quadrature import quad_halfline
     r = quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
     return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
 
@@ -181,6 +188,7 @@ def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     if n < 1:
         raise DomainError(f"limit route needs n >= 1, got {n}")
     _require_off_pole(k, x)
+    from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
     h = max(1, n // 2)
     head, head_sign = pochhammer_k_log(PochhammerSpec(x, h, k))
     rest, rest_sign = pochhammer_k_log(PochhammerSpec(x + h * k, n - h, k))
@@ -268,6 +276,7 @@ def gamma_k_stirling(k: float, x: float) -> float:
     sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k)."""
     if not (k > 0.0 and x > 0.0):
         raise DomainError(f"stirling term needs k, x > 0, got k={k}, x={x}")
+    _require_k(k, x)
     log_v = (0.5 * _LOG_2PI - 0.5 * math.log(k * x)
              + ((x + 1.0) / k) * math.log(x) - x / k)
     return math.exp(log_v)
@@ -289,6 +298,8 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
 
     import numpy as np
 
+    from .quadrature import quad_halfline
+
     weight = gamma_k_integrand(k, x + k)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -302,8 +313,9 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     return EvalResult(v, err, "integral", quad.terms_or_nodes_used)
 
 
-@dataclass(frozen=True, slots=True)
-class PsiPoint:
+class PsiPoint(NamedTuple("PsiPoint", [("k", float), ("x", float), ("psi", float),
+                                       ("psi_x", float), ("psi_xx", float),
+                                       ("psi_k", float), ("psi_kk", float)])):
     """psi = log Gamma_k and its partials at one (k, x), x > 0.
 
     psi_x and psi_k come from the series representations (head summed
@@ -312,17 +324,12 @@ class PsiPoint:
     Log-convexity makes psi_xx > 0 an invariant (else InvariantViolation).
     """
 
-    k: float
-    x: float
-    psi: float
-    psi_x: float
-    psi_xx: float
-    psi_k: float
-    psi_kk: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.psi_xx > 0.0):
-            raise InvariantViolation(f"psi_xx must be positive, got {self.psi_xx}")
+    def __new__(cls, k, x, psi, psi_x, psi_xx, psi_k, psi_kk):
+        if not (psi_xx > 0.0):
+            raise InvariantViolation(f"psi_xx must be positive, got {psi_xx}")
+        return super().__new__(cls, k, x, psi, psi_x, psi_xx, psi_k, psi_kk)
 
 
 def _psi_x_series(k: float, x: float) -> float:

@@ -22,41 +22,38 @@ Routes kept independent for cross-checking:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from numbers import Rational
+from typing import NamedTuple
 
-from .errors import DivergentSeries, DomainError, OutsideRadius, ResultOverflow
+from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
+                     require_finite)
 from .gammak import log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
-from .quadrature import quad_halfline
 from .series import sum_series, sum_series_batch
 
 
-@dataclass(frozen=True, slots=True)
-class HypergeometricSpec:
-    a: tuple
-    k: tuple
-    b: tuple
-    s: tuple
+class HypergeometricSpec(NamedTuple("HypergeometricSpec", [("a", tuple), ("k", tuple),
+                                                          ("b", tuple), ("s", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "k", "b", "s"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len(self.a) != len(self.k):
-            raise DomainError(
-                f"need one step per upper parameter: {len(self.a)} vs {len(self.k)}")
-        if len(self.b) != len(self.s):
-            raise DomainError(
-                f"need one step per lower parameter: {len(self.b)} vs {len(self.s)}")
-        if any(not (kj > 0) for kj in self.k) or any(not (si > 0) for si in self.s):
+    def __new__(cls, a, k, b, s):
+        a, k, b, s = tuple(a), tuple(k), tuple(b), tuple(s)
+        if len(a) != len(k):
+            raise DomainError(f"need one step per upper parameter: {len(a)} vs {len(k)}")
+        if len(b) != len(s):
+            raise DomainError(f"need one step per lower parameter: {len(b)} vs {len(s)}")
+        if any(not (kj > 0) for kj in k) or any(not (si > 0) for si in s):
             raise DomainError("all step parameters must be > 0")
-        for b_i, s_i in zip(self.b, self.s):
+        for name, values in (("a", a), ("k", k), ("b", b), ("s", s)):
+            require_finite(name, *values)
+        for b_i, s_i in zip(b, s):
             if nearest_pole(float(s_i), float(b_i)) is not None:
                 raise DomainError(
                     f"lower parameter {b_i} sits on the pole lattice of step {s_i}",
                     nearest_pole=float(b_i))
+        return super().__new__(cls, a, k, b, s)
 
     @property
     def p(self) -> int:
@@ -67,14 +64,13 @@ class HypergeometricSpec:
         return len(self.b)
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceClass:
-    kind: str
-    radius: float
+class ConvergenceClass(NamedTuple("ConvergenceClass", [("kind", str), ("radius", float)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("entire", "radius", "divergent"):
-            raise ValueError(f"unknown convergence kind {self.kind!r}")
+    def __new__(cls, kind, radius):
+        if kind not in ("entire", "radius", "divergent"):
+            raise ValueError(f"unknown convergence kind {kind!r}")
+        return super().__new__(cls, kind, radius)
 
 
 def classify(spec: HypergeometricSpec) -> ConvergenceClass:
@@ -217,6 +213,8 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     if any(not (a_j > 0) for a_j in spec.a):
         raise DomainError("integral route needs every upper parameter > 0")
     import numpy as np
+
+    from .quadrature import quad_halfline
 
     def base_den(n: int) -> float:
         return _times_shifted(n + 1.0, spec.b, spec.s, n)

@@ -25,11 +25,11 @@ place, and math.fsum adds the chunk sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow
+from .errors import DomainError, ResultOverflow, require_finite
 
 Number = float | int | Fraction
 
@@ -46,19 +46,20 @@ _FOLD_LO, _FOLD_HI = 2.0 ** -64, 2.0 ** 64
 _J: np.ndarray | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class PochhammerSpec:
+class PochhammerSpec(NamedTuple("PochhammerSpec",
+                                [("x", Number), ("n", int), ("k", Number)])):
     """(x)_{n,k} with n factors stepping by k."""
 
-    x: Number
-    n: int
-    k: Number
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"n must be a nonnegative int, got {self.n!r}")
-        if not (self.k > 0):
-            raise DomainError(f"k must be > 0, got {self.k!r}")
+    def __new__(cls, x, n, k):
+        if not isinstance(n, int) or n < 0:
+            raise DomainError(f"n must be a nonnegative int, got {n!r}")
+        if not (k > 0):
+            raise DomainError(f"k must be > 0, got {k!r}")
+        require_finite("x", x)
+        require_finite("k", k)
+        return super().__new__(cls, x, n, k)
 
 
 def _is_exact(v) -> bool:

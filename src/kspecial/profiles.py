@@ -4,11 +4,16 @@ A PrecisionProfile bundles the knobs every iterative engine consumes
 (series summation, quadrature refinement, product truncation). Three named
 profiles are provided; ``default`` is used when nothing else is requested,
 and the CLI maps KSPECIAL_PROFILE=strict|default|fast onto these.
+
+Every record in the package is a typing.NamedTuple. One that checks its
+fields does so in __new__, which _replace and _make skip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .errors import require_finite
 
 # Euler-Mascheroni constant, gamma = lim (H_n - log n).
 EULER_GAMMA = 0.5772156649015328606
@@ -20,18 +25,19 @@ METHODS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class PrecisionProfile:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_terms: int = 100_000
-    max_quad_refinements: int = 12
+class PrecisionProfile(NamedTuple("PrecisionProfile", [
+        ("rel_tol", float), ("abs_tol", float), ("max_terms", int),
+        ("max_quad_refinements", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
+    def __new__(cls, rel_tol=1e-10, abs_tol=1e-14, max_terms=100_000,
+                max_quad_refinements=12):
+        if not (rel_tol > 0 and abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_terms < 1 or self.max_quad_refinements < 1:
+        require_finite("tolerances", rel_tol, abs_tol)
+        if max_terms < 1 or max_quad_refinements < 1:
             raise ValueError("iteration caps must be >= 1")
+        return super().__new__(cls, rel_tol, abs_tol, max_terms, max_quad_refinements)
 
 
 DEFAULT = PrecisionProfile()
@@ -43,26 +49,25 @@ FAST = PrecisionProfile(rel_tol=1e-7, abs_tol=1e-10,
 PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
+class EvalResult(NamedTuple("EvalResult", [
+        ("value", float), ("err_estimate", float), ("method", str),
+        ("terms_or_nodes_used", int)])):
     """A numeric value plus how it was obtained and how far to trust it.
 
     err_estimate is an a-posteriori bound-ish quantity (last refinement
     delta, first omitted term, or a tail-order bound), not a guarantee.
     """
 
-    value: float
-    err_estimate: float
-    method: str
-    terms_or_nodes_used: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.err_estimate < 0:
+    def __new__(cls, value, err_estimate, method, terms_or_nodes_used=0):
+        if method not in METHODS:
+            raise ValueError(f"unknown method tag {method!r}")
+        if err_estimate < 0:
             raise ValueError("err_estimate must be >= 0")
-        if self.terms_or_nodes_used < 0:
+        if terms_or_nodes_used < 0:
             raise ValueError("terms_or_nodes_used must be >= 0")
+        return super().__new__(cls, value, err_estimate, method, terms_or_nodes_used)
 
     def __float__(self) -> float:
         return self.value

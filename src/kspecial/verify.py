@@ -15,21 +15,28 @@ consecutive runs produce identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapExceeded, DivergentSeries, InvariantViolation, OutsideRadius
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
-from .quadrature import quad_halfline
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
 SEED = 20240817
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+def __getattr__(name: str):
+    # quad_halfline is imported where it runs; as an attribute of this
+    # module (read by kbench's tracer test) it resolves to quadrature's
+    if name == "quad_halfline":
+        from .quadrature import quad_halfline
+        return quad_halfline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class CheckResult(NamedTuple):
     name: str
     max_dev: float
     tol: float
@@ -101,6 +108,7 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
                          gamma_k_product, gamma_k_scaling, log_gamma_k, psi_point)
     from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                              pochhammer_rescale, pochhammer_via_symmetric)
+    from .quadrature import quad_halfline
 
     def integral(k, x):
         return gamma_k_integral(k, x, profile)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, exp_or_overflow
+from .errors import DomainError, ResultOverflow, exp_or_overflow, require_finite
 from .gammak import psi_point
 from .hurwitz import hurwitz_zeta, rising
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -36,17 +36,18 @@ _H_S = 1e-5
 _H_X_FACTOR = 1e-2
 
 
-@dataclass(frozen=True, slots=True)
-class ZetaKSpec:
-    k: float
-    x: float
-    s: float
+class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.k > 0.0):
-            raise DomainError(f"k must be > 0, got {self.k}")
-        if not (self.x > 0.0):
-            raise DomainError(f"zeta_k needs x > 0, got {self.x}")
+    def __new__(cls, k, x, s):
+        if not (k > 0.0):
+            raise DomainError(f"k must be > 0, got {k}")
+        if not (x > 0.0):
+            raise DomainError(f"zeta_k needs x > 0, got {x}")
+        require_finite("k", k)
+        require_finite("x", x)
+        require_finite("s", s)
+        return super().__new__(cls, k, x, s)
 
 
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:

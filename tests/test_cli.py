@@ -343,11 +343,29 @@ class TestProfiles:
         err_tight = float(parse_csv(out_tight)[0]["err_estimate"])
         assert err_tight < err_fast
 
+    @pytest.mark.parametrize("flag,value", [("--rel-tol", "-1"), ("--abs-tol", "0")])
+    def test_bad_tolerance_flag_is_domain_error(self, flag, value, capsys):
+        # the override is checked like any profile: an override that skipped
+        # the profile's checks would run with the bad tolerance
+        code, out, err = run_cli(["eval", "gamma-k", "--k", "1", "--x", "1",
+                                  flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert "domain error: tolerances must be positive" in err
+
+    def test_infinite_tolerance_flag_is_domain_error(self, capsys):
+        # inf passed the profile, and the 1F1(1; 2) series at x = 3 stopped at
+        # 4.0 with err_estimate 1.125 against a true (e^3 - 1)/3 = 6.36
+        code, out, err = run_cli(["eval", "hyper", "--a", "1", "--ka", "1", "--b", "2",
+                                  "--sb", "1", "--x", "3", "--rel-tol", "inf",
+                                  "--abs-tol", "inf"], capsys)
+        assert (code, out) == (2, "")
+        assert "domain error: tolerances must be finite, got inf" in err
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints [exit code, stdout of main(argv), whether numpy got imported,
-#         the kspecial submodules that got imported]
+#         every module that got imported]
 _PROBE = """
 import contextlib, io, json, sys
 from kspecial.cli import main
@@ -355,8 +373,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, out.getvalue(), "numpy" in sys.modules,
-                  sorted(m[9:] for m in sys.modules
-                         if m.startswith("kspecial."))]))
+                  sorted(sys.modules)]))
 """
 
 
@@ -399,7 +416,9 @@ class TestLazyNumpy:
 class TestLazyModules:
     """`import kspecial` loads no submodule, and each command imports only
     the modules it runs, so a one-point eval does not compile the
-    verification suites or the hypergeometric series."""
+    verification suites or the hypergeometric series. The records are
+    NamedTuples, so no command imports dataclasses (and inspect with it),
+    and the default eval route loads neither quadrature nor pochhammer."""
 
     def test_import_loads_no_submodule(self):
         out = fresh_python("import sys, kspecial; print(sorted("
@@ -408,9 +427,18 @@ class TestLazyModules:
 
     @pytest.mark.parametrize("argv,absent", [
         (["eval", "gamma-k", "--k", "2", "--x", "1"],
-         {"verify", "forests", "hypergeometric", "series", "betak", "zetak"}),
+         {"kspecial.verify", "kspecial.forests", "kspecial.hypergeometric",
+          "kspecial.series", "kspecial.betak", "kspecial.zetak"}),
         (["verify", "stirling"],
-         {"forests", "hypergeometric", "betak", "zetak"}),
+         {"kspecial.forests", "kspecial.hypergeometric", "kspecial.betak",
+          "kspecial.zetak"}),
+        (["eval", "gamma-k", "--k", "2", "--x", "1"],
+         {"dataclasses", "inspect", "kspecial.quadrature", "kspecial.pochhammer",
+          "fractions"}),
+        (["eval", "hyper", "--a", "2", "--ka", "2", "--x", "0.25"],
+         {"dataclasses", "inspect"}),
+        (["verify", "stirling"], {"dataclasses", "inspect"}),
+        (["forests", "--a", "2", "--n", "3", "--k", "1"], {"dataclasses", "inspect"}),
     ])
     def test_command_loads_only_what_it_runs(self, argv, absent):
         code, out, _, modules = json.loads(fresh_python(_PROBE, json.dumps(argv)))

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from kspecial import gammak
+from kspecial import gammak, quadrature
 from kspecial.errors import DomainError, ResultOverflow
 from kspecial.gammak import (GammaKEvaluator, PsiPoint, gamma_k_dk,
                              gamma_k_integral, gamma_k_limit, gamma_k_product,
@@ -275,7 +275,7 @@ class TestPoles:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(gammak, "quad_halfline", no_quadrature)
+        monkeypatch.setattr(quadrature, "quad_halfline", no_quadrature)
         with pytest.raises(DomainError, match=re.escape(message)):
             route(k, x)
 
@@ -382,6 +382,12 @@ class TestStirling:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_k_stirling(1.0, -1.0)
+
+    @pytest.mark.parametrize("k,x", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_nonfinite_input_is_domain_error(self, k, x):
+        # k = inf gave 0.0, x = inf nan
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            gamma_k_stirling(k, x)
 
 
 class TestGammaKdK:

@@ -247,6 +247,15 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             HypergeometricSpec((), (), (1.0,), (-2.0,))
 
+    @pytest.mark.parametrize("a,k,b,s,message", [
+        ((1.0,), (1.0,), (math.nan,), (1.0,), "b must be finite, got nan"),
+        ((math.inf,), (1.0,), (1.0,), (1.0,), "a must be finite, got inf"),
+        ((1.0,), (math.inf,), (), (), "k must be finite, got inf")])
+    def test_nonfinite_parameter_is_domain_error(self, a, k, b, s, message):
+        # a nan b raised an untyped ValueError from nearest_pole
+        with pytest.raises(DomainError, match=message):
+            HypergeometricSpec(a, k, b, s)
+
     def test_lower_parameter_pole_lattice(self):
         for b, s in [(0.0, 1.0), (-2.0, 1.0), (-3.0, 1.5)]:
             with pytest.raises(DomainError):

@@ -300,7 +300,7 @@ class TestArrayIntegrandsMatchScalarOracles:
     def test_gamma_k_dk_integrand(self, k, x, monkeypatch):
         from kspecial import gammak
         t, = _all_nodes("halfline")
-        f = _integrand_of(monkeypatch, gammak, "quad_halfline",
+        f = _integrand_of(monkeypatch, quadrature, "quad_halfline",
                           lambda: gammak.gamma_k_dk(k, x))
         scalar = oracles.gamma_k_dk_integrand_scalar(k, x)
         lt, e, decay = self.decay_terms(k, t)
@@ -343,7 +343,7 @@ class TestArrayIntegrandsMatchScalarOracles:
 
         from kspecial import hypergeometric
         spec = hypergeometric.HypergeometricSpec((a,), (k,), (b,), (s,))
-        f = _integrand_of(monkeypatch, hypergeometric, "quad_halfline",
+        f = _integrand_of(monkeypatch, quadrature, "quad_halfline",
                           lambda: hypergeometric.integral_representation_check(spec, x))
         inner = inspect.getclosurevars(f).nonlocals
         scalar = oracles.hyper_integrand_loop(inner["level"], inner["args"],

@@ -65,6 +65,18 @@ class TestDirectProduct:
         with pytest.raises(DomainError):
             PochhammerSpec(1.0, 2, 0.0)
 
+    def test_nonfinite_float_is_domain_error(self):
+        # the product at k = inf was nan
+        with pytest.raises(DomainError, match="k must be finite, got inf"):
+            pochhammer_k(PochhammerSpec(1.0, 3, math.inf))
+
+    def test_exact_parameters_of_any_size_pass(self):
+        # math.isfinite raises OverflowError on an int this large
+        big = 10 ** 400
+        assert pochhammer_k(PochhammerSpec(big, 2, big)) == 2 * big * big
+        assert pochhammer_k(PochhammerSpec(Fraction(big, 3), 1, Fraction(1, big))) \
+            == Fraction(big, 3)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(x=_exact_x, n=_small_n, k=_exact_k)
     def test_recurrence_exact(self, x, n, k):
@@ -102,6 +114,11 @@ class TestLogForm:
         log_abs, sign = pochhammer_k_log(PochhammerSpec(-4.0, 4, 2.0))
         assert sign == 0 and log_abs == -math.inf
 
+    def test_nonfinite_float_is_domain_error(self):
+        # the numpy path returned (nan, 1)
+        with pytest.raises(DomainError, match="x must be finite, got nan"):
+            pochhammer_k_log(PochhammerSpec(math.nan, 600, 1.0))
+
 
 def _lattice_x(rng: random.Random, n: int, k: float) -> float:
     """x at, or one ulp either side of, a point -jk of the pole lattice with
@@ -133,7 +150,8 @@ class TestScalarLoop:
                      (-1.0, math.inf), (1.0, math.inf), (-math.inf, math.inf),
                      (-0.0, 1.0)):
             for n in (1, 2, 5, 511):
-                got = pochhammer_k_log(PochhammerSpec(x, n, k))
+                # _make skips the spec's refusal of non-finite floats
+                got = pochhammer_k_log(PochhammerSpec._make((x, n, k)))
                 assert repr(got) == repr(pochhammer_k_log_loop(x, n, k)), (x, n, k)
 
 
@@ -263,7 +281,8 @@ class TestChunkedKernel:
         # (-inf, inf): every factor is nan, and ceil(-x/k) = ceil(nan) raised
         for x, k in ((-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
                      (-math.inf, math.inf)):
-            got = pochhammer_k_log(PochhammerSpec(x, 600, k))
+            # _make skips the spec's refusal of non-finite floats
+            got = pochhammer_k_log(PochhammerSpec._make((x, 600, k)))
             want = pochhammer_k_log_array(x, 600, k)
             assert got[1] == want[1]
             assert got[0] == want[0] or (math.isnan(got[0])

@@ -41,6 +41,18 @@ class TestValues:
         with pytest.raises(DomainError):
             ZetaKSpec(1.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("x,s,message", [(math.inf, 2.0, "x must be finite, got inf"),
+                                             (1.0, math.nan, "s must be finite, got nan")])
+    def test_nonfinite_x_or_s_is_domain_error(self, x, s, message):
+        # zeta_k(ZetaKSpec(1, inf, 2)) was EvalResult(0.0, 0.0)
+        with pytest.raises(DomainError, match=message):
+            zeta_k(ZetaKSpec(1.0, x, s))
+
+    def test_nonfinite_k_is_domain_error(self):
+        # the spec was built, and hurwitz_zeta refused a = x/k = 0.0
+        with pytest.raises(DomainError, match="k must be finite, got inf"):
+            ZetaKSpec(math.inf, 1.0, 2.0)
+
 
 class TestScaleBeyondFloatRange:
     """k^(-s) overflows a double while zeta_k itself is finite."""

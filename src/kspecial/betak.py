@@ -10,6 +10,9 @@ Four independent routes, kept separate so they can cross-check:
 All routes require k, x, y > 0. The product route restores the truncated
 tail through fourth order in 1/(nk), which brings N = 10^4 terms to ~1e-12
 relative accuracy for moderate arguments.
+
+ROUTES maps each name to a call at (spec, profile), as gammak.ROUTES does;
+beta_k(spec, method, profile) reads it and remains for compatibility.
 """
 
 from __future__ import annotations
@@ -151,17 +154,17 @@ def _require_below_overflow(spec: BetaKSpec) -> None:
             f"(log value >= {lower:.6g})")
 
 
-_ROUTES = ("ratio", "halfline", "unit", "product")
+# as gammak.ROUTES: each entry looks its route up by name when called
+ROUTES = {
+    "ratio": lambda spec, profile: beta_k_ratio(spec),
+    "halfline": lambda spec, profile: beta_k_integral_halfline(spec, profile),
+    "unit": lambda spec, profile: beta_k_integral_unit(spec, profile),
+    "product": lambda spec, profile: beta_k_product(spec),
+}
 
 
 def beta_k(spec: BetaKSpec, method: str = "ratio",
            profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    if method == "ratio":
-        return beta_k_ratio(spec)
-    if method == "halfline":
-        return beta_k_integral_halfline(spec, profile)
-    if method == "unit":
-        return beta_k_integral_unit(spec, profile)
-    if method == "product":
-        return beta_k_product(spec)
-    raise ValueError(f"unknown B_k route {method!r}; choose from {_ROUTES}")
+    if method not in ROUTES:
+        raise ValueError(f"unknown B_k route {method!r}; choose from {tuple(ROUTES)}")
+    return ROUTES[method](spec, profile)

@@ -31,7 +31,7 @@ from importlib import import_module
 from itertools import product
 from typing import NamedTuple
 
-from .errors import CapExceeded, DomainError, NonConvergent, ResultOverflow
+from .errors import DomainError, NonConvergent, ResultOverflow
 from .profiles import DEFAULT, PROFILES, PrecisionProfile
 
 # verify.SUITES, spelled out so the parser needs no import of verify
@@ -155,13 +155,6 @@ def _pochhammer(m, profile, method, x, n, k) -> tuple:
     return v, err, "exact"
 
 
-def _hyper(m, profile, method, a, ka, b, sb, x) -> tuple:
-    route = {"series": m.evaluate, "transfer": m.transfer_classical,
-             "integral": m.integral_representation_check}[method]
-    spec = m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb))
-    return _tagged(route(spec, float(x), profile), method)
-
-
 class EvalCommand(NamedTuple):
     """One `eval` subcommand. Records run over the Cartesian product of the
     grid flags; each param flag is one whole comma list, shown joined in
@@ -177,21 +170,24 @@ class EvalCommand(NamedTuple):
     params: tuple[tuple[str, bool, str], ...] = ()   # (flag, required, help)
 
 
+# The routed rows call m.ROUTES[method] and record the requested route, not
+# the EvalResult tag (beta's halfline and unit both tag "integral"). Their
+# --method choices are tuple(ROUTES), spelled out so the parser imports none.
 EVAL_COMMANDS = (
     EvalCommand("gamma-k", ("k", "x"), ("scaling", "integral", "limit", "product"),
                 "gammak", lambda m, profile, method, k, x: _tagged(
-                    m.GammaKEvaluator(float(k), profile, method).evaluate(float(x)))),
-    # record the requested route, not the EvalResult tag: halfline and unit
-    # both tag "integral" and would be indistinguishable in a row
+                    m.ROUTES[method](float(k), float(x), profile), method)),
     EvalCommand("beta-k", ("k", "x", "y"), ("ratio", "halfline", "unit", "product"),
-                "betak", lambda m, profile, method, k, x, y: _tagged(m.beta_k(
-                    m.BetaKSpec(float(k), float(x), float(y)), method, profile), method)),
+                "betak", lambda m, profile, method, k, x, y: _tagged(m.ROUTES[method](
+                    m.BetaKSpec(float(k), float(x), float(y)), profile), method)),
     EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
                 lambda m, profile, method, k, x, s: _tagged(
                     m.zeta_k(m.ZetaKSpec(float(k), float(x), float(s)), profile))),
     EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
     EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
-                _hyper,
+                lambda m, profile, method, a, ka, b, sb, x: _tagged(m.ROUTES[method](
+                    m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb)),
+                    float(x), profile), method),
                 params=(("a", True, "upper parameters (comma list)"),
                         ("ka", True, "upper deformation steps, paired with --a"),
                         ("b", False, "lower parameters (comma list)"),
@@ -304,10 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, _resolve_profile(args))
         return _cmd_forests(args)
-    except CapExceeded as exc:
-        print(exc.count)
-        print(f"enumeration refused: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:   # DomainError and InvariantViolation among them
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

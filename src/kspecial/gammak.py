@@ -9,8 +9,9 @@ of (k, x) that refuses k <= 0, are kept independent to cross-check:
   gamma_k_limit     lim_n  n! k^n (nk)^(x/k-1) / (x)_{n,k}   (O(1/n) slow)
   gamma_k_product   reciprocal Weierstrass-type product      (tail-corrected)
 
-GammaKEvaluator(k, profile, method).evaluate(x) runs the route named at run
-time (the CLI's --method) with its default iteration count. Also here: the
+ROUTES[name](k, x, profile) runs the route named at run time (the CLI's
+--method) with its default iteration count; GammaKEvaluator(k, profile,
+method).evaluate(x) reads it and remains for compatibility. Also here: the
 Stirling-type leading term, the k-derivative of Gamma_k(x+1), and psi =
 log Gamma_k machinery (series-summed derivatives) feeding a PDE residual.
 """
@@ -85,19 +86,19 @@ def log_gamma_k(k: float, x: float) -> float:
 
 class GammaKEvaluator(NamedTuple("GammaKEvaluator", [
         ("k", float), ("profile", PrecisionProfile), ("method", str)])):
-    """k, a precision profile and a route name; evaluate(x) runs that route
-    with its default iteration count."""
+    """k, a precision profile and a route name; evaluate(x) runs
+    ROUTES[method]. Kept for compatibility: ROUTES is the dispatcher."""
 
     __slots__ = ()
 
     def __new__(cls, k, profile=DEFAULT, method="scaling"):
         _require_k(k)
-        if method not in _ROUTES:
+        if method not in ROUTES:
             raise ValueError(f"unknown Gamma_k route {method!r}")
         return super().__new__(cls, k, profile, method)
 
     def evaluate(self, x: float) -> EvalResult:
-        return _ROUTES[self.method](self.k, x, self.profile)
+        return ROUTES[self.method](self.k, x, self.profile)
 
 
 def gamma_k_scaling(k: float, x: float) -> EvalResult:
@@ -187,6 +188,8 @@ def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
     _require_k(k, x)
     if n < 1:
         raise DomainError(f"limit route needs n >= 1, got {n}")
+    if not math.isfinite(x + n * k):
+        raise DomainError(f"limit route needs a finite x + n k, got x={x}, n={n}, k={k}")
     _require_off_pole(k, x)
     from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
     h = max(1, n // 2)
@@ -263,7 +266,7 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
 # route name -> call of that route at (k, x, profile) with its default
 # iteration count. Each entry looks its function up by name when called, so
 # a rebinding of gamma_k_* (a tracer's, a test's monkeypatch) is what runs.
-_ROUTES = {
+ROUTES = {
     "scaling": lambda k, x, profile: gamma_k_scaling(k, x),
     "integral": lambda k, x, profile: gamma_k_integral(k, x, profile),
     "limit": lambda k, x, profile: gamma_k_limit(k, x),
@@ -332,40 +335,31 @@ class PsiPoint(NamedTuple("PsiPoint", [("k", float), ("x", float), ("psi", float
         return super().__new__(cls, k, x, psi, psi_x, psi_xx, psi_k, psi_kk)
 
 
-def _psi_x_series(k: float, x: float) -> float:
-    """-1/x + (log k - gamma)/k - sum_{n>=1} (1/(x+nk) - 1/(nk))."""
+def _psi_series(k: float, x: float) -> float:
+    """S = sum_{n>=1} (1/(x+nk) - 1/(nk)): _PSI_HEAD terms summed directly,
+    the rest by Euler-Maclaurin on g(t) = 1/(x+tk) - 1/(tk)."""
     head = 0.0
     for n in range(1, _PSI_HEAD + 1):
         head += 1.0 / (x + n * k) - 1.0 / (n * k)
     a = float(_PSI_HEAD + 1)
-    # tail by Euler-Maclaurin on g(t) = 1/(x+tk) - 1/(tk)
     integral = -math.log1p(x / (a * k)) / k
     g_a = 1.0 / (x + a * k) - 1.0 / (a * k)
     g1_a = -k / (x + a * k) ** 2 + 1.0 / (k * a * a)
     g3_a = -6.0 * k ** 3 / (x + a * k) ** 4 + 6.0 / (k * a ** 4)
     tail = integral + 0.5 * g_a - g1_a / 12.0 + g3_a / 720.0
-    return -1.0 / x + (math.log(k) - EULER_GAMMA) / k - (head + tail)
+    return head + tail
 
 
 def _psi_k_series(k: float, x: float) -> float:
-    """(x/k^2) [ (1 - log k + gamma) + sum_{n>=1} (k/(x+nk) - 1/n) ]."""
-    head = 0.0
-    for n in range(1, _PSI_HEAD + 1):
-        head += k / (x + n * k) - 1.0 / n
-    a = float(_PSI_HEAD + 1)
-    integral = math.log(k) - math.log((x + a * k) / a)
-    h_a = k / (x + a * k) - 1.0 / a
-    h1_a = -k * k / (x + a * k) ** 2 + 1.0 / (a * a)
-    h3_a = -6.0 * k ** 4 / (x + a * k) ** 4 + 6.0 / a ** 4
-    tail = integral + 0.5 * h_a - h1_a / 12.0 + h3_a / 720.0
-    return (x / (k * k)) * ((1.0 - math.log(k) + EULER_GAMMA) + head + tail)
+    """(x/k^2) [ (1 - log k + gamma) + k S ]; k S = sum_{n>=1} (k/(x+nk) - 1/n)."""
+    return (x / (k * k)) * ((1.0 - math.log(k) + EULER_GAMMA) + k * _psi_series(k, x))
 
 
 def psi_point(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> PsiPoint:
     if not (k > 0.0 and x > 0.0):
         raise DomainError(f"psi_point needs k, x > 0, got k={k}, x={x}")
     psi = log_gamma_k(k, x)
-    psi_x = _psi_x_series(k, x)
+    psi_x = -1.0 / x + (math.log(k) - EULER_GAMMA) / k - _psi_series(k, x)
     psi_xx = hurwitz_zeta(2.0, x / k, profile).value / (k * k)
     psi_k = _psi_k_series(k, x)
     h = 1e-5 * k

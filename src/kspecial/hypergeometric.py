@@ -261,3 +261,11 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     with np.errstate(over="ignore", invalid="ignore"):
         value, err = level(spec.p, np.array([float(x)]))
     return EvalResult(float(value[0]), float(err[0]), "integral", evals)
+
+
+# the value routes at (spec, x, profile), looked up by name as in gammak.ROUTES
+ROUTES = {
+    "series": lambda spec, x, profile: evaluate(spec, x, profile),
+    "transfer": lambda spec, x, profile: transfer_classical(spec, x, profile),
+    "integral": lambda spec, x, profile: integral_representation_check(spec, x, profile),
+}

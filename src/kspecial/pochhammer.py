@@ -130,10 +130,15 @@ def _fold(b: np.ndarray) -> np.ndarray:
 
 def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     """(log |(x)_{n,k}|, sign). sign is 0 when some factor is exactly zero
-    (then the log is -inf)."""
+    (then the log is -inf). DomainError when finite x and k give a last
+    factor x + (n-1)k beyond the float range; an inf or nan that _make let
+    into the spec runs the factor loop."""
     x, n, k = float(spec.x), spec.n, float(spec.k)
     if n == 0:
         return 0.0, 1
+    if math.isfinite(x) and math.isfinite(k) and not math.isfinite(x + (n - 1) * k):
+        raise DomainError(f"(x)_{{n,k}} needs a finite last factor x + (n-1)k, "
+                          f"got x={x}, n={n}, k={k}")
     neg = _first_nonnegative(x, k, n)
     if neg < n and x + k * float(neg) == 0.0:
         return -math.inf, 0

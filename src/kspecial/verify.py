@@ -104,18 +104,16 @@ def _fd2(f, t: float, h: float) -> float:
 
 
 def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
-    from .gammak import (gamma_k_integral, gamma_k_integrand, gamma_k_limit,
+    from .gammak import (ROUTES, gamma_k_integral, gamma_k_integrand, gamma_k_limit,
                          gamma_k_product, gamma_k_scaling, log_gamma_k, psi_point)
     from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                              pochhammer_rescale, pochhammer_via_symmetric)
     from .quadrature import quad_halfline
 
-    def integral(k, x):
-        return gamma_k_integral(k, x, profile)
-
     # (tag, routes, tol) for Gamma_k(x + k) = x Gamma_k(x) and Gamma_k(k) = 1
     families = (
-        ("scaling+integral", (gamma_k_scaling, integral), 1e-9),
+        ("scaling+integral",
+         (gamma_k_scaling, lambda k, x: gamma_k_integral(k, x, profile)), 1e-9),
         ("limit-n1e6", (lambda k, x: gamma_k_limit(k, x, 1_000_000),), 1e-4),
         ("product-n1e4", (lambda k, x: gamma_k_product(k, x, 10_000),), 1e-5))
     out = [_worst(f"functional-equation/{tag}", tol,
@@ -153,9 +151,7 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
                 - 0.5 * (log_gamma_k(k, x1) + log_gamma_k(k, x2))
                 for k in GRID_K for x1, x2 in ((0.3, 2.5), (1.0, 7.0)))),
         _worst("route-agreement/combined-error-units", 3.0,
-               (_combined_error_units([gamma_k_scaling(k, x), integral(k, x),
-                                       gamma_k_limit(k, x, 100_000),
-                                       gamma_k_product(k, x, 10_000)])
+               (_combined_error_units([r(k, x, profile) for r in ROUTES.values()])
                 for k in GRID_K for x in GRID_X)),
         _holds("pochhammer/symmetric-and-rescale-exact",
                all(pochhammer_via_symmetric(PochhammerSpec(x, n, k))
@@ -178,17 +174,13 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
-    from .betak import (BetaKSpec, beta_k_integral_halfline,
-                        beta_k_integral_unit, beta_k_product, beta_k_ratio)
-    routes = (beta_k_ratio,
-              lambda s: beta_k_integral_halfline(s, profile),
-              lambda s: beta_k_integral_unit(s, profile),
-              lambda s: beta_k_product(s))
+    from .betak import ROUTES, BetaKSpec, beta_k_integral_halfline, beta_k_ratio
     specs = [BetaKSpec(k, x, y) for k in (0.5, 1.0, 2.0)
              for x in (0.5, 1.0, 2.5) for y in (0.5, 1.0, 2.5)]
     return [
         _worst("four-routes-pairwise/combined-error-units", 3.0,
-               (_combined_error_units([r(s) for r in routes]) for s in specs)),
+               (_combined_error_units([r(s, profile) for r in ROUTES.values()])
+                for s in specs)),
         _worst("scaling-collapse", 1e-9,
                (_rel(beta_k_ratio(BetaKSpec(1.0, s.x / s.k, s.y / s.k)).value / s.k,
                      beta_k_ratio(s).value) for s in specs)),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kspecial.cli import main
+from kspecial.cli import EVAL_COMMANDS, main
 from kspecial.forests import parse_forest, validate_forest
 
 
@@ -66,6 +66,21 @@ class TestEvalExamples:
         assert code == 0
         rec = parse_csv(out)[0]
         assert abs(float(rec["value"]) - 2.0) <= 1e-9
+
+    # one point per command with a --method; hyper's is in the entire class,
+    # where the integral route runs
+    ROUTE_POINTS = {"gamma-k": ["--k", "2", "--x", "1.3"],
+                    "beta-k": ["--k", "1.5", "--x", "0.7", "--y", "2.5"],
+                    "hyper": ["--a", "1", "--ka", "1", "--b", "2", "--sb", "1",
+                              "--x", "0.5"]}
+
+    @pytest.mark.parametrize("command,method", [
+        (cmd.command, m) for cmd in EVAL_COMMANDS for m in cmd.methods])
+    def test_every_route_runs_through_main(self, command, method, capsys):
+        code, out, _ = run_cli(["eval", command, *self.ROUTE_POINTS[command],
+                                "--method", method], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["method"] == method
 
     def test_grid_is_cartesian_in_input_order(self, capsys):
         code, out, _ = run_cli(
@@ -279,6 +294,13 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_limit_factor_overflow_is_refused_up_front(self, capsys, recwarn):
+        code, out, err = run_cli(["eval", "gamma-k", "--k", "1e304", "--x",
+                                  "1e304", "--method", "limit"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_zeta_k_tiny_k_is_finite(self, capsys):
         # k^(-s) = 1e600 used to raise an untyped OverflowError here
         code, out, err = run_cli(
@@ -459,11 +481,12 @@ class TestLazyModules:
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
 
     def test_cli_route_choices_match_the_modules(self):
-        # the parser spells the --method choices out so that it imports
-        # neither module; they must stay the routes the modules dispatch on
-        from kspecial import betak, cli, gammak
+        # the parser spells the --method choices out so that it imports no
+        # module; they must stay the routes the modules dispatch on
+        from kspecial import betak, cli, gammak, hypergeometric
         methods = {cmd.command: cmd.methods for cmd in cli.EVAL_COMMANDS}
-        assert methods["gamma-k"] == tuple(gammak._ROUTES)
-        assert methods["beta-k"] == betak._ROUTES
+        assert methods["gamma-k"] == tuple(gammak.ROUTES)
+        assert methods["beta-k"] == tuple(betak.ROUTES)
+        assert methods["hyper"] == tuple(hypergeometric.ROUTES)
         with pytest.raises(ValueError, match="unknown Gamma_k route 'gamma'"):
             gammak.GammaKEvaluator(1.0, method="gamma")

@@ -8,6 +8,7 @@ evaluation of the closed scaling form; closed = exact closed form.
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,14 @@ class TestPoles:
         monkeypatch.setattr(quadrature, "quad_halfline", no_quadrature)
         with pytest.raises(DomainError, match=re.escape(message)):
             route(k, x)
+
+    def test_limit_overflowing_factor_is_domain_error(self):
+        # x + h k overflowed inside the route: numpy warned, and the
+        # refusal named an x of inf that the caller never passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite x [+] n k"):
+                gamma_k_limit(1e304, 1e304)
 
     def test_nonfinite_k_refused_by_evaluator(self):
         with pytest.raises(DomainError, match="k must be finite, got inf"):

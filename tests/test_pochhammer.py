@@ -4,6 +4,7 @@ rationals, not close floats."""
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -118,6 +119,12 @@ class TestLogForm:
         # the numpy path returned (nan, 1)
         with pytest.raises(DomainError, match="x must be finite, got nan"):
             pochhammer_k_log(PochhammerSpec(math.nan, 600, 1.0))
+
+    def test_overflowing_last_factor_is_domain_error(self):
+        # log|(x)_{300,k}| ~ 2.1e5 is finite, but the factors from x + 179k
+        # on are not: the loop returned (inf, 1)
+        with pytest.raises(DomainError, match=re.escape("x + (n-1)k")):
+            pochhammer_k_log(PochhammerSpec(1e306, 300, 1e306))
 
 
 def _lattice_x(rng: random.Random, n: int, k: float) -> float:

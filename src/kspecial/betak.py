@@ -37,7 +37,7 @@ class BetaKSpec(NamedTuple("BetaKSpec", [("k", float), ("x", float), ("y", float
         _require_k(k)
         if not (0.0 < x < math.inf and 0.0 < y < math.inf):
             raise DomainError(f"B_k needs finite x, y > 0, got x={x}, y={y}")
-        return super().__new__(cls, k, x, y)
+        return tuple.__new__(cls, (k, x, y))
 
 
 def beta_k_ratio(spec: BetaKSpec) -> EvalResult:

@@ -36,7 +36,7 @@ class ForestFamily(NamedTuple("ForestFamily", [("a", int), ("n", int), ("k", int
             raise InvariantViolation(f"internal count must be an integer >= 0, got {n}")
         if not (isinstance(k, int) and k >= 1):
             raise InvariantViolation(f"arity parameter must be an integer >= 1, got {k}")
-        return super().__new__(cls, a, n, k)
+        return tuple.__new__(cls, (a, n, k))
 
 
 class PlanarForest(NamedTuple):

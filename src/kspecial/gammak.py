@@ -95,7 +95,7 @@ class GammaKEvaluator(NamedTuple("GammaKEvaluator", [
         _require_k(k)
         if method not in ROUTES:
             raise ValueError(f"unknown Gamma_k route {method!r}")
-        return super().__new__(cls, k, profile, method)
+        return tuple.__new__(cls, (k, profile, method))
 
     def evaluate(self, x: float) -> EvalResult:
         return ROUTES[self.method](self.k, x, self.profile)
@@ -332,7 +332,7 @@ class PsiPoint(NamedTuple("PsiPoint", [("k", float), ("x", float), ("psi", float
     def __new__(cls, k, x, psi, psi_x, psi_xx, psi_k, psi_kk):
         if not (psi_xx > 0.0):
             raise InvariantViolation(f"psi_xx must be positive, got {psi_xx}")
-        return super().__new__(cls, k, x, psi, psi_x, psi_xx, psi_k, psi_kk)
+        return tuple.__new__(cls, (k, x, psi, psi_x, psi_xx, psi_k, psi_kk))
 
 
 def _psi_series(k: float, x: float) -> float:

@@ -20,16 +20,17 @@ from .errors import DomainError, PoleError, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 _M = 20
-# (B_{2j}, (2j)!) for j = 1..5, plus B_12 for the error term.
-_BERNOULLI = (
-    (1.0 / 6.0, 2.0),
-    (-1.0 / 30.0, 24.0),
-    (1.0 / 42.0, 720.0),
-    (-1.0 / 30.0, 40320.0),
-    (5.0 / 66.0, 3628800.0),
+# (B_{2j}/(2j)!, 2j - 1, 2j) for j = 1..5; each B_{2j} is rounded before
+# the division
+_CORRECTIONS = (
+    (1.0 / 6.0 / 2.0, 1, 2),
+    (-1.0 / 30.0 / 24.0, 3, 4),
+    (1.0 / 42.0 / 720.0, 5, 6),
+    (-1.0 / 30.0 / 40320.0, 7, 8),
+    (5.0 / 66.0 / 3628800.0, 9, 10),
 )
-_B12 = -691.0 / 2730.0
-_FACT12 = 479001600.0
+# B_12/12! for the error term, rounded the same way
+_ERR_COEFF = -691.0 / 2730.0 / 479001600.0
 
 
 def rising(s: float, m: int) -> float:
@@ -62,16 +63,17 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
     if s == 1.0:
         raise PoleError("hurwitz_zeta has a simple pole at s = 1")
     try:
+        ms = -s
         head = 0.0
         for n in range(_M):
-            head += (a + n) ** (-s)
+            head += (a + n) ** ms
         big_a = a + _M
-        tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
+        tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** ms
         rise = 1.0 * s  # (s)_(2j-1) in step j, left to right as rising() forms it
-        for j, (b2j, fact) in enumerate(_BERNOULLI, start=1):
-            tail += b2j / fact * rise * big_a ** (-s - 2 * j + 1)
-            rise = rise * (s + (2 * j - 1)) * (s + 2 * j)
-        err = abs(_B12 / _FACT12 * rise * big_a ** (-s - 11))
+        for coeff, odd, even in _CORRECTIONS:
+            tail += coeff * rise * big_a ** (ms - even + 1)
+            rise = rise * (s + odd) * (s + even)
+        err = abs(_ERR_COEFF * rise * big_a ** (ms - 11))
         value = head + tail
     except OverflowError:
         value = math.inf
@@ -79,4 +81,4 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
         raise ResultOverflow(
             f"hurwitz_zeta(s={s}, a={a}) overflows a float")
     err = max(err, 2e-16 * abs(value))
-    return EvalResult(value, err, "euler_maclaurin", _M + len(_BERNOULLI))
+    return EvalResult(value, err, "euler_maclaurin", _M + len(_CORRECTIONS))

@@ -53,7 +53,7 @@ class HypergeometricSpec(NamedTuple("HypergeometricSpec", [("a", tuple), ("k", t
                 raise DomainError(
                     f"lower parameter {b_i} sits on the pole lattice of step {s_i}",
                     nearest_pole=float(b_i))
-        return super().__new__(cls, a, k, b, s)
+        return tuple.__new__(cls, (a, k, b, s))
 
     @property
     def p(self) -> int:
@@ -70,7 +70,7 @@ class ConvergenceClass(NamedTuple("ConvergenceClass", [("kind", str), ("radius",
     def __new__(cls, kind, radius):
         if kind not in ("entire", "radius", "divergent"):
             raise ValueError(f"unknown convergence kind {kind!r}")
-        return super().__new__(cls, kind, radius)
+        return tuple.__new__(cls, (kind, radius))
 
 
 def classify(spec: HypergeometricSpec) -> ConvergenceClass:
@@ -237,18 +237,14 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
             lt = np.log(t)
             e = k_p * lt
             tk = np.exp(np.minimum(e, 700.0))
-            decay = tk / k_p
-            w = (a_p - 1.0) * lt - decay
-            # the nodes that need the recursion: past t = 1, half the decay
-            # budget is reserved to dominate the inner factor's
-            # sub-exponential growth before it is skipped
-            need = (e <= 700.0) & ~((t > 1.0) & (w + 0.5 * decay < -745.0))
-            keep = need & (w > -745.0)
+            w = (a_p - 1.0) * lt - tk / k_p
+            # the nodes whose weight exp(w) is a double: only these recurse
+            keep = (e <= 700.0) & (w > -745.0)
             out = np.zeros((rows.size, t.size))
-            if np.count_nonzero(need):
-                inner_args = np.multiply.outer(args[rows], tk[need]).ravel()
+            if np.count_nonzero(keep):
+                inner_args = np.multiply.outer(args[rows], tk[keep]).ravel()
                 inner = level(depth - 1, inner_args)[0].reshape(rows.size, -1)
-                out[:, keep] = np.exp(w[keep]) * inner[:, keep[need]]
+                out[:, keep] = np.exp(w[keep]) * inner
             return out
 
         r = quad_halfline(integrand, profile, batch=args.size)

@@ -42,6 +42,8 @@ _FOLD = 3
 # a chunk folds only when every factor magnitude lies in this range, so a
 # product of 2**_FOLD factors stays inside [2**-512, 2**512]
 _FOLD_LO, _FOLD_HI = 2.0 ** -64, 2.0 ** 64
+# the largest n whose factor indices j are all exact as floats
+_N_MAX = 2 ** 53
 # read-only 0, 1, ..., _CHUNK-1 as float64; built on first use
 _J: np.ndarray | None = None
 
@@ -59,11 +61,12 @@ class PochhammerSpec(NamedTuple("PochhammerSpec",
             raise DomainError(f"k must be > 0, got {k!r}")
         require_finite("x", x)
         require_finite("k", k)
-        return super().__new__(cls, x, n, k)
+        return tuple.__new__(cls, (x, n, k))
 
 
 def _is_exact(v) -> bool:
-    return isinstance(v, Rational)  # int and Fraction, not float
+    # int and Fraction, not float; a float answers before the slower ABC test
+    return type(v) is not float and isinstance(v, Rational)
 
 
 def _int_if_whole(v):
@@ -74,16 +77,35 @@ def _int_if_whole(v):
 
 
 def pochhammer_k(spec: PochhammerSpec):
-    """Direct product. Exact when x and k are both int/Fraction."""
+    """Direct product. Exact when x and k are both int/Fraction.
+
+    In floats a partial product that reaches inf stays inf, or turns nan at
+    a later zero factor, so the first pass tests once, after the loop. Only
+    a non-finite product, or a factor beyond the float range (an int or
+    Fraction k), runs the second pass, which tests every partial product to
+    name the first factor that overflowed."""
     x, n, k = spec.x, spec.n, spec.k
-    out = Fraction(1) if (_is_exact(x) and _is_exact(k)) else 1.0
+    if _is_exact(x) and _is_exact(k):
+        out = Fraction(1)
+        for j in range(n):
+            out = out * (x + j * k)
+        return _int_if_whole(out)
+    out = 1.0
+    try:
+        for j in range(n):
+            out = out * (x + j * k)
+        if not isinstance(out, float) or math.isfinite(out):
+            return out
+    except OverflowError:
+        pass
+    out = 1.0
     for j in range(n):
         out = out * (x + j * k)
         if isinstance(out, float) and math.isinf(out):
             raise ResultOverflow(
                 f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "
                 "use pochhammer_k_log")
-    return _int_if_whole(out)
+    return out
 
 
 def _first_nonnegative(x: float, k: float, n: int) -> int:
@@ -131,11 +153,15 @@ def _fold(b: np.ndarray) -> np.ndarray:
 def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     """(log |(x)_{n,k}|, sign). sign is 0 when some factor is exactly zero
     (then the log is -inf). DomainError when finite x and k give a last
-    factor x + (n-1)k beyond the float range; an inf or nan that _make let
-    into the spec runs the factor loop."""
+    factor x + (n-1)k beyond the float range, or n above 2**53, where the
+    factor index j stops being exact as a float; an inf or nan that _make
+    let into the spec runs the factor loop."""
     x, n, k = float(spec.x), spec.n, float(spec.k)
     if n == 0:
         return 0.0, 1
+    if n > _N_MAX:
+        raise DomainError(f"(x)_{{n,k}} in log form needs n <= 2**53, "
+                          f"got an n of {n.bit_length()} bits")
     if math.isfinite(x) and math.isfinite(k) and not math.isfinite(x + (n - 1) * k):
         raise DomainError(f"(x)_{{n,k}} needs a finite last factor x + (n-1)k, "
                           f"got x={x}, n={n}, k={k}")

@@ -6,7 +6,9 @@ profiles are provided; ``default`` is used when nothing else is requested,
 and the CLI maps KSPECIAL_PROFILE=strict|default|fast onto these.
 
 Every record in the package is a typing.NamedTuple. One that checks its
-fields does so in __new__, which _replace and _make skip.
+fields does so in __new__, which then builds the record with
+tuple.__new__(cls, fields), not through super() and the generated __new__;
+_replace and _make still skip the checks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class PrecisionProfile(NamedTuple("PrecisionProfile", [
         require_finite("tolerances", rel_tol, abs_tol)
         if max_terms < 1 or max_quad_refinements < 1:
             raise ValueError("iteration caps must be >= 1")
-        return super().__new__(cls, rel_tol, abs_tol, max_terms, max_quad_refinements)
+        return tuple.__new__(cls, (rel_tol, abs_tol, max_terms, max_quad_refinements))
 
 
 DEFAULT = PrecisionProfile()
@@ -67,7 +69,7 @@ class EvalResult(NamedTuple("EvalResult", [
             raise ValueError("err_estimate must be >= 0")
         if terms_or_nodes_used < 0:
             raise ValueError("terms_or_nodes_used must be >= 0")
-        return super().__new__(cls, value, err_estimate, method, terms_or_nodes_used)
+        return tuple.__new__(cls, (value, err_estimate, method, terms_or_nodes_used))
 
     def __float__(self) -> float:
         return self.value

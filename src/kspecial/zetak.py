@@ -47,7 +47,7 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
         require_finite("k", k)
         require_finite("x", x)
         require_finite("s", s)
-        return super().__new__(cls, k, x, s)
+        return tuple.__new__(cls, (k, x, s))
 
 
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:

@@ -43,6 +43,20 @@ def rising_product(x: float, n: int, step: float) -> float:
     return out
 
 
+def pochhammer_k_tested(x, n: int, k, overflow=OverflowError):
+    """pochhammer.pochhammer_k's float product with the overflow test after
+    every factor: the first inf partial product raises overflow with the
+    kernel's message, and a nan that no inf preceded is returned."""
+    out = 1.0
+    for j in range(n):
+        out = out * (x + j * k)
+        if isinstance(out, float) and math.isinf(out):
+            raise overflow(
+                f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "
+                "use pochhammer_k_log")
+    return out
+
+
 def _tail_sums(n_terms: int) -> tuple[float, float, float]:
     """sum_{n > N} n^-p for p = 2, 3, 4, by Euler-Maclaurin: the sums that
     restore the product routes' tails."""
@@ -230,25 +244,31 @@ def pochhammer_k_log_loop(x: float, n: int, k: float) -> tuple[float, int]:
     return log_abs, sign
 
 
+# (B_2j, (2j)!) for j = 1..5, and (B_12, 12!) for the error term
+HURWITZ_BERNOULLI = ((1.0 / 6.0, 2.0), (-1.0 / 30.0, 24.0), (1.0 / 42.0, 720.0),
+                     (-1.0 / 30.0, 40320.0), (5.0 / 66.0, 3628800.0))
+HURWITZ_B12 = (-691.0 / 2730.0, 479001600.0)
+
+
 def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float]:
     """(value, B_12 error term) of hurwitz.hurwitz_zeta's Euler-Maclaurin
-    sum (M = 20, B_2..B_10), forming each rising factorial (s)_m afresh."""
+    sum (M = 20, B_2..B_10), forming each rising factorial (s)_m afresh and
+    dividing each B_2j by (2j)! (and B_12 by 12!) at call time."""
     def rising(m):
         out = 1.0
         for i in range(m):
             out *= s + i
         return out
 
-    bernoulli = ((1.0 / 6.0, 2.0), (-1.0 / 30.0, 24.0), (1.0 / 42.0, 720.0),
-                 (-1.0 / 30.0, 40320.0), (5.0 / 66.0, 3628800.0))
     head = 0.0
     for n in range(20):
         head += (a + n) ** (-s)
     big_a = a + 20
     tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** (-s)
-    for j, (b2j, fact) in enumerate(bernoulli, start=1):
+    for j, (b2j, fact) in enumerate(HURWITZ_BERNOULLI, start=1):
         tail += b2j / fact * rising(2 * j - 1) * big_a ** (-s - 2 * j + 1)
-    err = abs(-691.0 / 2730.0 / 479001600.0 * rising(11) * big_a ** (-s - 11))
+    b12, fact12 = HURWITZ_B12
+    err = abs(b12 / fact12 * rising(11) * big_a ** (-s - 11))
     return head + tail, err
 
 

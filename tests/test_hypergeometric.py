@@ -356,9 +356,9 @@ class TestIntegralRepresentation:
         assert got.value == pytest.approx(want.value, rel=1e-7)
 
     # the verify suite's specs: (a, k, b, s, x, nodes and terms used)
-    VERIFY_SPECS = [((1.0,), (1.0,), (2.0,), (1.0,), 0.5, 2980),
-                    ((2.0,), (2.0,), (3.0,), (2.0,), 1.0, 2735),
-                    ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0), 0.8, 643_009)]
+    VERIFY_SPECS = [((1.0,), (1.0,), (2.0,), (1.0,), 0.5, 2830),
+                    ((2.0,), (2.0,), (3.0,), (2.0,), 1.0, 2540),
+                    ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0), 0.8, 559_153)]
 
     @pytest.mark.parametrize("a,k,b,s,x,work", VERIFY_SPECS)
     def test_work_and_plain_float_fields(self, a, k, b, s, x, work):

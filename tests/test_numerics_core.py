@@ -18,7 +18,7 @@ from kspecial.errors import DomainError, NonConvergent, PoleError, ResultOverflo
 from kspecial.hurwitz import hurwitz_zeta
 from kspecial.loggamma import log_gamma_classic
 from kspecial.profiles import DEFAULT, FAST, STRICT, EULER_GAMMA, EvalResult, PrecisionProfile
-from kspecial import quadrature, series
+from kspecial import hurwitz, quadrature, series
 from kspecial.quadrature import quad_halfline, quad_unit
 from kspecial.series import sum_series, sum_series_batch
 
@@ -444,6 +444,28 @@ class TestHurwitz:
                 continue
             a = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
             value, err = hurwitz_zeta_rising(s, a)
+            r = hurwitz_zeta(s, a)
+            assert (r.value, r.err_estimate) == (value, max(err, 2e-16 * abs(value))), (s, a)
+
+    def test_matches_call_time_coefficients_through_overflow(self):
+        # coefficients folded at import against dividing them on each call:
+        # the same doubles, the same sums bit for bit, and ResultOverflow
+        # wherever the oracle overflows
+        assert [c for c, _, _ in hurwitz._CORRECTIONS] \
+            == [b2j / fact for b2j, fact in oracles.HURWITZ_BERNOULLI]
+        assert hurwitz._ERR_COEFF == oracles.HURWITZ_B12[0] / oracles.HURWITZ_B12[1]
+        rng = random.Random(20241020)
+        for _ in range(5000):
+            s = rng.uniform(-12.0, 45.0)
+            a = math.exp(rng.uniform(math.log(1e-30), math.log(1e3)))
+            try:
+                value, err = hurwitz_zeta_rising(s, a)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                with pytest.raises(ResultOverflow):
+                    hurwitz_zeta(s, a)
+                continue
             r = hurwitz_zeta(s, a)
             assert (r.value, r.err_estimate) == (value, max(err, 2e-16 * abs(value))), (s, a)
 

@@ -22,7 +22,7 @@ from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_via_symmetric)
 
 from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_folded,
-                     pochhammer_k_log_loop, rising_product)
+                     pochhammer_k_log_loop, pochhammer_k_tested, rising_product)
 
 # strategies shared by the exact-mode property tests
 _exact_x = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -59,6 +59,43 @@ class TestDirectProduct:
     def test_overflow_is_typed(self):
         with pytest.raises(ResultOverflow):
             pochhammer_k(PochhammerSpec(1.5, 400, 2.0))
+
+    def test_overflow_names_the_first_inf_factor(self):
+        # the product is inf from factor 131 on and nan after the zero factor 301
+        with pytest.raises(ResultOverflow, match=re.escape("at factor 131 of 301")):
+            pochhammer_k(PochhammerSpec(-300.0, 301, 1.0))
+
+    def test_matches_per_factor_overflow_test(self):
+        # one test after the loop against a test after every factor: the
+        # same value bit for bit, or the same error and message
+        rng = random.Random(20241019)
+        for i in range(3000):
+            n = rng.randint(0, 400)
+            k = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            if i % 3 == 0:
+                x = _lattice_x(rng, n, k)
+            elif i % 3 == 1:
+                x = -rng.uniform(0.0, n * k)   # the factors cross zero
+            else:
+                x = (math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+                     * rng.choice((1.0, -1.0)))
+            assert _outcome(pochhammer_k, PochhammerSpec(x, n, k)) \
+                == _outcome(pochhammer_k_tested, x, n, k, ResultOverflow), (x, n, k)
+
+    @pytest.mark.parametrize("x,n,k", [
+        (-300.0, 301, 1.0),
+        (1e300, 3, 10 ** 308),   # inf at factor 2, then a factor beyond the float range
+        (1e300, 2, 10 ** 400),   # a factor beyond the float range, no inf before it
+        (math.nan, 5, 1.0), (math.inf, 3, 1.0), (-math.inf, 3, 1.0),
+        (0.0, 3, math.inf),      # 0 * inf: nan with no inf partial product
+        (1.0, 3, math.inf), (math.inf, 0, 1.0),
+    ], ids=["zero-after-overflow", "int-k-after-inf", "int-k-past-float", "nan-x",
+            "inf-x", "minus-inf-x", "nan-without-inf", "inf-k", "no-factors"])
+    def test_overflow_and_nonfinite_match_per_factor_test(self, x, n, k):
+        # _make skips the spec's refusal of non-finite floats
+        spec = PochhammerSpec._make((x, n, k))
+        assert _outcome(pochhammer_k, spec) \
+            == _outcome(pochhammer_k_tested, x, n, k, ResultOverflow)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -120,11 +157,26 @@ class TestLogForm:
         with pytest.raises(DomainError, match="x must be finite, got nan"):
             pochhammer_k_log(PochhammerSpec(math.nan, 600, 1.0))
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 400])
+    def test_n_past_exact_float_indices_is_domain_error(self, n):
+        # 10**400 raised an untyped OverflowError from the last-factor check,
+        # and 2**53 + 1 walked its factors without end
+        with pytest.raises(DomainError, match=re.escape("n <= 2**53")):
+            pochhammer_k_log(PochhammerSpec(1.0, n, 1.0))
+
     def test_overflowing_last_factor_is_domain_error(self):
         # log|(x)_{300,k}| ~ 2.1e5 is finite, but the factors from x + 179k
         # on are not: the loop returned (inf, 1)
         with pytest.raises(DomainError, match=re.escape("x + (n-1)k")):
             pochhammer_k_log(PochhammerSpec(1e306, 300, 1e306))
+
+
+def _outcome(f, *args):
+    """repr of f's value, or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e), str(e)
 
 
 def _lattice_x(rng: random.Random, n: int, k: float) -> float:

@@ -58,6 +58,18 @@ def test_record_contract(cls, values, bad):
             cls(**{**dict(zip(fields, values)), **override})
 
 
+VALIDATED = [(cls, values) for cls, values, bad in RECORDS if bad is not None]
+
+
+@pytest.mark.parametrize("cls,values", VALIDATED,
+                         ids=[cls.__name__ for cls, _ in VALIDATED])
+def test_validated_record_is_its_class(cls, values):
+    # __new__ builds the tuple itself; the result is the same as _make's
+    r = cls(*values)
+    assert type(r) is cls and type(cls._make(values)) is cls
+    assert r == cls._make(values)
+
+
 def test_hypergeometric_spec_stores_tuples():
     # its __new__ converts each parameter sequence before the checks
     spec = HypergeometricSpec([1.0, 2.0], [1.0, 1.0], [3.0], [1.0])

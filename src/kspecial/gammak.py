@@ -282,7 +282,7 @@ def gamma_k_stirling(k: float, x: float) -> float:
     _require_k(k, x)
     log_v = (0.5 * _LOG_2PI - 0.5 * math.log(k * x)
              + ((x + 1.0) / k) * math.log(x) - x / k)
-    return math.exp(log_v)
+    return exp_or_overflow(log_v, "Stirling term of Gamma_k", k, x + 1.0)
 
 
 def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:
@@ -308,8 +308,11 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.log(t) * weight(t)
 
-    lead = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k,
-                           x + k + 1.0) / (k * k)
+    g = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k, x + k + 1.0)
+    if k * k == 0.0 or g / (k * k) == math.inf:
+        raise ResultOverflow(f"d/dk Gamma_k(x+1) at x={x} with k={k}: "
+                             "Gamma_k(x+k+1)/k^2 overflows a float")
+    lead = g / (k * k)
     quad = quad_halfline(integrand, profile)
     v = lead - quad.value / k
     err = quad.err_estimate / k + 5e-14 * abs(lead)
@@ -356,14 +359,17 @@ def _psi_k_series(k: float, x: float) -> float:
 
 
 def psi_point(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> PsiPoint:
-    if not (k > 0.0 and x > 0.0):
-        raise DomainError(f"psi_point needs k, x > 0, got k={k}, x={x}")
-    psi = log_gamma_k(k, x)
-    psi_x = -1.0 / x + (math.log(k) - EULER_GAMMA) / k - _psi_series(k, x)
-    psi_xx = hurwitz_zeta(2.0, x / k, profile).value / (k * k)
-    psi_k = _psi_k_series(k, x)
-    h = 1e-5 * k
-    psi_kk = (_psi_k_series(k + h, x) - _psi_k_series(k - h, x)) / (2.0 * h)
+    try:
+        psi = log_gamma_k(k, x)
+        psi_x = -1.0 / x + (math.log(k) - EULER_GAMMA) / k - _psi_series(k, x)
+        psi_xx = hurwitz_zeta(2.0, x / k, profile).value / (k * k)
+        psi_k = _psi_k_series(k, x)
+        h = 1e-5 * k
+        psi_kk = (_psi_k_series(k + h, x) - _psi_k_series(k - h, x)) / (2.0 * h)
+        if not all(map(math.isfinite, (psi, psi_x, psi_xx, psi_k, psi_kk))):
+            raise OverflowError
+    except (ZeroDivisionError, OverflowError):
+        raise ResultOverflow(f"psi_point(k={k}, x={x}): a term overflows a float") from None
     return PsiPoint(k=k, x=x, psi=psi, psi_x=psi_x, psi_xx=psi_xx,
                     psi_k=psi_k, psi_kk=psi_kk)
 

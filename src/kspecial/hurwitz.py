@@ -33,14 +33,6 @@ _CORRECTIONS = (
 _ERR_COEFF = -691.0 / 2730.0 / 479001600.0
 
 
-def rising(s: float, m: int) -> float:
-    """Rising factorial (s)_m = s (s+1) ... (s+m-1) in floats."""
-    out = 1.0
-    for i in range(m):
-        out *= s + i
-    return out
-
-
 def power_tail_sums(n_terms: int) -> tuple[float, float, float, float]:
     """S_m = sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5 in Euler-Maclaurin
     closed form; the tails of the truncated Gamma_k and B_k products."""
@@ -69,7 +61,7 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
             head += (a + n) ** ms
         big_a = a + _M
         tail = big_a ** (1.0 - s) / (s - 1.0) + 0.5 * big_a ** ms
-        rise = 1.0 * s  # (s)_(2j-1) in step j, left to right as rising() forms it
+        rise = 1.0 * s  # (s)_(2j-1) in step j, multiplied left to right
         for coeff, odd, even in _CORRECTIONS:
             tail += coeff * rise * big_a ** (ms - even + 1)
             rise = rise * (s + odd) * (s + even)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
                      require_finite)
-from .gammak import log_gamma_k, nearest_pole
+from .gammak import gamma_k_integrand, log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .series import sum_series, sum_series_batch
 
@@ -192,7 +192,8 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
         F_(p)(x) = 1/Gamma_k(a) int_0^inf e^(-t^k/k) t^(a-1) F_(p-1)(x t^k) dt
 
     recursively until the p = 0 series remains. Entire class only (p <= q),
-    positive upper parameters, depth capped at 3 for cost.
+    positive upper parameters, depth capped at 3 for cost. The weight is
+    gammak.gamma_k_integrand's, and only its nonzero nodes recurse.
 
     Each nesting level is evaluated for a whole batch of arguments: one
     batched quad_halfline call integrates F_(p-1) for every argument the
@@ -230,21 +231,17 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
             evals += int(terms.sum())
             return value, np.zeros(args.size)
         a_p, k_p = float(spec.a[depth - 1]), float(spec.k[depth - 1])
+        weight = gamma_k_integrand(k_p, a_p - 1.0)
 
         def integrand(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-            # the factors that depend on t alone; e is clipped so that the
-            # nodes dropped for e > 700 do not overflow
-            lt = np.log(t)
-            e = k_p * lt
-            tk = np.exp(np.minimum(e, 700.0))
-            w = (a_p - 1.0) * lt - tk / k_p
-            # the nodes whose weight exp(w) is a double: only these recurse
-            keep = (e <= 700.0) & (w > -745.0)
+            w = weight(t)
+            keep = w > 0.0
             out = np.zeros((rows.size, t.size))
             if np.count_nonzero(keep):
-                inner_args = np.multiply.outer(args[rows], tk[keep]).ravel()
+                tk = np.exp(k_p * np.log(t[keep]))
+                inner_args = np.multiply.outer(args[rows], tk).ravel()
                 inner = level(depth - 1, inner_args)[0].reshape(rows.size, -1)
-                out[:, keep] = np.exp(w[keep]) * inner
+                out[:, keep] = w[keep] * inner
             return out
 
         r = quad_halfline(integrand, profile, batch=args.size)

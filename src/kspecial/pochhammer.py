@@ -61,6 +61,9 @@ class PochhammerSpec(NamedTuple("PochhammerSpec",
             raise DomainError(f"k must be > 0, got {k!r}")
         require_finite("x", x)
         require_finite("k", k)
+        if type(x) is not type(k) and (isinstance(x, float) or isinstance(k, float)):
+            _as_float("x", x)
+            _as_float("k", k)
         return tuple.__new__(cls, (x, n, k))
 
 
@@ -69,33 +72,38 @@ def _is_exact(v) -> bool:
     return type(v) is not float and isinstance(v, Rational)
 
 
+def _as_float(name: str, v) -> float:
+    """float(v), or DomainError naming name for an int or Fraction no float holds."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError(f"{name} is an exact value of {int(v).bit_length()} "
+                          "bits, beyond the float range") from None
+
+
 def _int_if_whole(v):
     """A Fraction with denominator 1 as an int; anything else unchanged."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is Fraction and v.denominator == 1:  # faster than the ABC isinstance
         return int(v)
     return v
 
 
 def pochhammer_k(spec: PochhammerSpec):
-    """Direct product. Exact when x and k are both int/Fraction.
+    """Direct product in one loop, from int 1 (exact) when x and k are both
+    int/Fraction and from 1.0 otherwise.
 
-    In floats a partial product that reaches inf stays inf, or turns nan at
-    a later zero factor, so the first pass tests once, after the loop. Only
-    a non-finite product, or a factor beyond the float range (an int or
-    Fraction k), runs the second pass, which tests every partial product to
-    name the first factor that overflowed."""
+    A float partial product that reaches inf stays inf, or turns nan at a
+    later zero factor, so the loop tests once, after it ends. Only a
+    non-finite product, or a factor beyond the float range (an int k in a
+    spec built by _make), runs the second pass, which tests every partial
+    product to name the first factor that overflowed."""
     x, n, k = spec.x, spec.n, spec.k
-    if _is_exact(x) and _is_exact(k):
-        out = Fraction(1)
-        for j in range(n):
-            out = out * (x + j * k)
-        return _int_if_whole(out)
-    out = 1.0
+    out = 1 if _is_exact(x) and _is_exact(k) else 1.0
     try:
         for j in range(n):
             out = out * (x + j * k)
         if not isinstance(out, float) or math.isfinite(out):
-            return out
+            return _int_if_whole(out)
     except OverflowError:
         pass
     out = 1.0
@@ -156,7 +164,7 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     factor x + (n-1)k beyond the float range, or n above 2**53, where the
     factor index j stops being exact as a float; an inf or nan that _make
     let into the spec runs the factor loop."""
-    x, n, k = float(spec.x), spec.n, float(spec.k)
+    x, n, k = _as_float("x", spec.x), spec.n, _as_float("k", spec.k)
     if n == 0:
         return 0.0, 1
     if n > _N_MAX:
@@ -239,8 +247,7 @@ def pochhammer_via_symmetric(spec: PochhammerSpec):
     if n == 0:
         return pochhammer_k(spec)
     e = _elementary_symmetric_table(n - 1)
-    exact = _is_exact(x) and _is_exact(k)
-    out = Fraction(0) if exact else 0.0
+    out = 0  # the loop runs, so float inputs give a float
     for s in range(n):
         out = out + e[s] * k ** s * x ** (n - s)
     return _int_if_whole(out)
@@ -254,8 +261,7 @@ def pochhammer_dk(spec: PochhammerSpec):
     factors.
     """
     x, n, k = spec.x, spec.n, spec.k
-    exact = _is_exact(x) and _is_exact(k)
-    out = Fraction(0) if exact else 0.0
+    out = 0 if _is_exact(x) and _is_exact(k) else 0.0  # typed: n <= 1 adds no term
     for s in range(1, n):
         left = pochhammer_k(PochhammerSpec(x, s, k))
         right = pochhammer_k(PochhammerSpec(x + (s + 1) * k, n - 1 - s, k))
@@ -269,9 +275,11 @@ def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
         raise DomainError(f"target step s must be > 0, got {s!r}")
     exact = _is_exact(x) and _is_exact(s) and _is_exact(k)
     if exact:
-        ratio = Fraction(s, k) if isinstance(s, int) and isinstance(k, int) else Fraction(s) / Fraction(k)
+        ratio = Fraction(s) / Fraction(k)
         arg = Fraction(k) * Fraction(x) / Fraction(s)
     else:
+        for name, v in (("x", x), ("s", s), ("k", k)):
+            _as_float(name, v)
         ratio = s / k
         arg = k * x / s
     out = ratio ** n * pochhammer_k(PochhammerSpec(arg, n, k))

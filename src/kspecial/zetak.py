@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ResultOverflow, exp_or_overflow, require_finite
 from .gammak import psi_point
-from .hurwitz import hurwitz_zeta, rising
+from .hurwitz import hurwitz_zeta
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 # finite-difference steps for the s = 0 composite; the x-step is the
@@ -96,22 +96,29 @@ def zeta_k_ds_at_zero(k: float, x: float,
     (h^2/12) d^4/dx^4, and d^4/dx^4 of the s-slope is 6 zeta_k(x, 4);
     err_estimate uses exactly that.
     """
-    if not (k > 0.0 and x > 0.0):
-        raise DomainError(f"needs k, x > 0, got k={k}, x={x}")
     hx = _H_X_FACTOR * x
+    if not (k > 0.0 and x > 0.0 and hx * hx > 0.0):
+        raise DomainError(f"needs k, x > 0 and (x/100)^2 > 0, got k={k}, x={x}")
     comp = (_s_slope(k, x + hx, profile) - 2.0 * _s_slope(k, x, profile)
             + _s_slope(k, x - hx, profile)) / (hx * hx)
     fourth = 6.0 * zeta_k(ZetaKSpec(k, x, 4.0), profile).value
     err = hx * hx / 12.0 * fourth + 1e-8
+    if not (math.isfinite(comp) and math.isfinite(err)):
+        raise ResultOverflow(f"zeta_k_ds_at_zero(k={k}, x={x}) overflows a float")
     return EvalResult(comp, err, "euler_maclaurin", 6)
 
 
-def _weighted_sum(spec: ZetaKSpec, m: int,
-                  profile: PrecisionProfile) -> tuple[float, float, int]:
-    """W = sum_{n>=0} n^m (x + nk)^(-s-m), reduced exactly to Hurwitz calls
-    through n^m = k^(-m) ((x+nk) - x)^m expanded binomially. Returns
-    (value, err, terms)."""
+def _weighted_sum(spec: ZetaKSpec, m: int, factor: float,
+                  profile: PrecisionProfile) -> EvalResult:
+    """factor (s)_m W, W = sum_{n>=0} n^m (x + nk)^(-s-m) reduced exactly to
+    Hurwitz calls through n^m = k^(-m) ((x+nk) - x)^m expanded binomially;
+    for m >= 1 and s > 1, where every reduced exponent is off the s = 1 pole."""
+    from .pochhammer import PochhammerSpec, pochhammer_k
     k, x, s = spec.k, spec.x, spec.s
+    if m < 1:
+        raise DomainError(f"derivative order must be >= 1, got {m}")
+    if not (s > 1.0):
+        raise DomainError(f"k-derivative needs s > 1, got {s}")
     total = 0.0
     err = 0.0
     terms = 0
@@ -122,22 +129,17 @@ def _weighted_sum(spec: ZetaKSpec, m: int,
         err += abs(coef) * part.err_estimate
         terms += part.terms_or_nodes_used
     scale = k ** (-m)
-    return scale * total, scale * err, terms
+    w, werr = scale * total, scale * err
+    pref = factor * pochhammer_k(PochhammerSpec(s, m, 1))
+    return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)
 
 
 def zeta_k_dk(spec: ZetaKSpec, m: int,
               profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """Term-wise m-th k-derivative:
         sum_{n>=0} d^m/dk^m (x+nk)^(-s) = (-1)^m (s)_m W,
-    W as in _weighted_sum. Requires the direct-sum regime s > 1 so every
-    reduced exponent stays off the s = 1 pole."""
-    if m < 1:
-        raise DomainError(f"derivative order must be >= 1, got {m}")
-    if not (spec.s > 1.0):
-        raise DomainError(f"term-wise k-derivative needs s > 1, got {spec.s}")
-    w, werr, terms = _weighted_sum(spec, m, profile)
-    pref = (-1.0) ** m * rising(spec.s, m)
-    return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)
+    W and its domain as in _weighted_sum."""
+    return _weighted_sum(spec, m, (-1.0) ** m, profile)
 
 
 def zeta_k_dk_printed_variant(spec: ZetaKSpec, m: int,
@@ -146,10 +148,4 @@ def zeta_k_dk_printed_variant(spec: ZetaKSpec, m: int,
     derivative this carries an extra factor -(-1)^m x, so it can only agree
     where that factor is 1; kept so the mismatch is checkable, not asserted
     away."""
-    if m < 1:
-        raise DomainError(f"derivative order must be >= 1, got {m}")
-    if not (spec.s > 1.0):
-        raise DomainError(f"variant form needs s > 1, got {spec.s}")
-    w, werr, terms = _weighted_sum(spec, m, profile)
-    pref = -spec.x * rising(spec.s, m)
-    return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)
+    return _weighted_sum(spec, m, -spec.x, profile)

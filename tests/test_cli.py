@@ -301,6 +301,14 @@ class TestExitCodes:
         assert err.startswith("domain error:") and err.count("\n") == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_exact_value_past_float_range_is_domain_error(self, capsys):
+        # float() of the 401-digit k raised OverflowError, a traceback and exit 1
+        code, out, err = run_cli(["eval", "pochhammer", "--x", "1.5", "--n", "2",
+                                  "--k", str(10 ** 400)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("domain error: k is an exact value of 1329 bits, "
+                       "beyond the float range\n")
+
     def test_zeta_k_tiny_k_is_finite(self, capsys):
         # k^(-s) = 1e600 used to raise an untyped OverflowError here
         code, out, err = run_cli(

@@ -398,6 +398,11 @@ class TestStirling:
         with pytest.raises(DomainError, match="must be finite, got inf"):
             gamma_k_stirling(k, x)
 
+    def test_overflow_is_typed(self):
+        # math.exp(inf) returned inf
+        with pytest.raises(ResultOverflow, match=r"Gamma_k\(1e\+308\) with k=1.0"):
+            gamma_k_stirling(1.0, 1e308)
+
 
 class TestGammaKdK:
     def test_against_finite_difference(self):
@@ -409,6 +414,13 @@ class TestGammaKdK:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_k_dk(1.0, -1.5)
+
+    @pytest.mark.parametrize("k,x", [(1e-300, 1.0), (1e-160, math.e - 1.0)],
+                             ids=["k-squared-underflows", "lead-overflows"])
+    def test_lead_past_float_range_is_typed(self, k, x):
+        # k*k = 0 raised ZeroDivisionError; Gamma_k(x+k+1)/k^2 = inf returned inf
+        with pytest.raises(ResultOverflow, match=f"at x={x} with k={k}"):
+            gamma_k_dk(k, x)
 
 
 class TestPsiAndPDE:
@@ -452,6 +464,22 @@ class TestPsiAndPDE:
             for x in (0.7, 1.0, 3.0):
                 got = pde_residual_variant(psi_point(k, x))
                 assert got == pytest.approx(k * (x - 1.0), abs=1e-6)
+
+    @pytest.mark.parametrize("k,x", [(1e-300, 1.0), (1e200, 1.0), (1.0, 1e300),
+                                     (1e-150, 1e10), (1.0, 1e-200)],
+                             ids=["k-squared-underflows", "k-cubed", "x-plus-ak-fourth",
+                                  "psi-k-inf", "psi-xx-overflows"])
+    def test_psi_point_overflow_is_typed(self, k, x):
+        # ZeroDivisionError, OverflowError (34, ...), and a PsiPoint holding
+        # -inf and nan; the last raised hurwitz_zeta's ResultOverflow
+        with pytest.raises(ResultOverflow, match=re.escape(f"psi_point(k={k}, x={x})")):
+            psi_point(k, x)
+
+    @pytest.mark.parametrize("k,x", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.nan),
+                                     (math.nan, 1.0), (math.inf, 1.0)])
+    def test_psi_point_domain(self, k, x):
+        with pytest.raises(DomainError):
+            psi_point(k, x)
 
     def test_psi_point_invariant(self):
         with pytest.raises(ValueError):

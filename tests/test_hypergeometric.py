@@ -359,10 +359,15 @@ class TestIntegralRepresentation:
     VERIFY_SPECS = [((1.0,), (1.0,), (2.0,), (1.0,), 0.5, 2830),
                     ((2.0,), (2.0,), (3.0,), (2.0,), 1.0, 2540),
                     ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0), 0.8, 559_153)]
+    # their (value, err_estimate) by x, pinned exactly
+    VERIFY_VALUES = {0.5: (1.2974425414002564, 0.0),
+                     1.0: (2.0300784692787053, 9.2192919964873e-13),
+                     0.8: (1.384081614885011, 3.4274805216227833e-12)}
 
     @pytest.mark.parametrize("a,k,b,s,x,work", VERIFY_SPECS)
     def test_work_and_plain_float_fields(self, a, k, b, s, x, work):
         r = integral_representation_check(HypergeometricSpec(a, k, b, s), x)
+        assert (r.value, r.err_estimate) == self.VERIFY_VALUES[x]
         assert r.terms_or_nodes_used == work
         assert type(r.value) is float and type(r.err_estimate) is float
         assert type(r.terms_or_nodes_used) is int

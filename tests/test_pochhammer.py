@@ -115,6 +115,14 @@ class TestDirectProduct:
         assert pochhammer_k(PochhammerSpec(Fraction(big, 3), 1, Fraction(1, big))) \
             == Fraction(big, 3)
 
+    def test_step_1_is_the_rising_factorial_bit_for_bit(self):
+        # zetak takes (s)_m from pochhammer_k(PochhammerSpec(s, m, 1))
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            s, m = rng.uniform(-50.0, 50.0), rng.randint(0, 12)
+            got = pochhammer_k(PochhammerSpec(s, m, 1))
+            assert got.hex() == rising_product(s, m, 1).hex(), (s, m)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(x=_exact_x, n=_small_n, k=_exact_k)
     def test_recurrence_exact(self, x, n, k):
@@ -459,3 +467,77 @@ class TestRescale:
     def test_bad_target_step(self):
         with pytest.raises(DomainError):
             pochhammer_rescale(1.0, 3, 0.0, 1.0)
+
+
+class TestResultTypes:
+    """Ints give an int, whole Fractions an int, other Fractions a Fraction,
+    and any float a float, including the empty product and the zero
+    derivative, where no factor or term carries the type."""
+
+    PRODUCT = [  # (x, n, k, (x)_{n,k})
+        (2, 3, 3, 80), (7, 0, 2, 1), (Fraction(1, 2), 3, Fraction(1, 2), Fraction(3, 4)),
+        (Fraction(1, 2), 2, Fraction(3, 2), 1), (2.0, 3, 3, 80.0), (2, 3, 3.0, 80.0),
+        (7.0, 0, 2.0, 1.0), (7, 0, 2.0, 1.0)]
+    DERIVATIVE = [  # (x, n, k, d/dk (x)_{n,k})
+        (2, 3, 3, 36), (2, 1, 3, 0), (2, 0, 3, 0), (Fraction(1, 2), 3, Fraction(1, 2),
+                                                     Fraction(7, 4)),
+        (Fraction(2), 2, Fraction(1, 3), 2), (2.0, 3, 3.0, 36.0), (1.5, 1, 1.0, 0.0),
+        (1.5, 0, 1.0, 0.0), (2, 1, 3.0, 0.0)]
+    RESCALE = [  # (x, n, s, k, (x)_{n,s})
+        (2, 3, 3, 1, 80), (2, 0, 3, 1, 1), (Fraction(1, 2), 2, Fraction(1, 2), 1,
+                                            Fraction(1, 2)),
+        (Fraction(1, 2), 2, Fraction(3, 2), Fraction(1, 3), 1), (2.0, 3, 3.0, 1.0, 80.0),
+        (2, 3, 3, 1.0, 80.0), (2.0, 0, 3.0, 1.0, 1.0)]
+
+    @staticmethod
+    def _same(got, want):
+        assert type(got) is type(want)
+        assert got == (pytest.approx(want, rel=1e-14) if type(want) is float else want)
+
+    @pytest.mark.parametrize("x,n,k,want", PRODUCT)
+    def test_product(self, x, n, k, want):
+        self._same(pochhammer_k(PochhammerSpec(x, n, k)), want)
+
+    @pytest.mark.parametrize("x,n,k,want", PRODUCT)
+    def test_symmetric_expansion(self, x, n, k, want):
+        self._same(pochhammer_via_symmetric(PochhammerSpec(x, n, k)), want)
+
+    @pytest.mark.parametrize("x,n,k,want", DERIVATIVE)
+    def test_k_derivative(self, x, n, k, want):
+        self._same(pochhammer_dk(PochhammerSpec(x, n, k)), want)
+
+    @pytest.mark.parametrize("x,n,s,k,want", RESCALE)
+    def test_rescale(self, x, n, s, k, want):
+        self._same(pochhammer_rescale(x, n, s, k), want)
+
+
+class TestFloatRange:
+    """A float meeting an int or Fraction beyond the float range: DomainError
+    naming the field and its size in bits, where float() raised an untyped
+    OverflowError."""
+
+    BIG = 10 ** 400   # 1329 bits
+
+    @pytest.mark.parametrize("f", [pochhammer_k, pochhammer_via_symmetric,
+                                   pochhammer_dk, pochhammer_k_log])
+    @pytest.mark.parametrize("x,k,message", [
+        (1.5, BIG, "k is an exact value of 1329 bits"),
+        (Fraction(BIG, 3), 1.0, "x is an exact value of 1328 bits"),
+        (BIG, 0.5, "x is an exact value of 1329 bits"),
+    ], ids=["int-k", "fraction-x", "int-x"])
+    def test_spec_refuses(self, f, x, k, message):
+        with pytest.raises(DomainError, match=f"^{message}, beyond the float range$"):
+            f(PochhammerSpec(x, 2, k))
+
+    def test_exact_spec_passes_and_log_form_refuses(self):
+        spec = PochhammerSpec(1, 2, self.BIG)
+        assert pochhammer_k(spec) == self.BIG + 1
+        with pytest.raises(DomainError, match="^k is an exact value of 1329 bits"):
+            pochhammer_k_log(spec)
+
+    @pytest.mark.parametrize("x,s,k,name", [(1.5, BIG, 1.0, "s"), (1.5, 2.0, BIG, "k"),
+                                            (Fraction(BIG), 2.0, 1, "x")],
+                             ids=["int-s", "int-k", "fraction-x"])
+    def test_rescale_refuses(self, x, s, k, name):
+        with pytest.raises(DomainError, match=f"^{name} is an exact value of 13"):
+            pochhammer_rescale(x, 3, s, k)

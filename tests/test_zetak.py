@@ -198,3 +198,34 @@ class TestTermwiseKDerivative:
             zeta_k_dk(ZetaKSpec(1.0, 1.0, 3.0), 0)
         with pytest.raises(DomainError):
             zeta_k_dk(ZetaKSpec(1.0, 1.0, 0.5), 1)
+
+    @pytest.mark.parametrize("f", [zeta_k_dk, zeta_k_dk_printed_variant])
+    @pytest.mark.parametrize("s,m,message", [
+        (3.0, 0, "derivative order must be >= 1, got 0"),
+        (1.0, 1, "k-derivative needs s > 1, got 1.0"),
+    ])
+    def test_both_forms_share_one_guard(self, f, s, m, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            f(ZetaKSpec(1.0, 1.0, s), m)
+
+
+class TestOverflowIsTyped:
+    """Inputs whose route forms a quantity beyond the float range raise a
+    typed error naming them, where they raised ZeroDivisionError or returned
+    nan."""
+
+    def test_trigamma_identity_at_tiny_k(self):
+        # k*k underflows to 0 in psi_point's psi_xx
+        with pytest.raises(ResultOverflow, match=r"^psi_point\(k=1e-300, x=1.0\)"):
+            zeta_k_identity_trigamma(1e-300, 1.0)
+
+    def test_ds_at_zero_past_the_float_range(self):
+        # (x/100)^2 overflows: the composite was nan
+        with pytest.raises(ResultOverflow,
+                           match=r"^zeta_k_ds_at_zero\(k=1.0, x=1.7e\+308\)"):
+            zeta_k_ds_at_zero(1.0, 1.7e308)
+
+    def test_ds_at_zero_stencil_underflow(self):
+        # (x/100)^2 underflows to 0
+        with pytest.raises(DomainError, match=r"got k=1.0, x=1e-200$"):
+            zeta_k_ds_at_zero(1.0, 1e-200)

@@ -17,18 +17,18 @@ from importlib import import_module
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "betak": ("BetaKSpec", "beta_k", "beta_k_integral_halfline",
-              "beta_k_integral_unit", "beta_k_product", "beta_k_ratio"),
+    "betak": ("BetaKSpec", "beta_k_integral_halfline", "beta_k_integral_unit",
+              "beta_k_product", "beta_k_ratio"),
     "errors": ("CapExceeded", "DivergentSeries", "DomainError",
                "InvariantViolation", "NonConvergent", "OutsideRadius",
                "PoleError"),
     "forests": ("ForestFamily", "PlanarForest", "count", "derivative_ratio",
                 "enumerate_forests", "parse_forest", "serialize_forest",
                 "tail_count", "validate_forest"),
-    "gammak": ("GammaKEvaluator", "gamma_k_dk", "gamma_k_integral",
-               "gamma_k_limit", "gamma_k_product", "gamma_k_scaling",
-               "gamma_k_stirling", "log_gamma_k", "nearest_pole",
-               "pde_residual", "pde_residual_variant", "psi_point"),
+    "gammak": ("gamma_k_dk", "gamma_k_integral", "gamma_k_limit",
+               "gamma_k_product", "gamma_k_scaling", "gamma_k_stirling",
+               "log_gamma_k", "nearest_pole", "pde_residual",
+               "pde_residual_variant", "psi_point"),
     "hypergeometric": ("ConvergenceClass", "HypergeometricSpec", "classify",
                        "coefficient", "evaluate",
                        "integral_representation_check", "ode_residual",

@@ -11,8 +11,7 @@ All routes require k, x, y > 0. The product route restores the truncated
 tail through fourth order in 1/(nk), which brings N = 10^4 terms to ~1e-12
 relative accuracy for moderate arguments.
 
-ROUTES maps each name to a call at (spec, profile), as gammak.ROUTES does;
-beta_k(spec, method, profile) reads it and remains for compatibility.
+ROUTES maps each name to a call at (spec, profile), as gammak.ROUTES does.
 """
 
 from __future__ import annotations
@@ -163,8 +162,6 @@ ROUTES = {
 }
 
 
-def beta_k(spec: BetaKSpec, method: str = "ratio",
-           profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    if method not in ROUTES:
-        raise ValueError(f"unknown B_k route {method!r}; choose from {tuple(ROUTES)}")
-    return ROUTES[method](spec, profile)
+def beta_k(spec: BetaKSpec) -> EvalResult:
+    """The ratio route, as kbench's point-eval calls it; ROUTES is the API."""
+    return beta_k_ratio(spec)

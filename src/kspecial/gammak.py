@@ -10,10 +10,9 @@ of (k, x) that refuses k <= 0, are kept independent to cross-check:
   gamma_k_product   reciprocal Weierstrass-type product      (tail-corrected)
 
 ROUTES[name](k, x, profile) runs the route named at run time (the CLI's
---method) with its default iteration count; GammaKEvaluator(k, profile,
-method).evaluate(x) reads it and remains for compatibility. Also here: the
-Stirling-type leading term, the k-derivative of Gamma_k(x+1), and psi =
-log Gamma_k machinery (series-summed derivatives) feeding a PDE residual.
+--method) with its default iteration count. Also here: the Stirling-type
+leading term, the k-derivative of Gamma_k(x+1), and psi = log Gamma_k
+machinery (series-summed derivatives) feeding a PDE residual.
 """
 
 from __future__ import annotations
@@ -84,21 +83,13 @@ def log_gamma_k(k: float, x: float) -> float:
     return (x / k - 1.0) * math.log(k) + log_gamma_classic(x / k)
 
 
-class GammaKEvaluator(NamedTuple("GammaKEvaluator", [
-        ("k", float), ("profile", PrecisionProfile), ("method", str)])):
-    """k, a precision profile and a route name; evaluate(x) runs
-    ROUTES[method]. Kept for compatibility: ROUTES is the dispatcher."""
+class GammaKEvaluator(NamedTuple):
+    """The scaling route, as kbench's point-eval calls it; ROUTES is the API."""
 
-    __slots__ = ()
-
-    def __new__(cls, k, profile=DEFAULT, method="scaling"):
-        _require_k(k)
-        if method not in ROUTES:
-            raise ValueError(f"unknown Gamma_k route {method!r}")
-        return tuple.__new__(cls, (k, profile, method))
+    k: float
 
     def evaluate(self, x: float) -> EvalResult:
-        return ROUTES[self.method](self.k, x, self.profile)
+        return gamma_k_scaling(self.k, x)
 
 
 def gamma_k_scaling(k: float, x: float) -> EvalResult:
@@ -276,12 +267,17 @@ ROUTES = {
 
 def gamma_k_stirling(k: float, x: float) -> float:
     """Leading Stirling-type term for Gamma_k(x+1):
-    sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k)."""
+    sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k), 0.0 below the smallest
+    double. Where k x, (x+1)/k or x/k leaves the float range, the log is
+    formed as log k + log x and as one quotient ((x+1) log x - x)/k."""
     if not (k > 0.0 and x > 0.0):
         raise DomainError(f"stirling term needs k, x > 0, got k={k}, x={x}")
     _require_k(k, x)
-    log_v = (0.5 * _LOG_2PI - 0.5 * math.log(k * x)
-             + ((x + 1.0) / k) * math.log(x) - x / k)
+    log_kx = math.log(k * x) if 0.0 < k * x < math.inf else math.log(k) + math.log(x)
+    log_x = math.log(x)
+    log_v = 0.5 * _LOG_2PI - 0.5 * log_kx + ((x + 1.0) / k) * log_x - x / k
+    if not math.isfinite(log_v):
+        log_v = 0.5 * _LOG_2PI - 0.5 * log_kx + (x * (log_x - 1.0) + log_x) / k
     return exp_or_overflow(log_v, "Stirling term of Gamma_k", k, x + 1.0)
 
 

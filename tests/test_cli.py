@@ -29,6 +29,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(argv, text, capsys):
+    """argparse refuses argv: exit 2, nothing on stdout, text on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert text in captured.err and "Traceback" not in captured.err
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
@@ -334,12 +344,18 @@ class TestExitCodes:
          "'1/0'"),
     ])
     def test_non_finite_argument_is_usage_error(self, argv, text, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert text in captured.err and "Traceback" not in captured.err
+        assert_usage_error(argv, text, capsys)
+
+    @pytest.mark.parametrize("argv,text", [
+        (["eval", "gamma-k", "--k", ",", "--x", "1"], "comma-separated list"),
+        (["eval", "gamma-k", "--k", "1", "--x", "1", "--method", "gamma"],
+         "invalid choice: 'gamma'"),
+        (["eval", "beta-k", "--k", "1", "--x", "1", "--y", "1", "--method",
+          "simpson"], "invalid choice: 'simpson'"),
+    ])
+    def test_malformed_argument_is_usage_error(self, argv, text, capsys):
+        # an unknown route name stops at the parser: ROUTES has no check
+        assert_usage_error(argv, text, capsys)
 
 
 class TestProfiles:
@@ -496,5 +512,3 @@ class TestLazyModules:
         assert methods["gamma-k"] == tuple(gammak.ROUTES)
         assert methods["beta-k"] == tuple(betak.ROUTES)
         assert methods["hyper"] == tuple(hypergeometric.ROUTES)
-        with pytest.raises(ValueError, match="unknown Gamma_k route 'gamma'"):
-            gammak.GammaKEvaluator(1.0, method="gamma")

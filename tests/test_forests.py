@@ -92,6 +92,10 @@ class TestInvariants:
             PlanarForest(2, 1, ((("r", 1), 0), (("v", 2), 0))),  # parent after child
             PlanarForest(2, 1, ((("r", 1), 0), (("v", 1), 5))),  # slot out of range
             PlanarForest(2, 1, ((("r", 1), 0), (("r", 1), 0))),  # double occupancy
+            PlanarForest(0, 1, ()),                         # no roots
+            PlanarForest(2, 0, ((("r", 1), 0),)),           # arity 0
+            PlanarForest(2, 1.0, ((("r", 1), 0),)),         # arity not an int
+            PlanarForest(2, 1, ((("w", 1), 0),)),           # unknown parent kind
         ]
         for f in bad:
             with pytest.raises(InvariantViolation):
@@ -108,6 +112,14 @@ class TestDerivativeRatio:
         assert derivative_ratio((), (), (), (), 0) == 1
         assert derivative_ratio((3,), (2,), (), (), 2) == 15
         assert derivative_ratio((2,), (1,), (3,), (1,), 2) == Fraction(6, 12)
+
+    @pytest.mark.parametrize("args,message", [
+        (((2, 3), (1,), (), (), 1), "parameter lists must pair up"),
+        (((2,), (1,), (3,), (), 1), "parameter lists must pair up"),
+        (((2,), (1,), (3,), (1,), -1), "derivative order must be >= 0, got -1")])
+    def test_refusals(self, args, message):
+        with pytest.raises(InvariantViolation, match=message):
+            derivative_ratio(*args)
 
     def test_matches_hypergeometric_coefficient_exactly(self):
         specs = [
@@ -165,3 +177,15 @@ class TestSerialization:
                          "tails=4\n")
         with pytest.raises(InvariantViolation):
             parse_forest("root 1\n")  # missing tail line
+        for text, message in (
+                ("root 2\nroot 1\ntails=2\n", "root lines out of order"),
+                ("root 1\nnode 2 parent=r1 slot=0\ntails=2\n",
+                 "node lines out of order"),
+                ("root 1\nroot 2\ntails=3\n", "bare forest must have tails=a")):
+            with pytest.raises(InvariantViolation, match=message):
+                parse_forest(text)
+
+    def test_parse_skips_blank_lines(self):
+        f = PlanarForest(2, 1, ((("r", 1), 0), (("v", 1), 1)))
+        text = serialize_forest(f)
+        assert parse_forest("\n" + text.replace("\n", "\n  \n")) == f

@@ -6,6 +6,7 @@ evaluation of the closed scaling form; closed = exact closed form.
 """
 
 import math
+import random
 import re
 import sys
 import warnings
@@ -13,15 +14,15 @@ import warnings
 import numpy as np
 import pytest
 
-from kspecial import gammak, quadrature
+from kspecial import betak, gammak, quadrature
 from kspecial.errors import DomainError, ResultOverflow
-from kspecial.gammak import (GammaKEvaluator, PsiPoint, gamma_k_dk,
+from kspecial.gammak import (ROUTES, GammaKEvaluator, PsiPoint, gamma_k_dk,
                              gamma_k_integral, gamma_k_limit, gamma_k_product,
                              gamma_k_scaling, gamma_k_stirling, log_gamma_k,
                              nearest_pole, pde_residual, pde_residual_variant,
                              psi_point)
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
-from kspecial.profiles import STRICT
+from kspecial.profiles import DEFAULT, STRICT
 from kspecial.quadrature import quad_halfline
 
 from oracles import central_diff, gamma_k_product_fsum, gamma_k_product_loop
@@ -60,16 +61,15 @@ class TestReferenceValues:
 
 
 class TestOneApi:
-    ROUTES = {"scaling": gamma_k_scaling, "integral": gamma_k_integral,
-              "limit": gamma_k_limit, "product": gamma_k_product}
-
     @pytest.mark.parametrize("k", [0.0, -1.0, -math.inf, math.nan])
-    @pytest.mark.parametrize("route", [*ROUTES.values(), log_gamma_k, gamma_k_dk])
+    @pytest.mark.parametrize("route", [gamma_k_scaling, gamma_k_integral, gamma_k_limit,
+                                       gamma_k_product, log_gamma_k, gamma_k_dk])
     def test_k_must_be_positive(self, route, k):
         with pytest.raises(DomainError, match=re.escape(f"k must be > 0, got {k}")):
             route(k, 1.0)
+        # kbench's hook takes any k and leaves the refusal to the route
         with pytest.raises(DomainError, match=re.escape(f"k must be > 0, got {k}")):
-            GammaKEvaluator(k)
+            GammaKEvaluator(k).evaluate(1.0)
 
     @pytest.mark.parametrize("method,call", [
         ("scaling", lambda: gamma_k_scaling(2.0, 1.3)),
@@ -77,13 +77,26 @@ class TestOneApi:
         ("limit", lambda: gamma_k_limit(2.0, 1.3, 100_000)),
         ("product", lambda: gamma_k_product(2.0, 1.3, 10_000))])
     def test_evaluate_runs_the_named_route(self, method, call):
-        assert GammaKEvaluator(2.0, STRICT, method).evaluate(1.3) == call()
+        assert ROUTES[method](2.0, 1.3, STRICT) == call()
 
     @pytest.mark.parametrize("method", ROUTES)
     def test_evaluate_looks_the_route_up_when_called(self, method, monkeypatch):
-        # a tracer rebinds gammak.gamma_k_*: evaluate must run the rebinding
+        # a tracer rebinds gammak.gamma_k_*: the table must run the rebinding
         monkeypatch.setattr(gammak, f"gamma_k_{method}", lambda k, x, *rest: (k, x))
-        assert GammaKEvaluator(2.0, method=method).evaluate(1.3) == (2.0, 1.3)
+        assert ROUTES[method](2.0, 1.3, STRICT) == (2.0, 1.3)
+        if method == "scaling":
+            assert GammaKEvaluator(2.0).evaluate(1.3) == (2.0, 1.3)
+
+    def test_kbench_hooks_are_one_route_call_outside_the_api(self):
+        import kspecial
+        for name in ("GammaKEvaluator", "beta_k"):
+            assert name not in kspecial.__all__
+            with pytest.raises(AttributeError):
+                getattr(kspecial, name)
+        for k, x in ((2.0, 1.3), (0.5, 7.0), (3.0, 0.4)):
+            assert GammaKEvaluator(k).evaluate(x) == ROUTES["scaling"](k, x, DEFAULT)
+            spec = betak.BetaKSpec(k, x, 2.5)
+            assert betak.beta_k(spec) == betak.ROUTES["ratio"](spec, DEFAULT)
 
 
 class TestRouteAgreement:
@@ -260,6 +273,13 @@ class TestPoles:
         with pytest.raises(DomainError):
             gamma_k_integral(2.0, 0.0)
 
+    @pytest.mark.parametrize("route,n,message", [
+        (gamma_k_limit, 0, "limit route needs n >= 1, got 0"),
+        (gamma_k_product, 9, "product route needs n_terms >= 10, got 9")])
+    def test_iteration_count_domain(self, route, n, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            route(2.0, 1.5, n)
+
     @pytest.mark.parametrize("k,x,message", [
         (1.0, math.inf, "x must be finite, got inf"),
         (1.0, -math.inf, "x must be finite, got -inf"),
@@ -290,7 +310,7 @@ class TestPoles:
 
     def test_nonfinite_k_refused_by_evaluator(self):
         with pytest.raises(DomainError, match="k must be finite, got inf"):
-            GammaKEvaluator(math.inf)
+            GammaKEvaluator(math.inf).evaluate(1.0)
 
     @pytest.mark.parametrize("k,x", [(1e-10, -1e-5 - 0.5e-10),
                                      (1e-5, -0.100005)])
@@ -402,6 +422,34 @@ class TestStirling:
         # math.exp(inf) returned inf
         with pytest.raises(ResultOverflow, match=r"Gamma_k\(1e\+308\) with k=1.0"):
             gamma_k_stirling(1.0, 1e308)
+
+    @pytest.mark.parametrize("k,x,want", [
+        # k x overflows: log(k x) was inf and the term 0.0 (closed: k = x
+        # gives sqrt(2 pi) k^(1/k) / e, x = 2k gives 4 sqrt(pi) k (2k)^(1/k) e^-2)
+        (1e200, 1e200, math.sqrt(2.0 * math.pi) / math.e),
+        (1e160, 2e160, 4.0 * math.sqrt(math.pi) * 1e160 * math.exp(-2.0)),
+        # k x underflows to 0: math.log(k x) raised "math domain error"
+        (1.79e-124, 1.49e-291, 0.0),
+        # (x+1)/k overflows at x = 1: inf * log(1) was nan
+        (1e-308, 1.0, 0.0)])
+    def test_products_past_the_float_range(self, k, x, want):
+        assert gamma_k_stirling(k, x) == pytest.approx(want, rel=1e-12)
+
+    def test_fuzz_is_finite_or_typed(self):
+        # k and x log-uniform over the positive floats; the log was nan at
+        # x/k = inf (inf - inf) and 2,351 draws raised an untyped ValueError
+        rng = random.Random(1)
+        lo, hi = math.log(1e-310), math.log(1.7e308)
+        overflows = 0
+        for _ in range(20_000):
+            k, x = math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi))
+            try:
+                v = gamma_k_stirling(k, x)
+            except ResultOverflow:
+                overflows += 1
+                continue
+            assert math.isfinite(v), (k, x)
+        assert 0 < overflows < 20_000
 
 
 class TestGammaKdK:

@@ -541,3 +541,42 @@ class TestFloatRange:
     def test_rescale_refuses(self, x, s, k, name):
         with pytest.raises(DomainError, match=f"^{name} is an exact value of 13"):
             pochhammer_rescale(x, 3, s, k)
+
+
+class TestOverflowIsTyped:
+    """Float values past the float range: ResultOverflow, as pochhammer_k
+    raises, where the symmetric sums raised an untyped OverflowError (an int
+    e_s or a power too large for a float), rescale raised one at ratio ** n,
+    and a sum or product past the range (symmetric, dk, rescale) came back
+    inf or nan."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: pochhammer_via_symmetric(PochhammerSpec(300.0, 150, 1.0)),  # k ** s
+        lambda: pochhammer_via_symmetric(PochhammerSpec(0.5, 200, 1.0)),    # int e_s
+        lambda: pochhammer_rescale(1.0, 300, 10.0, 0.01),                   # ratio ** n
+        lambda: pochhammer_rescale(1.0, 150, 100.0, 1.0),                   # inf product
+        lambda: pochhammer_dk(PochhammerSpec(1.0, 170, 1.0)),              # inf sum
+    ], ids=["symmetric-power", "symmetric-int", "rescale-power", "rescale-product",
+            "dk-sum"])
+    def test_named_cases(self, call):
+        with pytest.raises(ResultOverflow, match="overflows a float"):
+            call()
+
+    @pytest.mark.parametrize("f", [
+        lambda x, n, k: pochhammer_k(PochhammerSpec(x, n, k)),
+        lambda x, n, k: pochhammer_via_symmetric(PochhammerSpec(x, n, k)),
+        lambda x, n, k: pochhammer_dk(PochhammerSpec(x, n, k)),
+        lambda x, n, k: pochhammer_rescale(x, n, k, 1.0),
+        lambda x, n, k: pochhammer_rescale(x, n, 1.0, k),
+    ], ids=["product", "symmetric", "dk", "rescale-to-k", "rescale-from-k"])
+    def test_fuzz_is_finite_or_typed(self, f):
+        rng = random.Random(2)
+        for _ in range(100):
+            x = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-5.0, 7.0))
+            n = rng.randint(0, 400)
+            k = math.exp(rng.uniform(-3.0, 3.0))
+            try:
+                v = f(x, n, k)
+            except ResultOverflow:
+                continue
+            assert isinstance(v, float) and math.isfinite(v), (x, n, k)

@@ -22,8 +22,7 @@ from kspecial.zetak import ZetaKSpec
 RECORDS = [
     (PrecisionProfile, (1e-10, 1e-14, 100, 5), ({"rel_tol": -1.0}, ValueError)),
     (EvalResult, (1.5, 1e-16, "scaling", 3), ({"method": "guess"}, ValueError)),
-    (GammaKEvaluator, (2.0, PrecisionProfile(), "limit"),
-     ({"method": "gamma"}, ValueError)),
+    (GammaKEvaluator, (2.0,), None),
     (PsiPoint, tuple(psi_point(1.0, 2.0)), ({"psi_xx": -1.0}, InvariantViolation)),
     (PochhammerSpec, (0.5, 3, 2.0), ({"n": -1}, DomainError)),
     (BetaKSpec, (1.0, 0.5, 2.5), ({"y": 0.0}, DomainError)),
@@ -68,6 +67,16 @@ def test_validated_record_is_its_class(cls, values):
     r = cls(*values)
     assert type(r) is cls and type(cls._make(values)) is cls
     assert r == cls._make(values)
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"err_estimate": -1e-16}, "err_estimate must be >= 0"),
+    ({"terms_or_nodes_used": -1}, "terms_or_nodes_used must be >= 0")])
+def test_eval_result_refuses_negative_counts(override, message):
+    # the contract above overrides only method
+    with pytest.raises(ValueError, match=message):
+        EvalResult(**{"value": 1.5, "err_estimate": 1e-16, "method": "scaling",
+                      "terms_or_nodes_used": 3, **override})
 
 
 def test_hypergeometric_spec_stores_tuples():

@@ -59,6 +59,11 @@ INVENTORY = [
 ]
 
 
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
+
+
 def test_inventory_and_tolerances_are_pinned_and_all_pass(verify_rows):
     rows = verify_rows
     assert [(f"{s}/{r.name}", repr(r.tol)) for s, r in rows] == INVENTORY

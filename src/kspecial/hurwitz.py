@@ -7,7 +7,10 @@ zeta_H(s, a) = sum_{n>=0} (a+n)^(-s), continued to s != 1.
                 + sum_{j=1}^{J} B_{2j}/(2j)! * (s)_{2j-1} * A^(-s-2j+1),
 
 with A = a + M, M = 20 and Bernoulli numbers through B_10 (J = 5). The
-first omitted correction (the B_12 term) serves as the error estimate.
+error estimate is the first omitted correction (the B_12 term) plus the
+rounding of the sum, 4 eps (|head| + |tail|): for s <= 0 the head (the M
+direct terms) and the tail (the rest) cancel, so the value can be far
+smaller than either, or exactly 0.
 Accurate to ~1e-14 relative for s in (-3, 40] and a > 0 at these settings;
 the continuation is what the s-derivative machinery differentiates.
 """
@@ -15,6 +18,7 @@ the continuation is what the s-derivative machinery differentiates.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, PoleError, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -31,6 +35,10 @@ _CORRECTIONS = (
 )
 # B_12/12! for the error term, rounded the same way
 _ERR_COEFF = -691.0 / 2730.0 / 479001600.0
+# eps per unit of |head| + |tail| in the rounding term: against the exact
+# zeta_H(-m, a), m = 0..10, 3 of 6,000 seeded draws fell outside an
+# estimate with 3 eps, none with 4
+_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 def power_tail_sums(n_terms: int) -> tuple[float, float, float, float]:
@@ -65,12 +73,12 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
         for coeff, odd, even in _CORRECTIONS:
             tail += coeff * rise * big_a ** (ms - even + 1)
             rise = rise * (s + odd) * (s + even)
-        err = abs(_ERR_COEFF * rise * big_a ** (ms - 11))
+        err = (abs(_ERR_COEFF * rise * big_a ** (ms - 11))
+               + _ROUNDING * (abs(head) + abs(tail)))
         value = head + tail
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise ResultOverflow(
             f"hurwitz_zeta(s={s}, a={a}) overflows a float")
-    err = max(err, 2e-16 * abs(value))
     return EvalResult(value, err, "euler_maclaurin", _M + len(_CORRECTIONS))

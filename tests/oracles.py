@@ -9,7 +9,9 @@ is noted next to each constant.
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 
 def trapezoid(f, a: float, b: float, n: int) -> float:
@@ -250,10 +252,11 @@ HURWITZ_BERNOULLI = ((1.0 / 6.0, 2.0), (-1.0 / 30.0, 24.0), (1.0 / 42.0, 720.0),
 HURWITZ_B12 = (-691.0 / 2730.0, 479001600.0)
 
 
-def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float]:
-    """(value, B_12 error term) of hurwitz.hurwitz_zeta's Euler-Maclaurin
-    sum (M = 20, B_2..B_10), forming each rising factorial (s)_m afresh and
-    dividing each B_2j by (2j)! (and B_12 by 12!) at call time."""
+def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float, float]:
+    """(head, tail, B_12 error term) of hurwitz.hurwitz_zeta's
+    Euler-Maclaurin sum (M = 20, B_2..B_10), whose value is head + tail,
+    forming each rising factorial (s)_m afresh and dividing each B_2j by
+    (2j)! (and B_12 by 12!) at call time."""
     def rising(m):
         out = 1.0
         for i in range(m):
@@ -269,7 +272,26 @@ def hurwitz_zeta_rising(s: float, a: float) -> tuple[float, float]:
         tail += b2j / fact * rising(2 * j - 1) * big_a ** (-s - 2 * j + 1)
     b12, fact12 = HURWITZ_B12
     err = abs(b12 / fact12 * rising(11) * big_a ** (-s - 11))
-    return head + tail, err
+    return head, tail, err
+
+
+@functools.cache
+def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_m as Fractions (B_1 = -1/2), from sum_{j<=i} C(i+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for i in range(1, m + 1):
+        b.append(-sum(math.comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    return tuple(b)
+
+
+def hurwitz_zeta_nonpositive(m: int, a) -> Fraction:
+    """zeta_H(-m, a) = -B_{m+1}(a) / (m + 1) exactly, for an int m >= 0 and
+    a rational a (a float is taken at its exact value), with the Bernoulli
+    polynomial B_n(a) = sum_j C(n, j) B_j a^(n-j)."""
+    a = Fraction(a)
+    n = m + 1
+    b = bernoulli_numbers(n)
+    return -sum(math.comb(n, j) * b[j] * a ** (n - j) for j in range(n + 1)) / n
 
 
 # The quadrature node tables and the scalar integrands as they were before

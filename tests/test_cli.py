@@ -326,6 +326,16 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(1e300, rel=1e-12)
 
+    def test_zeta_k_cancellation_is_in_the_estimate(self, capsys):
+        # zeta_H(-2, 1e-100) ~ -1.7e-101 and k^2 = 1e200, but the head and
+        # the tail cancel to 0.0: this printed 0.0,0.0 with exit 0
+        code, out, err = run_cli(
+            ["eval", "zeta-k", "--k", "1e100", "--x", "1", "--s", "-2"], capsys)
+        assert code == 0 and err == ""
+        row = parse_csv(out)[0]
+        assert float(row["value"]) == 0.0
+        assert float(row["err_estimate"]) >= 1.7e99
+
     def test_bad_pochhammer_n(self, capsys):
         code, _, err = run_cli(
             ["eval", "pochhammer", "--x", "1", "--n", "2.5", "--k", "1"],

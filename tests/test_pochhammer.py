@@ -213,10 +213,13 @@ class TestScalarLoop:
             assert got == pochhammer_k_log_loop(x, n, k), (x, n, k)
 
     def test_nonfinite_arguments(self):
+        # an inf or nan x or k runs the scalar loop at every n, so no numpy
+        # warning leaks from the array path
+        cut = pochhammer._NUMPY_CUTOFF
         for x, k in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
                      (-1.0, math.inf), (1.0, math.inf), (-math.inf, math.inf),
                      (-0.0, 1.0)):
-            for n in (1, 2, 5, 511):
+            for n in (1, 2, 5, cut - 1, cut, 511):
                 # _make skips the spec's refusal of non-finite floats
                 got = pochhammer_k_log(PochhammerSpec._make((x, n, k)))
                 assert repr(got) == repr(pochhammer_k_log_loop(x, n, k)), (x, n, k)
@@ -256,8 +259,9 @@ class TestChunkedKernel:
                 tol = 8 * sys.float_info.epsilon * (abs(want[0]) + n)
                 assert abs(got[0] - want[0]) <= tol, (x, n, k)
 
-    @pytest.mark.parametrize("n", [512, 513, 519, 1001, 32767, 32768, 32769,
-                                   32775, 65_543, 100_003])
+    @pytest.mark.parametrize("n", [pochhammer._NUMPY_CUTOFF, pochhammer._NUMPY_CUTOFF + 1,
+                                   pochhammer._NUMPY_CUTOFF + 7, 511, 512, 513, 519,
+                                   1001, 32767, 32768, 32769, 32775, 65_543, 100_003])
     @pytest.mark.parametrize("x,k", [
         (0.7, 2.0), (-7.3, 1.0), (1.0, 1e-3),
         (-1000.25, 0.5),          # the sign change in the first chunk
@@ -301,6 +305,8 @@ class TestChunkedKernel:
         (1.0, 200_000, 1e-9),
         (-1.001, 100_000, 1e-9),  # all negative, magnitudes near 1
         (1.0, 1000, 1e-3),
+        (1.0, 100, 1e-9),         # one chunk below the old 512 cutoff
+        (0.7, 300, 2.0),
         (0.7, 200_000, 2.0),
         (1e-6, 200_000, 1e-6),    # every factor in (0, 0.2]
     ])
@@ -561,6 +567,23 @@ class TestOverflowIsTyped:
     def test_named_cases(self, call):
         with pytest.raises(ResultOverflow, match="overflows a float"):
             call()
+
+    @pytest.mark.parametrize("x,s,k", [(1e300, 1e-10, 1e10), (-1e300, 1e-10, 1e10),
+                                       (1e300, 1e-10, 1)], ids=["x", "-x", "int-k"])
+    def test_rescale_argument_names_the_call(self, x, s, k):
+        # k x / s overflows: the spec built from it refused x = inf, a value
+        # the caller never passed
+        at = f"(x)_{{n,s}} at x={x}, n=3, s={s}, k={k}: "
+        with pytest.raises(ResultOverflow, match=re.escape(at)):
+            pochhammer_rescale(x, 3, s, k)
+
+    @pytest.mark.parametrize("x,s,k,name", [(math.inf, 1.0, 1.0, "x"),
+                                            (1.0, math.inf, 1.0, "s"),
+                                            (1.0, 1.0, math.inf, "k")])
+    def test_rescale_nonfinite_argument_is_domain_error(self, x, s, k, name):
+        # s = inf came back as ResultOverflow, and k = inf as "x must be finite"
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
+            pochhammer_rescale(x, 3, s, k)
 
     @pytest.mark.parametrize("f", [
         lambda x, n, k: pochhammer_k(PochhammerSpec(x, n, k)),

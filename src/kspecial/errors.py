@@ -76,6 +76,16 @@ def require_finite(name: str, *values) -> None:
             raise DomainError(f"{name} must be finite, got {v}")
 
 
+def as_float(name: str, v) -> float:
+    """float(v), or DomainError naming name for an int or Fraction no float
+    holds."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError(f"{name} is an exact value of {int(v).bit_length()} "
+                          "bits, beyond the float range") from None
+
+
 class CapExceeded(RuntimeError):
     """Enumeration would produce more objects than the requested cap.
 

@@ -22,13 +22,10 @@ Routes kept independent for cross-checking:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import count, islice
-from numbers import Rational
 from typing import NamedTuple
 
-from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
-                     require_finite)
+from .errors import DivergentSeries, DomainError, OutsideRadius, ResultOverflow, as_float
 from .gammak import gamma_k_integrand, log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .series import sum_series, sum_series_batch
@@ -44,12 +41,21 @@ class HypergeometricSpec(NamedTuple("HypergeometricSpec", [("a", tuple), ("k", t
             raise DomainError(f"need one step per upper parameter: {len(a)} vs {len(k)}")
         if len(b) != len(s):
             raise DomainError(f"need one step per lower parameter: {len(b)} vs {len(s)}")
-        if any(not (kj > 0) for kj in k) or any(not (si > 0) for si in s):
-            raise DomainError("all step parameters must be > 0")
-        for name, values in (("a", a), ("k", k), ("b", b), ("s", s)):
-            require_finite(name, *values)
+        # One pass: a step that is not > 0 is refused at once, the first inf
+        # or nan float (in the order a, k, b, s) when the pass ends, and only
+        # then a b_i <= 0 on the pole lattice of its step.
+        nonfinite = None
+        for name, values, step in (("a", a, False), ("k", k, True),
+                                   ("b", b, False), ("s", s, True)):
+            for v in values:
+                if step and not (v > 0):
+                    raise DomainError("all step parameters must be > 0")
+                if nonfinite is None and isinstance(v, float) and not math.isfinite(v):
+                    nonfinite = f"{name} must be finite, got {v}"
+        if nonfinite is not None:
+            raise DomainError(nonfinite)
         for b_i, s_i in zip(b, s):
-            if nearest_pole(float(s_i), float(b_i)) is not None:
+            if b_i <= 0 and nearest_pole(as_float("s", s_i), as_float("b", b_i)) is not None:
                 raise DomainError(
                     f"lower parameter {b_i} sits on the pole lattice of step {s_i}",
                     nearest_pole=float(b_i))
@@ -77,9 +83,22 @@ def classify(spec: HypergeometricSpec) -> ConvergenceClass:
     if spec.p <= spec.q:
         return ConvergenceClass("entire", math.inf)
     if spec.p == spec.q + 1:
-        return ConvergenceClass("radius", math.prod(map(float, spec.s))
-                                / math.prod(map(float, spec.k)))
+        try:
+            radius = math.prod(map(float, spec.s)) / math.prod(map(float, spec.k))
+        except OverflowError:
+            _refuse_beyond_float(spec, "ks")
+            raise
+        return ConvergenceClass("radius", radius)
     return ConvergenceClass("divergent", 0.0)
+
+
+def _refuse_beyond_float(spec: HypergeometricSpec, fields: str = "akbs") -> None:
+    """DomainError naming the first exact parameter among fields (spec field
+    names, in spec order) that no float holds."""
+    for name, values in zip("akbs", spec):
+        if name in fields:
+            for v in values:
+                as_float(name, v)
 
 
 def _times_shifted(acc, params: tuple, steps: tuple, n: int):
@@ -92,7 +111,9 @@ def _times_shifted(acc, params: tuple, steps: tuple, n: int):
 
 def _terms(spec: HypergeometricSpec, x: float):
     """The terms c_n x^n of the series at x, n = 0, 1, ... without end, each
-    from the last by the ratio of _times_shifted's products, made lazily."""
+    from the last by the ratio of _times_shifted's products, made lazily.
+    series.sum_series repeats this recurrence inside its stop loop, where a
+    generator resume per term would cost about as much as the term."""
     upper = tuple(zip(spec.a, spec.k))
     lower = tuple(zip(spec.b, spec.s))
     v = 1.0
@@ -109,6 +130,10 @@ def _terms(spec: HypergeometricSpec, x: float):
 
 def evaluate(spec: HypergeometricSpec, x: float,
              profile: PrecisionProfile = DEFAULT) -> EvalResult:
+    """The series at x, summed by series.sum_series under the profile's
+    stop rule. ResultOverflow where a term, the sum or its estimate passes
+    the float range; DomainError for a nan x or an exact parameter no float
+    holds."""
     if x != x:
         raise DomainError(f"hypergeometric series needs a number x, got {x}")
     cls = classify(spec)
@@ -121,7 +146,16 @@ def evaluate(spec: HypergeometricSpec, x: float,
             radius=cls.radius)
     if x == 0.0:
         return EvalResult(1.0, 0.0, "series", 1)
-    r = sum_series(_terms(spec, x), profile)
+    try:
+        r = sum_series(x, tuple(zip(spec.a, spec.k)), tuple(zip(spec.b, spec.s)),
+                       profile)
+    except ResultOverflow:
+        raise
+    except (OverflowError, ZeroDivisionError):
+        # an exact parameter met a float, or a term's factors left the range
+        _refuse_beyond_float(spec)
+        raise ResultOverflow(f"hypergeometric series at x={x}: a term passes the "
+                             "float range") from None
     if not (math.isfinite(r.value) and math.isfinite(r.err_estimate)):
         raise ResultOverflow(f"hypergeometric series at x={x} overflows a float after "
                              f"{r.terms_or_nodes_used} terms: sum {r.value}, "
@@ -133,13 +167,17 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
                        profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """Evaluate through the all-steps-1 form: dividing each parameter by its
     step and scaling x by kbar/sbar leaves every term unchanged."""
-    kbar = math.prod(map(float, spec.k))
-    sbar = math.prod(map(float, spec.s))
-    flat = HypergeometricSpec(
-        tuple(a_j / k_j for a_j, k_j in zip(spec.a, spec.k)),
-        (1.0,) * spec.p,
-        tuple(b_i / s_i for b_i, s_i in zip(spec.b, spec.s)),
-        (1.0,) * spec.q)
+    try:
+        kbar = math.prod(map(float, spec.k))
+        sbar = math.prod(map(float, spec.s))
+        flat = HypergeometricSpec(
+            tuple(a_j / k_j for a_j, k_j in zip(spec.a, spec.k)),
+            (1.0,) * spec.p,
+            tuple(b_i / s_i for b_i, s_i in zip(spec.b, spec.s)),
+            (1.0,) * spec.q)
+    except OverflowError:
+        _refuse_beyond_float(spec)
+        raise
     return evaluate(flat, x * kbar / sbar, profile)
 
 
@@ -150,6 +188,9 @@ def coefficient(spec: HypergeometricSpec, n: int):
     """
     if n < 0:
         raise DomainError(f"derivative order must be >= 0, got {n}")
+    from fractions import Fraction
+    from numbers import Rational
+
     params = (*spec.a, *spec.k, *spec.b, *spec.s)
     exact = all(isinstance(v, Rational) for v in params)
     r = Fraction(1) if exact else 1.0
@@ -173,6 +214,7 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
+    _refuse_beyond_float(spec)
     c = list(islice(_terms(spec, 1.0), degree))
     worst = 0.0
     scale = 0.0
@@ -213,6 +255,7 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
         raise DomainError(f"recursion depth capped at 3, got p={spec.p}")
     if any(not (a_j > 0) for a_j in spec.a):
         raise DomainError("integral route needs every upper parameter > 0")
+    _refuse_beyond_float(spec)
     import numpy as np
 
     from .quadrature import quad_halfline

@@ -6,21 +6,26 @@ log-space form tracks the sign separately and is the one to use for the
 huge n that show up in limit-style evaluations.
 
 pochhammer_k_log sums log|x + jk| with a scalar loop below _NUMPY_CUTOFF =
-64 factors and with numpy from there on. 64 is the measured crossover on a
+32 factors and with numpy from there on. 32 is the measured crossover on a
 shared 2-vCPU x86_64 host: the loop costs ~0.15-0.25 us per factor and the
-numpy path a flat ~6-15 us per call up to 32,768 factors, so the two meet
-at ~44 factors in timeit and at ~72 in a stream of mixed point
-evaluations, where the numpy path's cost doubles. An inf or nan x or k,
-which only _make lets into a spec, runs the loop at any n. Because the
-factors increase with j, the negative factors are a prefix and a zero
-factor, if any, is the first non-negative one; both paths find these, and
-so the sign, from ceil(-x/k) with no test per factor. The numpy path works
-through the factors _CHUNK at a time in one buffer of at most _CHUNK
-doubles, so a 10^6-factor call touches 256 KB instead of building several
-8 MB arrays. Each chunk is formed as x + k*j (bit for bit the factors of x
-+ k*arange(n)): the first as k times the index table, which allocates the
-buffer, and each later one in that buffer, from the table plus its start.
-Where the chunk holds no sign change and its two end factors, which bound
+unfolded numpy path ~3.5 us per call at 32 factors and ~6.5 us at 2,000, so
+the two meet at ~22-26 factors in timeit and at ~29 in a stream of mixed
+point evaluations, where the numpy path costs ~1.6x its timeit figure. An
+inf or nan x or k, which only _make lets into a spec, runs the loop at any
+n. Because the factors increase with j, the negative factors are a prefix
+and a zero factor, if any, is the first non-negative one; both paths find
+these, and so the sign, from ceil(-x/k) with no test per factor. The numpy
+path works through the factors _CHUNK at a time in one buffer of at most
+_CHUNK doubles, so a 10^6-factor call touches 256 KB instead of building
+several 8 MB arrays. Each chunk is formed as x + k*j (bit for bit the
+factors of x + k*arange(n)): the first as k times the index table, which
+allocates the buffer, and each later one in that buffer, from the table
+plus its start. A call of _FOLD_FROM = 4096 factors or more folds its
+chunks; a shorter one takes one log per factor, because the fold's three
+in-place multiplies cost more than the logs they save until ~3,500-4,000
+factors in timeit and ~4,000-4,500 in the point-evaluation stream (same
+host). The decision is made once per call, from n, not per chunk. Where
+such a chunk holds no sign change and its two end factors, which bound
 every magnitude in it and are formed again as Python floats by the same
 IEEE expression, lie in [2^-64, 2^64], it is folded in place into products
 of 2^_FOLD factors by _FOLD halvings (b[:m] *= b[m:2m]), so one log covers
@@ -37,17 +42,20 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, require_finite
+from .errors import DomainError, ResultOverflow, as_float, require_finite
 
 Number = float | int | Fraction
 
 # from this many factors on, the log form takes the numpy path (the
 # measured crossover; see the module docstring)
-_NUMPY_CUTOFF = 64
+_NUMPY_CUTOFF = 32
 # factors per numpy step above the cutoff: a 256 KB buffer stays in L2
 _CHUNK = 1 << 15
 # halvings per chunk: one log per 2**_FOLD factors
 _FOLD = 3
+# calls of this many factors on fold their chunks; below it the fold's
+# multiplies cost more than the logs they save (see the module docstring)
+_FOLD_FROM = 4096
 # a chunk folds only when every factor magnitude lies in this range, so a
 # product of 2**_FOLD factors stays inside [2**-512, 2**512]
 _FOLD_LO, _FOLD_HI = 2.0 ** -64, 2.0 ** 64
@@ -71,23 +79,14 @@ class PochhammerSpec(NamedTuple("PochhammerSpec",
         require_finite("x", x)
         require_finite("k", k)
         if type(x) is not type(k) and (isinstance(x, float) or isinstance(k, float)):
-            _as_float("x", x)
-            _as_float("k", k)
+            as_float("x", x)
+            as_float("k", k)
         return tuple.__new__(cls, (x, n, k))
 
 
 def _is_exact(v) -> bool:
     # int and Fraction, not float; a float answers before the slower ABC test
     return type(v) is not float and isinstance(v, Rational)
-
-
-def _as_float(name: str, v) -> float:
-    """float(v), or DomainError naming name for an int or Fraction no float holds."""
-    try:
-        return float(v)
-    except OverflowError:
-        raise DomainError(f"{name} is an exact value of {int(v).bit_length()} "
-                          "bits, beyond the float range") from None
 
 
 def _int_if_whole(v):
@@ -175,7 +174,7 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     factor x + (n-1)k beyond the float range, or n above 2**53, where the
     factor index j stops being exact as a float; an inf or nan that _make
     let into the spec runs the factor loop."""
-    x, n, k = _as_float("x", spec.x), spec.n, _as_float("k", spec.k)
+    x, n, k = as_float("x", spec.x), spec.n, as_float("k", spec.k)
     if n == 0:
         return 0.0, 1
     if n > _N_MAX:
@@ -193,6 +192,7 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
         import numpy as np
 
         table = _chunk_table()
+        fold = n >= _FOLD_FROM
         sums = []
         for start in range(0, n, _CHUNK):
             m = min(_CHUNK, n - start)
@@ -204,13 +204,13 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
             b += x
             if start < neg:
                 np.abs(b, out=b)
-            # |factors| are monotone in j, so the ends bound the chunk; each
-            # end is the same IEEE expression the array ran
-            first = abs(x + k * float(start))
-            last = abs(x + k * float(start + m - 1))
-            if (not start < neg < start + m and _FOLD_LO <= first <= _FOLD_HI
-                    and _FOLD_LO <= last <= _FOLD_HI):
-                b = _fold(b)
+            if fold and not start < neg < start + m:
+                # |factors| are monotone in j, so the ends bound the chunk;
+                # each end is the same IEEE expression the array ran
+                first = abs(x + k * float(start))
+                last = abs(x + k * float(start + m - 1))
+                if _FOLD_LO <= first <= _FOLD_HI and _FOLD_LO <= last <= _FOLD_HI:
+                    b = _fold(b)
             np.log(b, out=b)
             sums.append(float(np.add.reduce(b)))
         return (sums[0] if n <= _CHUNK else math.fsum(sums)), sign
@@ -227,19 +227,23 @@ def log_sum_rounding(n: int, log_abs: float) -> float:
     """Rounding of pochhammer_k_log's log_abs = log|(x)_{n,k}|, a sum of n
     logs, in units of eps.
 
-    The scalar loop adds the logs one by one, so its error is a random walk
-    of n roundings of a growing partial sum: about sqrt(n)/6 units of
-    eps * |log_abs| at one standard deviation, and sqrt(n) is taken. The
-    chunked numpy path sums pairwise within each chunk and exactly (fsum)
-    across chunks, which leaves about one rounding of the result. Its fold
-    adds an absolute error that does not shrink with |log_abs|: a product of
-    2**_FOLD factors takes 2**_FOLD - 1 multiplications, each rounding at
-    most eps relative, so at most eps in its log, and up to n >> _FOLD such
-    products are logged. Where the factors are near 1 and |log_abs| < n,
-    this term is the larger one.
+    Below _FOLD_FROM factors, by the scalar loop or the unfolded numpy
+    path, each of the n logs rounds once and the sum adds roundings of its
+    partial sums: about sqrt(n)/6 units of eps * |log_abs| at one standard
+    deviation for the loop's running sum, and sqrt(n) is taken for both
+    paths. Where the factors lie on both sides of 1 the logs cancel and
+    |log_abs| says nothing of their size, so one eps per log is added.
+    From _FOLD_FROM factors on, the chunked numpy path sums pairwise
+    within each chunk and exactly (fsum) across chunks, which leaves about
+    one rounding of the result. Its fold adds an absolute error that does
+    not shrink with |log_abs|: a product of 2**_FOLD factors takes
+    2**_FOLD - 1 multiplications, each rounding at most eps relative, so at
+    most eps in its log, and up to n >> _FOLD such products are logged.
+    Where the factors are near 1 and |log_abs| < n, this term is the larger
+    one.
     """
-    if n < _NUMPY_CUTOFF:
-        return math.sqrt(n) * abs(log_abs)
+    if n < _FOLD_FROM:
+        return math.sqrt(n) * abs(log_abs) + n
     return abs(log_abs) + ((1 << _FOLD) - 1) * (n >> _FOLD)
 
 
@@ -310,7 +314,7 @@ def pochhammer_rescale(x: Number, n: int, s: Number, k: Number):
         arg = Fraction(k) * Fraction(x) / Fraction(s)
     else:
         for name, v in (("x", x), ("s", s), ("k", k)):
-            require_finite(name, _as_float(name, v))
+            require_finite(name, as_float(name, v))
         ratio = s / k
         arg = _require_float_range(k * x / s, "(x)_{n,s}", x=x, n=n, s=s, k=k)
     try:

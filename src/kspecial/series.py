@@ -1,4 +1,5 @@
-"""Series summation with a three-in-a-row stop rule.
+"""Summation of power series with a rational coefficient ratio (the
+hypergeometric form) under a three-in-a-row stop rule.
 
 Terms are added until |term_n| < abs_tol + rel_tol * |partial_sum| holds for
 three consecutive n (one small term can be an accidental zero of an
@@ -8,10 +9,10 @@ slowly converging series satisfy the rule long before the sum is accurate,
 which is the caller's problem to know about. A nan partial sum can never
 meet the rule, so sum_series raises ResultOverflow at the first one.
 
-sum_series sums one series read from an iterator of its terms, so a term
-recurrence can be a generator with no per-term call. It stays scalar
-because its callers (point evaluations, the verify suites) sum one series
-per call, where numpy's per-call overhead would cost more than the loop.
+sum_series sums one series, forming each term and applying the stop rule
+in one loop: per-term interpreter overhead is most of a point evaluation's
+cost. It stays scalar because its callers sum one series per call, where
+numpy's per-call overhead would cost more than the loop.
 sum_series_batch applies the same rule, element by element, to a whole
 array of arguments of one power series whose coefficient ratio does not
 depend on the argument; the iterated-integral hypergeometric route needs
@@ -30,26 +31,43 @@ from .profiles import DEFAULT, EvalResult, PrecisionProfile
 _TERM_BLOCK = 16
 
 
-def sum_series(terms, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """Sum an iterator of terms (term 0 first, without end) under the
-    profile's stop rule; the term after the last included one is read, as
-    the error estimate."""
+def sum_series(x, upper: tuple, lower: tuple,
+               profile: PrecisionProfile = DEFAULT) -> EvalResult:
+    """Sum sum_n c_n x^n under the profile's stop rule, where term n+1 is
+
+        term_n * (x prod_j (a_j + n k_j)) / ((n + 1.0) prod_i (b_i + n s_i))
+
+    over the (a_j, k_j) pairs of upper and the (b_i, s_i) pairs of lower,
+    multiplied left to right; a factor of int or Fraction parameters is
+    formed exactly before it meets a float. The term after the last
+    included one is formed, as the error estimate (at the max_terms cap
+    too, where it goes unread).
+    """
     abs_tol, rel_tol = profile.abs_tol, profile.rel_tol
+    isfinite = math.isfinite
     total = 0.0
     consecutive = 0
-    for n, t in zip(range(profile.max_terms), terms):
+    t = 1.0
+    for n in range(profile.max_terms):
         total += t
         if abs(t) <= abs_tol + rel_tol * abs(total):
             consecutive += 1
-            if consecutive == 3:
-                return EvalResult(total, abs(next(terms)), "series", n + 1)
-        elif math.isfinite(total):
+        elif isfinite(total):
             consecutive = 0
         else:
             # nan (or inf under rel_tol 0) never meets the rule; an inf sum
             # under rel_tol > 0 does, and the caller refuses the result
             raise ResultOverflow(f"sum_series: the partial sum is {total} after "
                                  f"{n + 1} terms; the terms pass the float range")
+        num = x
+        for a_j, k_j in upper:
+            num *= a_j + n * k_j
+        den = n + 1.0
+        for b_i, s_i in lower:
+            den *= b_i + n * s_i
+        t = t * num / den
+        if consecutive == 3:
+            return EvalResult(total, abs(t), "series", n + 1)
     raise NonConvergent(
         f"sum_series: stop rule unmet after {profile.max_terms} terms",
         last_value=total)

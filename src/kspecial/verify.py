@@ -15,7 +15,6 @@ consecutive runs produce identical reports.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -96,6 +95,8 @@ def _fd2(f, t: float, h: float) -> float:
 
 
 def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from fractions import Fraction
+
     from .gammak import (ROUTES, gamma_k_integral, gamma_k_integrand, gamma_k_limit,
                          gamma_k_product, gamma_k_scaling, log_gamma_k, psi_point)
     from .pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
@@ -229,6 +230,8 @@ def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
     import random
+    from fractions import Fraction
+
     from .hypergeometric import (HypergeometricSpec, classify, coefficient, evaluate,
                                  integral_representation_check, ode_residual,
                                  transfer_classical)
@@ -295,6 +298,8 @@ def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    from fractions import Fraction
+
     from .forests import (ForestFamily, count, derivative_ratio,
                           enumerate_forests, serialize_forest)
     from .hypergeometric import HypergeometricSpec, coefficient

@@ -143,13 +143,14 @@ def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
 
 
 def pochhammer_k_log_folded(x: float, n: int, k: float, chunk: int,
-                            fold: int, bound: float) -> tuple[float, int]:
+                            fold: int, bound: float, fold_from: int
+                            ) -> tuple[float, int]:
     """(log|(x)_{n,k}|, sign) by the folded formula: every factor in one
     numpy array, zero and negative factors counted over the whole array.
-    The magnitudes are cut into slices of `chunk`; a slice whose factors all
-    have one sign and all lie in [1/bound, bound] has its first
-    len - len % 2**fold entries multiplied in groups by `fold` halvings
-    (p[:h] * p[h:]), the rest left single. Each slice's logs get one
+    The magnitudes are cut into slices of `chunk`; where n >= fold_from, a
+    slice whose factors all have one sign and all lie in [1/bound, bound]
+    has its first len - len % 2**fold entries multiplied in groups by `fold`
+    halvings (p[:h] * p[h:]), the rest left single. Each slice's logs get one
     pairwise sum, and math.fsum adds the slice sums."""
     import numpy as np
     factors = x + k * np.arange(n, dtype=np.float64)
@@ -160,7 +161,7 @@ def pochhammer_k_log_folded(x: float, n: int, k: float, chunk: int,
     for start in range(0, n, chunk):
         f = factors[start:start + chunk]
         mags = np.abs(f)
-        if ((np.all(f < 0.0) or np.all(f > 0.0))
+        if (n >= fold_from and (np.all(f < 0.0) or np.all(f > 0.0))
                 and np.all((mags >= 1.0 / bound) & (mags <= bound))):
             w = f.size - f.size % (1 << fold)
             p = mags[:w]
@@ -178,6 +179,34 @@ def pochhammer_k_log_folded(x: float, n: int, k: float, chunk: int,
 # Euler-Maclaurin correction. They run the same floating-point operations in
 # the same order as the package's streamlined kernels, so the two must agree
 # bit for bit.
+
+def sum_series(terms, profile):
+    """Sum an iterator of terms (term 0 first, without end) under the
+    profile's stop rule; the term after the last included one is read, as
+    the error estimate. The iterator form of series.sum_series' stop loop:
+    with hypergeometric._terms as the iterator it must give evaluate's
+    result and refusals bit for bit."""
+    from kspecial.errors import NonConvergent, ResultOverflow
+    from kspecial.profiles import EvalResult
+
+    abs_tol, rel_tol = profile.abs_tol, profile.rel_tol
+    total = 0.0
+    consecutive = 0
+    for n, t in zip(range(profile.max_terms), terms):
+        total += t
+        if abs(t) <= abs_tol + rel_tol * abs(total):
+            consecutive += 1
+            if consecutive == 3:
+                return EvalResult(total, abs(next(terms)), "series", n + 1)
+        elif math.isfinite(total):
+            consecutive = 0
+        else:
+            raise ResultOverflow(f"sum_series: the partial sum is {total} after "
+                                 f"{n + 1} terms; the terms pass the float range")
+    raise NonConvergent(
+        f"sum_series: stop rule unmet after {profile.max_terms} terms",
+        last_value=total)
+
 
 def sum_series_callback(term, abs_tol: float, rel_tol: float, max_terms: int):
     """term(0) + term(1) + ... until |term_n| <= abs_tol + rel_tol |sum|

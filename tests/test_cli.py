@@ -319,6 +319,21 @@ class TestExitCodes:
         assert err == ("domain error: k is an exact value of 1329 bits, "
                        "beyond the float range\n")
 
+    @pytest.mark.parametrize("argv,name", [
+        (["eval", "hyper", "--a", "1", "--ka", "1", "--b", str(10 ** 400),
+          "--sb", "1", "--x", "0.5"], "b"),
+        (["eval", "hyper", "--a", "1", "--ka", str(10 ** 400), "--x", "0.5"], "k"),
+        (["eval", "hyper", "--a", str(10 ** 400), "--ka", "1", "--b", "1",
+          "--sb", "1", "--x", "0.5"], "a"),
+    ])
+    def test_exact_hyper_parameter_past_float_range(self, argv, name, capsys):
+        # the term loop (or classify's radius) raised OverflowError: a
+        # traceback and exit 1
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"domain error: {name} is an exact value of 1329 bits, "
+                       "beyond the float range\n")
+
     def test_zeta_k_tiny_k_is_finite(self, capsys):
         # k^(-s) = 1e600 used to raise an untyped OverflowError here
         code, out, err = run_cli(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspecial import quadrature
+from kspecial import hypergeometric, quadrature
 from kspecial.errors import (DivergentSeries, DomainError, NonConvergent,
                              OutsideRadius, ResultOverflow)
 from kspecial.hypergeometric import (ConvergenceClass, HypergeometricSpec,
@@ -21,7 +21,7 @@ from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.profiles import DEFAULT, FAST, STRICT, PrecisionProfile
 
 from oracles import (hyper_ode_residual_callback, hyper_term_callback,
-                     sum_series_callback)
+                     sum_series, sum_series_callback)
 
 TRANSFER_SEED = 20240817  # frozen; regenerating specs must not change results
 
@@ -143,9 +143,9 @@ def _fields(r):
 
 
 class TestTermGeneratorMatchesCallback:
-    """evaluate's term generator and iterator stop rule give, bit for bit,
-    the value, error estimate and term count of the callback recurrence,
-    and refuse where it overflows or runs out of terms."""
+    """evaluate's one-loop sum gives, bit for bit, the value, error
+    estimate and term count of the callback recurrence, and refuses where
+    it overflows or runs out of terms."""
 
     def test_transfer_check_ranges(self):
         # verify's transfer check: |x| < 1.5 when entire, 0.9 of the radius
@@ -234,6 +234,114 @@ class TestTermGeneratorMatchesCallback:
                 evaluate(spec, 800.0)
 
 
+def _outcome(route, spec, x, profile):
+    """The fields of route's result, or the type, message and carried
+    values of what it raised."""
+    try:
+        return _fields(route(spec, x, profile))
+    except ArithmeticError as e:     # NonConvergent, ResultOverflow
+        return type(e), str(e), getattr(e, "last_value", None)
+    except ValueError as e:          # DomainError and its subclasses
+        return (type(e), str(e), getattr(e, "radius", None),
+                getattr(e, "nearest_pole", None))
+
+
+class TestOneLoopMatchesTheGenerator:
+    """evaluate sums through series.sum_series, whose loop forms each term
+    by _terms' recurrence. With oracles.sum_series reading _terms as an
+    iterator in its place, every result and refusal is the same, bit for
+    bit, for float, int and Fraction parameters."""
+
+    @staticmethod
+    def _generator_sum(x, upper, lower, profile):
+        spec = HypergeometricSpec([a for a, _ in upper], [k for _, k in upper],
+                                  [b for b, _ in lower], [s for _, s in lower])
+        return sum_series(hypergeometric._terms(spec, x), profile)
+
+    def test_seeded_draws(self, monkeypatch):
+        rng = random.Random(TRANSFER_SEED + 7)
+        profiles = (DEFAULT, STRICT, FAST, PrecisionProfile(max_terms=30))
+        draws = {0: lambda: rng.uniform(-4.0, 6.0), 1: lambda: rng.randint(-4, 6),
+                 2: lambda: Fraction(rng.randint(-40, 60), rng.randint(1, 12))}
+        steps = {0: lambda: rng.uniform(0.2, 4.0), 1: lambda: rng.randint(1, 4),
+                 2: lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12))}
+        cases = []
+        for _ in range(3000):
+            kind = rng.randint(0, 2)
+            p, q = rng.randint(0, 3), rng.randint(0, 3)
+            a = [draws[kind]() for _ in range(p)]
+            b = [draws[kind]() for _ in range(q)]
+            k = [steps[kind]() for _ in range(p)]
+            s = [steps[kind]() for _ in range(q)]
+            u = rng.random()
+            x = (0.0 if u < 0.03 else math.nan if u < 0.05 else
+                 rng.choice((700.0, -700.0, 800.0)) if u < 0.1 else
+                 rng.uniform(-3.0, 3.0) * rng.choice((0.1, 1.0, 10.0)))
+            try:
+                spec = HypergeometricSpec(a, k, b, s)
+            except DomainError:
+                continue
+            cases.append((spec, x, rng.choice(profiles)))
+        got = [_outcome(evaluate, *case) for case in cases]
+        monkeypatch.setattr(hypergeometric, "sum_series", self._generator_sum)
+        want = [_outcome(evaluate, *case) for case in cases]
+        assert got == want
+        seen = {o[0] for o in got if isinstance(o[0], type)}
+        assert seen == {ResultOverflow, NonConvergent, OutsideRadius,
+                        DivergentSeries, DomainError}
+        assert sum(isinstance(o[0], float) for o in got) > 500
+
+
+class TestExactParametersBeyondTheFloatRange:
+    """An int or Fraction no float holds is refused, naming its field and
+    bit size, where a float route converts it; exact coefficients stay
+    exact."""
+
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("a,k,b,s,name", [
+        ((1,), (1,), (HUGE,), (1,), "b"),
+        ((1,), (HUGE,), (1,), (1,), "k"),
+        ((HUGE,), (1,), (1,), (1,), "a"),
+        ((1,), (HUGE,), (), (), "k"),                   # classify's radius
+        ((1,), (1,), (Fraction(1, 2),), (HUGE,), "s")])
+    def test_routes_name_the_field(self, a, k, b, s, name):
+        spec = HypergeometricSpec(a, k, b, s)
+        message = f"{name} is an exact value of 1329 bits, beyond the float range"
+        for route in (evaluate, transfer_classical):
+            with pytest.raises(DomainError, match=message):
+                route(spec, 0.5)
+        with pytest.raises(DomainError, match=message):
+            ode_residual(spec, 4)
+
+    def test_integral_route_names_the_field(self):
+        spec = HypergeometricSpec((1,), (1,), (2,), (self.HUGE,))
+        with pytest.raises(DomainError, match="s is an exact value"):
+            integral_representation_check(spec, 0.5, FAST)
+
+    def test_lower_parameter_on_the_pole_check(self):
+        with pytest.raises(DomainError, match="b is an exact value"):
+            HypergeometricSpec((), (), (-self.HUGE,), (1,))
+
+    def test_a_term_past_the_float_range_is_result_overflow(self):
+        # each parameter fits a float, a + n k does not at n = 1
+        big = int(1.5e308)
+        spec = HypergeometricSpec((big,), (big,), (1,), (1,))
+        with pytest.raises(ResultOverflow, match="a term passes the float range"):
+            evaluate(spec, 1e-300)
+
+    def test_denominator_underflow_is_result_overflow(self):
+        # (n + 1) b_1 b_2 underflows to 0.0: the term leaves the float range
+        spec = HypergeometricSpec((1.0,), (1.0,), (1e-200, 1e-200), (1e-200, 1e-200))
+        with pytest.raises(ResultOverflow, match="a term passes the float range"):
+            evaluate(spec, 0.5)
+
+    def test_exact_coefficient_stays_exact(self):
+        spec = HypergeometricSpec((self.HUGE,), (1,), (Fraction(1, 2),), (self.HUGE,))
+        assert coefficient(spec, 2) == Fraction(
+            self.HUGE * (self.HUGE + 1), Fraction(1, 2) * (Fraction(1, 2) + self.HUGE))
+
+
 class TestSpecValidation:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -255,6 +363,22 @@ class TestSpecValidation:
         # a nan b raised an untyped ValueError from nearest_pole
         with pytest.raises(DomainError, match=message):
             HypergeometricSpec(a, k, b, s)
+
+    @pytest.mark.parametrize("a,k,b,s,message", [
+        # steps first, then the first non-finite float, then poles
+        ((math.inf,), (0.0,), (), (), "all step parameters must be > 0"),
+        ((math.nan,), (1.0,), (1.0,), (-1.0,), "all step parameters must be > 0"),
+        ((1.0,), (math.inf,), (math.nan,), (1.0,), "k must be finite, got inf"),
+        ((), (), (-1.0, 2.0), (1.0, math.inf), "s must be finite, got inf")])
+    def test_refusal_order(self, a, k, b, s, message):
+        with pytest.raises(DomainError, match=message):
+            HypergeometricSpec(a, k, b, s)
+
+    def test_pole_check_only_at_nonpositive_b(self):
+        # a positive exact b whose float is 0.0 is off the lattice
+        tiny = Fraction(1, 10 ** 400)
+        spec = HypergeometricSpec((), (), (tiny,), (1,))
+        assert coefficient(spec, 1) == 1 / tiny
 
     def test_lower_parameter_pole_lattice(self):
         for b, s in [(0.0, 1.0), (-2.0, 1.0), (-3.0, 1.5)]:

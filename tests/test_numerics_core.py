@@ -21,11 +21,11 @@ from kspecial.loggamma import log_gamma_classic
 from kspecial.profiles import DEFAULT, FAST, STRICT, EULER_GAMMA, EvalResult, PrecisionProfile
 from kspecial import hurwitz, quadrature, series
 from kspecial.quadrature import quad_halfline, quad_unit
-from kspecial.series import sum_series, sum_series_batch
+from kspecial.series import sum_series_batch
 
 import oracles
 from oracles import (direct_zeta2, halfline_nodes, hurwitz_zeta_rising,
-                     trapezoid, unit_nodes)
+                     sum_series, trapezoid, unit_nodes)
 
 SQRT_HALF_PI = 1.2533141373155001   # trapezoid oracle 1.2533141373147676 (h=1e-5, [0,40]); closed sqrt(pi/2)
 ZETA2 = 1.6449340668482264          # direct sum + EM tail oracle 1.6449340668482415; closed pi^2/6
@@ -500,19 +500,19 @@ class TestHurwitz:
 
 class TestSumSeries:
     def test_geometric(self):
-        r = sum_series(0.5 ** n for n in count())
+        r = sum_series((0.5 ** n for n in count()), DEFAULT)
         assert abs(r.value - 2.0) < 1e-10
         assert r.err_estimate <= 1e-10
 
     def test_exponential(self):
-        r = sum_series(1.0 / math.factorial(n) if n < 170 else 0.0
-                       for n in count())
+        r = sum_series((1.0 / math.factorial(n) if n < 170 else 0.0
+                        for n in count()), DEFAULT)
         assert abs(r.value - math.e) < 1e-12
 
     def test_basel_converges_at_default_profile_with_visible_tail(self):
         # stop rule triggers near n ~ 7.9e4; the unseen tail is ~1.3e-5,
         # which is exactly why err_estimate documents "first omitted term"
-        r = sum_series(1.0 / (1.0 + n) ** 2 for n in count())
+        r = sum_series((1.0 / (1.0 + n) ** 2 for n in count()), DEFAULT)
         assert abs(r.value - ZETA2) < 5e-5
         assert 70_000 < r.terms_or_nodes_used <= 100_000
 
@@ -523,7 +523,7 @@ class TestSumSeries:
 
     def test_three_in_a_row_guards_accidental_zeros(self):
         # term 0 at n=3 only; the rule must not stop there
-        r = sum_series(0.0 if n == 3 else 0.5 ** n for n in count())
+        r = sum_series((0.0 if n == 3 else 0.5 ** n for n in count()), DEFAULT)
         assert abs(r.value - (2.0 - 0.125)) < 1e-9
 
 
@@ -547,7 +547,7 @@ class TestSumSeriesBatch:
             for n in count():
                 yield v
                 v = v * x / self.den(n)
-        r = sum_series(terms())
+        r = sum_series(terms(), DEFAULT)
         return r.value, r.terms_or_nodes_used
 
     @pytest.mark.parametrize("block", [1, 2, 3, 16])
@@ -556,6 +556,12 @@ class TestSumSeriesBatch:
         value, terms = sum_series_batch(np.array(self.X), self.den)
         assert list(zip(value.tolist(), terms.tolist())) == [
             self.scalar(x) for x in self.X]
+
+    def test_package_scalar_loop_matches_the_oracle(self):
+        lower = tuple(zip(self.B, self.S))
+        for x in self.X[1:]:
+            r = series.sum_series(x, (), lower)
+            assert (r.value, r.terms_or_nodes_used) == self.scalar(x), x
 
     def test_nonconvergent_at_cap(self):
         prof = PrecisionProfile(max_terms=20)

@@ -226,9 +226,10 @@ class TestScalarLoop:
 
 
 def _folded(x, n, k):
-    """The fold-formula oracle at the kernel's chunk, fold depth and range."""
+    """The fold-formula oracle at the kernel's chunk, fold depth, range and
+    fold threshold."""
     return pochhammer_k_log_folded(x, n, k, pochhammer._CHUNK, pochhammer._FOLD,
-                                   1.0 / pochhammer._FOLD_LO)
+                                   1.0 / pochhammer._FOLD_LO, pochhammer._FOLD_FROM)
 
 
 class TestChunkedKernel:
@@ -237,8 +238,9 @@ class TestChunkedKernel:
 
     def test_one_chunk_is_bit_identical(self):
         # n in [_NUMPY_CUTOFF, _CHUNK]: one chunk, so the same factors, the
-        # same products and the same pairwise sum as the oracle; against the
-        # unfolded full array, within test_many_chunks_against_lgamma's bound
+        # same products and the same pairwise sum as the oracle, on both
+        # sides of _FOLD_FROM; against the unfolded full array, within
+        # test_many_chunks_against_lgamma's bound
         assert pochhammer._CHUNK == 32768 and pochhammer._FOLD == 3
         assert pochhammer._FOLD_LO == 2.0 ** -64 == 1.0 / pochhammer._FOLD_HI
         rng = random.Random(20240817)
@@ -260,8 +262,10 @@ class TestChunkedKernel:
                 assert abs(got[0] - want[0]) <= tol, (x, n, k)
 
     @pytest.mark.parametrize("n", [pochhammer._NUMPY_CUTOFF, pochhammer._NUMPY_CUTOFF + 1,
-                                   pochhammer._NUMPY_CUTOFF + 7, 511, 512, 513, 519,
-                                   1001, 32767, 32768, 32769, 32775, 65_543, 100_003])
+                                   pochhammer._NUMPY_CUTOFF + 7, 64, 65, 71, 511, 512, 513, 519,
+                                   1001, pochhammer._FOLD_FROM - 1, pochhammer._FOLD_FROM,
+                                   pochhammer._FOLD_FROM + 1, pochhammer._FOLD_FROM + 7,
+                                   32767, 32768, 32769, 32775, 65_543, 100_003])
     @pytest.mark.parametrize("x,k", [
         (0.7, 2.0), (-7.3, 1.0), (1.0, 1e-3),
         (-1000.25, 0.5),          # the sign change in the first chunk
@@ -282,7 +286,7 @@ class TestChunkedKernel:
         (1e-300, 1e-300, lambda n: n * math.log(1e-300) + math.lgamma(n + 1.0)),
     ])
     def test_factors_outside_the_fold_range(self, x, k, want):
-        n = 1024
+        n = pochhammer._FOLD_FROM
         log_abs, sign = pochhammer_k_log(PochhammerSpec(x, n, k))
         assert sign == 1
         assert log_abs == pytest.approx(want(n), rel=4 * n * sys.float_info.epsilon)
@@ -307,6 +311,11 @@ class TestChunkedKernel:
         (1.0, 1000, 1e-3),
         (1.0, 100, 1e-9),         # one chunk below the old 512 cutoff
         (0.7, 300, 2.0),
+        # factors on both sides of 1: the logs cancel, and the unfolded
+        # bound's eps per log must cover them (the loop, then numpy)
+        (0.0009504696519571651, 5, 2.5852645988740077),
+        (0.00039679336788600675, 3910, 0.0006952432173574797),
+        (106.81759998834059, 58, 0.0005291493161755739),
         (0.7, 200_000, 2.0),
         (1e-6, 200_000, 1e-6),    # every factor in (0, 0.2]
     ])

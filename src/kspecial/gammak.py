@@ -6,7 +6,7 @@ of (k, x) that refuses k <= 0, are kept independent to cross-check:
 
   gamma_k_scaling   k^(x/k - 1) Gamma(x/k)                  (closed reference)
   gamma_k_integral  int_0^inf t^(x-1) exp(-t^k/k) dt         (DE quadrature)
-  gamma_k_limit     lim_n  n! k^n (nk)^(x/k-1) / (x)_{n,k}   (O(1/n) slow)
+  gamma_k_limit     lim_n  n! k^n (nk)^(x/k-1) / (x)_{n,k}   (two Richardson steps)
   gamma_k_product   reciprocal Weierstrass-type product      (tail-corrected)
 
 ROUTES[name](k, x, profile) runs the route named at run time (the CLI's
@@ -163,43 +163,76 @@ def gamma_k_integral(k: float, x: float,
     return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
 
 
-def gamma_k_limit(k: float, x: float, n: int = 100_000) -> EvalResult:
-    """n! k^n (nk)^(x/k - 1) / (x)_{n,k} at finite n; converges O(1/n).
+def gamma_k_limit(k: float, x: float, n: int = 16_384) -> EvalResult:
+    """Gamma_k(x) from the iterates n! k^n (nk)^(q-1) / (x)_{n,k}, q = x/k,
+    by two Richardson steps in 1/n.
 
-    err_estimate is |iterate(n) - iterate(h)| with h = max(1, n//2), an
-    observed-rate proxy for the truncation error, plus the rounding of the
-    log-space combination: eps * |iterate(n)| times the sum of |log term|,
-    with pochhammer.log_sum_rounding's bound for each log-Pochhammer part. The
-    log terms are ~log(n!) in size and cancel to log|value|, so their
-    rounding is what is left at x = k, where every iterate is exactly 1.
+    One pass over the n factors, split as (x)_{m,k} (x+mk)_{m,k}
+    (x+2mk)_{n-2m,k} with m = n//4, gives the iterates at m, 2m and n. The
+    value is their Lagrange extrapolation to 1/n = 0, (8 it(n) - 6 it(2m) +
+    it(m))/3 when 4 divides n. err_estimate adds three terms:
+    - the distance from the one-step value (2 it(n) - it(2m) when 4
+      divides n);
+    - twice the n^-3 term that two steps leave, from its closed-form
+      coefficient (DLMF 5.11.13): near q = 2/3, at n up to ~1,000, the
+      n^-2 and n^-3 terms cancel in that distance;
+    - the rounding of the log-space sums: eps * |iterate| times the sum of
+      |log term|, with pochhammer.log_sum_rounding's bound for each
+      log-Pochhammer part, weighted as the iterates are. The log terms are
+      ~log(n!) and cancel to log|value|, so at x = k, where every iterate
+      is exactly 1, their rounding is all that is left.
 
-    Each factor is read once: (x)_{n,k} = (x)_{h,k} (x+hk)_{n-h,k}, and the
-    first part alone gives iterate(h).
+    ResultOverflow where _require_below_overflow bounds the value above the
+    largest double. DomainError for n < 4, and where q(q-1)/(2m) > 1: there
+    the iterate's error, ~q(q-1)/(2n), is not yet an expansion in 1/n.
     """
     _require_k(k, x)
-    if n < 1:
-        raise DomainError(f"limit route needs n >= 1, got {n}")
+    if n < 4:
+        raise DomainError(f"limit route needs n >= 4, got {n}")
     if not math.isfinite(x + n * k):
         raise DomainError(f"limit route needs a finite x + n k, got x={x}, n={n}, k={k}")
     _require_off_pole(k, x)
+    _require_below_overflow(k, x)
+    q, m = x / k, n // 4
+    if q * (q - 1.0) > 2.0 * m:
+        raise DomainError(f"limit route needs q(q-1)/(2 floor(n/4)) <= 1, where its "
+                          f"1/n expansion has started; got q = x/k = {q:.6g} "
+                          f"with n = {n}")
     from .pochhammer import PochhammerSpec, log_sum_rounding, pochhammer_k_log
-    h = max(1, n // 2)
-    head, head_sign = pochhammer_k_log(PochhammerSpec(x, h, k))
-    rest, rest_sign = pochhammer_k_log(PochhammerSpec(x + h * k, n - h, k))
 
-    def log_terms(m: int) -> list[float]:
-        """log of n! k^n (nk)^(x/k - 1) at n = m, term by term."""
-        return [log_gamma_classic(m + 1.0), m * math.log(k),
-                (x / k - 1.0) * math.log(m * k)]
-
-    terms = log_terms(n)
-    v = head_sign * rest_sign * exp_or_overflow(
-        math.fsum([*terms, -head, -rest]), "Gamma_k", k, x)
-    scale = math.fsum([*map(abs, terms), log_sum_rounding(h, head),
-                       log_sum_rounding(n - h, rest)])
-    prev = head_sign * exp_or_overflow(math.fsum([*log_terms(h), -head]),
-                                       "Gamma_k", k, x)
-    return EvalResult(v, abs(v - prev) + _EPS * scale * abs(v), "limit", n)
+    # after part i, log|iterate| and its rounding scale at the part's end
+    logs, scales, signs = [], [], []
+    minus_parts, rounding, sign = [], [], 1
+    for lo, hi in ((0, m), (m, 2 * m), (2 * m, n)):
+        part, part_sign = pochhammer_k_log(PochhammerSpec(x + lo * k, hi - lo, k))
+        minus_parts.append(-part)
+        rounding.append(log_sum_rounding(hi - lo, part))
+        sign *= part_sign
+        terms = [log_gamma_classic(hi + 1.0), hi * math.log(k),
+                 (q - 1.0) * math.log(hi * k)]
+        logs.append(math.fsum([*terms, *minus_parts]))
+        scales.append(math.fsum([*map(abs, terms), *rounding]))
+        signs.append(sign)
+    v_n = signs[2] * exp_or_overflow(logs[2], "Gamma_k", k, x)
+    rho_m, rho_2m = (signs[i] * signs[2] * math.exp(logs[i] - logs[2]) for i in (0, 1))
+    # Lagrange weights at 1/n = 0 of the nodes 1/m, 1/(2m), 1/n over one
+    # denominator (n^2, -4m(n-m), m(n-2m)) / ((n-m)(n-2m)), which sum to 1
+    w_n, w_2m, w_m = n * n, -4 * m * (n - m), m * (n - 2 * m)
+    den = (n - m) * (n - 2 * m)
+    two_step = (w_n + w_2m * rho_2m + w_m * rho_m) / den
+    one_step = (n - 2 * m * rho_2m) / (n - 2 * m)
+    v = v_n * two_step
+    if not math.isfinite(v):
+        raise ResultOverflow(f"Gamma_k({x}) with k={k} overflows a float")
+    scale = (w_n * scales[2] + abs(w_2m * rho_2m) * scales[1]
+             + abs(w_m * rho_m) * scales[0]) / den
+    # the n^-3 term two steps leave, c3 h_m h_2m h_n = c3/(2 m^2 n), taken
+    # twice; ell_j is the n^-j term of log(iterate/Gamma_k), c3 the n^-3
+    # term of its exp
+    ell1, ell2 = -q * (q - 1.0) / 2.0, q * (q - 0.5) * (q - 1.0) / 6.0
+    third = abs(ell1 ** 3 / 6.0 + ell1 * ell2 - ell1 * ell1 / 3.0) / (m * m * n)
+    return EvalResult(v, abs(v_n) * (abs(two_step - one_step) + third + _EPS * scale),
+                      "limit", n)
 
 
 def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:

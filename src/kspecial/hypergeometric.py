@@ -166,7 +166,10 @@ def evaluate(spec: HypergeometricSpec, x: float,
 def transfer_classical(spec: HypergeometricSpec, x: float,
                        profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """Evaluate through the all-steps-1 form: dividing each parameter by its
-    step and scaling x by kbar/sbar leaves every term unchanged."""
+    step and scaling x by kbar/sbar leaves every term unchanged.
+
+    DomainError where the step product kbar or sbar leaves the float range
+    (0.0 or inf): the value may be finite, but this route cannot reach it."""
     try:
         kbar = math.prod(map(float, spec.k))
         sbar = math.prod(map(float, spec.s))
@@ -178,6 +181,9 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
     except OverflowError:
         _refuse_beyond_float(spec)
         raise
+    if not (0.0 < kbar < math.inf and 0.0 < sbar < math.inf):
+        raise DomainError(f"transfer route needs step products inside the float "
+                          f"range, got kbar={kbar}, sbar={sbar}")
     return evaluate(flat, x * kbar / sbar, profile)
 
 

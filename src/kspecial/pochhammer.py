@@ -8,31 +8,21 @@ huge n that show up in limit-style evaluations.
 pochhammer_k_log sums log|x + jk| with a scalar loop below _NUMPY_CUTOFF =
 32 factors and with numpy from there on. 32 is the measured crossover on a
 shared 2-vCPU x86_64 host: the loop costs ~0.15-0.25 us per factor and the
-unfolded numpy path ~3.5 us per call at 32 factors and ~6.5 us at 2,000, so
-the two meet at ~22-26 factors in timeit and at ~29 in a stream of mixed
-point evaluations, where the numpy path costs ~1.6x its timeit figure. An
-inf or nan x or k, which only _make lets into a spec, runs the loop at any
-n. Because the factors increase with j, the negative factors are a prefix
-and a zero factor, if any, is the first non-negative one; both paths find
+numpy path ~3.5 us per call at 32 factors and ~6.5 us at 2,000, so the two
+meet at ~22-26 factors in timeit and at ~29 in a stream of mixed point
+evaluations, where the numpy path costs ~1.6x its timeit figure. An inf or
+nan x or k, which only _make lets into a spec, runs the loop at any n.
+Because the factors increase with j, the negative factors are a prefix and
+a zero factor, if any, is the first non-negative one; both paths find
 these, and so the sign, from ceil(-x/k) with no test per factor. The numpy
 path works through the factors _CHUNK at a time in one buffer of at most
 _CHUNK doubles, so a 10^6-factor call touches 256 KB instead of building
 several 8 MB arrays. Each chunk is formed as x + k*j (bit for bit the
 factors of x + k*arange(n)): the first as k times the index table, which
 allocates the buffer, and each later one in that buffer, from the table
-plus its start. A call of _FOLD_FROM = 4096 factors or more folds its
-chunks; a shorter one takes one log per factor, because the fold's three
-in-place multiplies cost more than the logs they save until ~3,500-4,000
-factors in timeit and ~4,000-4,500 in the point-evaluation stream (same
-host). The decision is made once per call, from n, not per chunk. Where
-such a chunk holds no sign change and its two end factors, which bound
-every magnitude in it and are formed again as Python floats by the same
-IEEE expression, lie in [2^-64, 2^64], it is folded in place into products
-of 2^_FOLD factors by _FOLD halvings (b[:m] *= b[m:2m]), so one log covers
-2^_FOLD factors and no product leaves [2^-512, 2^512]; the < 2^_FOLD
-factors past the last whole group stay single. Any other chunk keeps one
-log per factor. The logs are summed pairwise (np.add.reduce, as
-ndarray.sum) in place, and math.fsum adds the sums of two or more chunks.
+plus its start. Each chunk takes one log per factor; the logs are summed
+pairwise (np.add.reduce, as ndarray.sum) in place, and math.fsum adds the
+sums of two or more chunks.
 """
 
 from __future__ import annotations
@@ -51,14 +41,6 @@ Number = float | int | Fraction
 _NUMPY_CUTOFF = 32
 # factors per numpy step above the cutoff: a 256 KB buffer stays in L2
 _CHUNK = 1 << 15
-# halvings per chunk: one log per 2**_FOLD factors
-_FOLD = 3
-# calls of this many factors on fold their chunks; below it the fold's
-# multiplies cost more than the logs they save (see the module docstring)
-_FOLD_FROM = 4096
-# a chunk folds only when every factor magnitude lies in this range, so a
-# product of 2**_FOLD factors stays inside [2**-512, 2**512]
-_FOLD_LO, _FOLD_HI = 2.0 ** -64, 2.0 ** 64
 # the largest n whose factor indices j are all exact as floats
 _N_MAX = 2 ** 53
 # read-only 0, 1, ..., _CHUNK-1 as float64; built on first use
@@ -152,22 +134,6 @@ def _chunk_table() -> np.ndarray:
     return _J
 
 
-def _fold(b: np.ndarray) -> np.ndarray:
-    """Multiply b's first m - m % 2**_FOLD entries together 2**_FOLD at a
-    time, in place, by _FOLD halvings; the view of b holding those m >> _FOLD
-    products followed by the m % 2**_FOLD entries left over."""
-    m = b.size
-    w = m >> _FOLD << _FOLD
-    rest = m - w
-    for _ in range(_FOLD):
-        w //= 2
-        head = b[:w]
-        head *= b[w:2 * w]
-    if rest:
-        b[w:w + rest] = b[m - rest:]
-    return b[:w + rest]
-
-
 def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     """(log |(x)_{n,k}|, sign). sign is 0 when some factor is exactly zero
     (then the log is -inf). DomainError when finite x and k give a last
@@ -192,7 +158,6 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
         import numpy as np
 
         table = _chunk_table()
-        fold = n >= _FOLD_FROM
         sums = []
         for start in range(0, n, _CHUNK):
             m = min(_CHUNK, n - start)
@@ -204,13 +169,6 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
             b += x
             if start < neg:
                 np.abs(b, out=b)
-            if fold and not start < neg < start + m:
-                # |factors| are monotone in j, so the ends bound the chunk;
-                # each end is the same IEEE expression the array ran
-                first = abs(x + k * float(start))
-                last = abs(x + k * float(start + m - 1))
-                if _FOLD_LO <= first <= _FOLD_HI and _FOLD_LO <= last <= _FOLD_HI:
-                    b = _fold(b)
             np.log(b, out=b)
             sums.append(float(np.add.reduce(b)))
         return (sums[0] if n <= _CHUNK else math.fsum(sums)), sign
@@ -227,24 +185,15 @@ def log_sum_rounding(n: int, log_abs: float) -> float:
     """Rounding of pochhammer_k_log's log_abs = log|(x)_{n,k}|, a sum of n
     logs, in units of eps.
 
-    Below _FOLD_FROM factors, by the scalar loop or the unfolded numpy
-    path, each of the n logs rounds once and the sum adds roundings of its
-    partial sums: about sqrt(n)/6 units of eps * |log_abs| at one standard
-    deviation for the loop's running sum, and sqrt(n) is taken for both
-    paths. Where the factors lie on both sides of 1 the logs cancel and
-    |log_abs| says nothing of their size, so one eps per log is added.
-    From _FOLD_FROM factors on, the chunked numpy path sums pairwise
-    within each chunk and exactly (fsum) across chunks, which leaves about
-    one rounding of the result. Its fold adds an absolute error that does
-    not shrink with |log_abs|: a product of 2**_FOLD factors takes
-    2**_FOLD - 1 multiplications, each rounding at most eps relative, so at
-    most eps in its log, and up to n >> _FOLD such products are logged.
-    Where the factors are near 1 and |log_abs| < n, this term is the larger
-    one.
+    By the scalar loop or the chunked numpy path, each of the n logs rounds
+    once and the sum adds roundings of its partial sums: about sqrt(n)/6
+    units of eps * |log_abs| at one standard deviation for the loop's
+    running sum, less for numpy's pairwise sum within a chunk and fsum
+    across chunks, and sqrt(n) is taken for both paths. Where the factors
+    lie on both sides of 1 the logs cancel and |log_abs| says nothing of
+    their size, so one eps per log is added.
     """
-    if n < _FOLD_FROM:
-        return math.sqrt(n) * abs(log_abs) + n
-    return abs(log_abs) + ((1 << _FOLD) - 1) * (n >> _FOLD)
+    return math.sqrt(n) * abs(log_abs) + n
 
 
 def _require_float_range(out, what: str, **args):

@@ -142,34 +142,20 @@ def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
     return float(np.log(np.abs(factors)).sum()), sign
 
 
-def pochhammer_k_log_folded(x: float, n: int, k: float, chunk: int,
-                            fold: int, bound: float, fold_from: int
-                            ) -> tuple[float, int]:
-    """(log|(x)_{n,k}|, sign) by the folded formula: every factor in one
+def pochhammer_k_log_chunked(x: float, n: int, k: float, chunk: int
+                             ) -> tuple[float, int]:
+    """(log|(x)_{n,k}|, sign) by the chunked formula: every factor in one
     numpy array, zero and negative factors counted over the whole array.
-    The magnitudes are cut into slices of `chunk`; where n >= fold_from, a
-    slice whose factors all have one sign and all lie in [1/bound, bound]
-    has its first len - len % 2**fold entries multiplied in groups by `fold`
-    halvings (p[:h] * p[h:]), the rest left single. Each slice's logs get one
+    The magnitudes are cut into slices of `chunk`; each slice's logs get one
     pairwise sum, and math.fsum adds the slice sums."""
     import numpy as np
     factors = x + k * np.arange(n, dtype=np.float64)
     if np.any(factors == 0.0):
         return -math.inf, 0
     sign = -1 if int(np.count_nonzero(factors < 0.0)) % 2 else 1
-    sums = []
-    for start in range(0, n, chunk):
-        f = factors[start:start + chunk]
-        mags = np.abs(f)
-        if (n >= fold_from and (np.all(f < 0.0) or np.all(f > 0.0))
-                and np.all((mags >= 1.0 / bound) & (mags <= bound))):
-            w = f.size - f.size % (1 << fold)
-            p = mags[:w]
-            for _ in range(fold):
-                p = p[:p.size // 2] * p[p.size // 2:]
-            mags = np.concatenate([p, mags[w:]])
-        sums.append(float(np.log(mags).sum()))
-    return math.fsum(sums), sign
+    mags = np.abs(factors)
+    return math.fsum(float(np.log(mags[start:start + chunk]).sum())
+                     for start in range(0, n, chunk)), sign
 
 
 # -- per-term and per-factor references ----------------------------------------

@@ -65,7 +65,7 @@ def test_criterion_01_functional_equation_and_normalization(verify_rows):
     _verify_line(1, "functional equation & normalization", verify_rows,
                  *(f"gamma/{check}/{tag}"
                    for check in ("functional-equation", "normalization")
-                   for tag in ("scaling+integral", "limit-n1e6", "product-n1e4")))
+                   for tag in ("scaling+integral", "limit-richardson", "product-n1e4")))
 
 
 def test_criterion_02_integral_vs_scaling():

@@ -282,6 +282,9 @@ class TestExitCodes:
           "--method", "product"], "overflow:"),
         (["eval", "gamma-k", "--k", "1", "--x", "200", "--method", "limit"],
          "overflow:"),
+        # q = x/k = 500: the limit route's 1/n expansion has not started
+        (["eval", "gamma-k", "--k", "0.01", "--x", "5", "--method", "limit"],
+         "domain error:"),
         (["eval", "gamma-k", "--k", "1", "--x", "200", "--method",
           "product"], "overflow:"),
         # past the product routes' tail series (x/k or (x+y)/k >= n_terms),
@@ -305,11 +308,21 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
 
     def test_limit_factor_overflow_is_refused_up_front(self, capsys, recwarn):
-        code, out, err = run_cli(["eval", "gamma-k", "--k", "1e304", "--x",
-                                  "1e304", "--method", "limit"], capsys)
+        # x + n k overflows at the default n = 16,384
+        code, out, err = run_cli(["eval", "gamma-k", "--k", "1e305", "--x",
+                                  "1e305", "--method", "limit"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("domain error:") and err.count("\n") == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_transfer_step_product_underflow_is_domain_error(self, capsys):
+        # sbar = 1e-200 * 1e-200 underflows to 0.0: x * kbar / sbar raised
+        # ZeroDivisionError, a traceback and exit 1
+        code, out, err = run_cli(["eval", "hyper", "--a", "1", "--ka", "1",
+                                  "--b", "1e-200,1e-200", "--sb", "1e-200,1e-200",
+                                  "--x", "0.5", "--method", "transfer"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error:") and "Traceback" not in err
 
     def test_exact_value_past_float_range_is_domain_error(self, capsys):
         # float() of the 401-digit k raised OverflowError, a traceback and exit 1

@@ -21,7 +21,7 @@ from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
                                  pochhammer_via_symmetric)
 
-from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_folded,
+from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_chunked,
                      pochhammer_k_log_loop, pochhammer_k_tested, rising_product)
 
 # strategies shared by the exact-mode property tests
@@ -225,24 +225,15 @@ class TestScalarLoop:
                 assert repr(got) == repr(pochhammer_k_log_loop(x, n, k)), (x, n, k)
 
 
-def _folded(x, n, k):
-    """The fold-formula oracle at the kernel's chunk, fold depth, range and
-    fold threshold."""
-    return pochhammer_k_log_folded(x, n, k, pochhammer._CHUNK, pochhammer._FOLD,
-                                   1.0 / pochhammer._FOLD_LO, pochhammer._FOLD_FROM)
-
-
 class TestChunkedKernel:
-    """The numpy path of pochhammer_k_log against the fold formula (bit for
-    bit) and the full-array formula (to within rounding)."""
+    """The numpy path of pochhammer_k_log against the full-array formula
+    (bit for bit in one chunk), the chunked formula (bit for bit) and lgamma
+    (to within rounding)."""
 
     def test_one_chunk_is_bit_identical(self):
-        # n in [_NUMPY_CUTOFF, _CHUNK]: one chunk, so the same factors, the
-        # same products and the same pairwise sum as the oracle, on both
-        # sides of _FOLD_FROM; against the unfolded full array, within
-        # test_many_chunks_against_lgamma's bound
-        assert pochhammer._CHUNK == 32768 and pochhammer._FOLD == 3
-        assert pochhammer._FOLD_LO == 2.0 ** -64 == 1.0 / pochhammer._FOLD_HI
+        # n in [_NUMPY_CUTOFF, _CHUNK]: one chunk, so the same factors and
+        # the same pairwise sum as the full array
+        assert pochhammer._CHUNK == 32768
         rng = random.Random(20240817)
         for i in range(300):
             n = rng.randint(pochhammer._NUMPY_CUTOFF, pochhammer._CHUNK)
@@ -254,39 +245,34 @@ class TestChunkedKernel:
             else:
                 x = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
             got = pochhammer_k_log(PochhammerSpec(x, n, k))
-            assert got == _folded(x, n, k), (x, n, k)
-            want = pochhammer_k_log_array(x, n, k)
-            assert got[1] == want[1]
-            if got[1]:
-                tol = 8 * sys.float_info.epsilon * (abs(want[0]) + n)
-                assert abs(got[0] - want[0]) <= tol, (x, n, k)
+            assert got == pochhammer_k_log_array(x, n, k), (x, n, k)
 
     @pytest.mark.parametrize("n", [pochhammer._NUMPY_CUTOFF, pochhammer._NUMPY_CUTOFF + 1,
                                    pochhammer._NUMPY_CUTOFF + 7, 64, 65, 71, 511, 512, 513, 519,
-                                   1001, pochhammer._FOLD_FROM - 1, pochhammer._FOLD_FROM,
-                                   pochhammer._FOLD_FROM + 1, pochhammer._FOLD_FROM + 7,
+                                   1001, 4095, 4096, 4097, 4103,
                                    32767, 32768, 32769, 32775, 65_543, 100_003])
     @pytest.mark.parametrize("x,k", [
         (0.7, 2.0), (-7.3, 1.0), (1.0, 1e-3),
         (-1000.25, 0.5),          # the sign change in the first chunk
         (-40_000.5, 1.0),         # a negative chunk, then the sign change
-        (1e300, 1.0),             # every factor beyond 2^64: no fold
-        (3e-20, 1e-3),            # the first chunk starts below 2^-64
+        (1e300, 1.0),             # every factor rounds to 1e300
+        (3e-20, 1e-3),            # the first factors near 0
         (math.nextafter(-300e-9, 0.0), 1e-9),   # one ulp off the lattice
     ])
-    def test_fold_formula_at_chunk_edges(self, n, x, k):
+    def test_chunked_formula_at_chunk_edges(self, n, x, k):
         # odd and even chunk lengths, a last chunk of 1, 7 or 3 factors,
-        # chunks that hold the sign change and factors outside the fold range
-        assert pochhammer_k_log(PochhammerSpec(x, n, k)) == _folded(x, n, k)
+        # chunks that hold the sign change, factors near 0 and near 1e300
+        want = pochhammer_k_log_chunked(x, n, k, pochhammer._CHUNK)
+        assert pochhammer_k_log(PochhammerSpec(x, n, k)) == want
 
     @pytest.mark.parametrize("x,k,want", [
-        # every factor rounds to 1e300: products of 8 would overflow
+        # every factor rounds to 1e300
         (1e300, 1.0, lambda n: n * math.log(1e300)),
-        # (k)_{n,k} = k^n n!: products of 8 would underflow
+        # (k)_{n,k} = k^n n!
         (1e-300, 1e-300, lambda n: n * math.log(1e-300) + math.lgamma(n + 1.0)),
     ])
-    def test_factors_outside_the_fold_range(self, x, k, want):
-        n = pochhammer._FOLD_FROM
+    def test_extreme_factor_magnitudes(self, x, k, want):
+        n = 4096
         log_abs, sign = pochhammer_k_log(PochhammerSpec(x, n, k))
         assert sign == 1
         assert log_abs == pytest.approx(want(n), rel=4 * n * sys.float_info.epsilon)
@@ -311,8 +297,8 @@ class TestChunkedKernel:
         (1.0, 1000, 1e-3),
         (1.0, 100, 1e-9),         # one chunk below the old 512 cutoff
         (0.7, 300, 2.0),
-        # factors on both sides of 1: the logs cancel, and the unfolded
-        # bound's eps per log must cover them (the loop, then numpy)
+        # factors on both sides of 1: the logs cancel, and the bound's eps
+        # per log must cover them (the loop, then numpy)
         (0.0009504696519571651, 5, 2.5852645988740077),
         (0.00039679336788600675, 3910, 0.0006952432173574797),
         (106.81759998834059, 58, 0.0005291493161755739),
@@ -320,9 +306,7 @@ class TestChunkedKernel:
         (1e-6, 200_000, 1e-6),    # every factor in (0, 0.2]
     ])
     def test_log_sum_rounding_bounds_the_error(self, x, n, k):
-        # the reference sums the logs of the same rounded factors by fsum;
-        # where the factors are near 1 the fold's roundings, up to 7 eps
-        # per 8 factors, outgrow eps |log|, and the bound must cover them
+        # the reference sums the logs of the same rounded factors by fsum
         got, _ = pochhammer_k_log(PochhammerSpec(x, n, k))
         want = math.fsum(math.log(abs(x + j * k)) for j in range(n))
         bound = sys.float_info.epsilon * pochhammer.log_sum_rounding(n, want)
@@ -372,7 +356,8 @@ class TestChunkedKernel:
 
 
 class TestLimitSplit:
-    """gamma_k_limit reads (x)_{n,k} as (x)_{h,k} (x+hk)_{n-h,k}."""
+    """gamma_k_limit reads (x)_{n,k} as (x)_{m,k} (x+mk)_{m,k}
+    (x+2mk)_{n-2m,k}, m = n//4, and extrapolates the three iterates."""
 
     @staticmethod
     def _unsplit(k, x, n):
@@ -386,32 +371,56 @@ class TestLimitSplit:
                * math.fsum(abs(t) for t in terms))
         return sign * math.exp(math.fsum(terms)), tol
 
+    @classmethod
+    def _richardson(cls, k, x, n):
+        """The two-step value from unsplit iterates at m, 2m and n, with
+        the Lagrange weights at h = 0 of the nodes h = 1/N made as
+        Fractions, prod over the other nodes M of N/(N - M); and the
+        absolute rounding it may differ by."""
+        m = n // 4
+        nodes = (m, 2 * m, n)
+        value, tol = 0.0, 4 * sys.float_info.epsilon
+        for node in nodes:
+            weight = float(math.prod(Fraction(node, node - other)
+                                     for other in nodes if other != node))
+            it, rel = cls._unsplit(k, x, node)
+            value += weight * it
+            tol += abs(weight * it) * rel
+        return value, tol
+
     @pytest.mark.parametrize("n", [513, 1025, 3001, 65_537])
     @pytest.mark.parametrize("k,x", [(1.0, 2.5), (0.5, -0.3), (2.0, 7.0)])
     def test_odd_n_matches_one_pass(self, k, x, n):
         got = gamma_k_limit(k, x, n).value
-        want, tol = self._unsplit(k, x, n)
-        assert got == pytest.approx(want, rel=tol)
+        want, tol = self._richardson(k, x, n)
+        assert abs(got - want) <= tol
 
-    def test_n_one(self):
-        # h = 1 and an empty second range: iterate(1) = k^(x/k) / x
-        for k, x in ((1.0, 2.5), (2.0, -0.7)):
-            r = gamma_k_limit(k, x, 1)
-            assert r.value == pytest.approx(k ** (x / k) / x, rel=1e-14)
-            assert r.err_estimate <= 1e-14 * abs(r.value)
+    def test_n_four(self):
+        # m = 1, the smallest split: iterate(N) = N! k^N (Nk)^(q-1) / (x)_{N,k}
+        # at N = 1, 2, 4, each from the direct product
+        for n in (1, 2, 3):
+            with pytest.raises(DomainError, match=re.escape(f"n >= 4, got {n}")):
+                gamma_k_limit(1.5, 1.0, n)
+        for k, x in ((1.0, 1.5), (2.0, -0.7)):
+            q = x / k
+            it = [math.factorial(j) * k ** j * (j * k) ** (q - 1.0)
+                  / pochhammer_k(PochhammerSpec(x, j, k)) for j in (1, 2, 4)]
+            want = (8.0 * it[2] - 6.0 * it[1] + it[0]) / 3.0
+            assert gamma_k_limit(k, x, 4).value == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("n", [301, 1025, 100_001])
-    def test_sign_across_the_split(self, n):
-        # negatives fill the first range and spill into the second, so the
-        # sign is the product of both parts; past n ~ 340 the value
-        # underflows to a signed zero, which still carries the sign
-        h = n // 2
-        for extra in (0, 1, 2):
-            x = -(h + extra + 0.5)
+    def test_sign_at_negative_x(self, n):
+        # the negative factors lie in the first part, whose sign is the
+        # value's: Gamma(x) has sign (-1)^ceil(-x) between its poles
+        for x in (-0.5, -1.5, -2.5, -3.3):
             got = gamma_k_limit(1.0, x, n).value
-            want, tol = self._unsplit(1.0, x, n)
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
-            assert got == pytest.approx(want, rel=tol)
+            want, tol = self._richardson(1.0, x, n)
+            assert math.copysign(1.0, got) == (-1.0) ** math.ceil(-x)
+            assert abs(got - want) <= tol
+        # negatives reaching past the first part are past the expansion's
+        # start, and refused
+        with pytest.raises(DomainError, match="expansion has started"):
+            gamma_k_limit(1.0, -(n // 4 + 0.5), n)
 
     def test_peak_allocation_below_1mb(self):
         gamma_k_limit(2.0, 0.7, 1_000_000)      # build the chunk table first

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceeded, InvariantViolation
@@ -56,25 +57,25 @@ class PlanarForest(NamedTuple):
 def validate_forest(f: PlanarForest) -> None:
     """Family constraints: parents exist and precede their children, slots
     sit in range (roots expose one slot, internal vertices k+1), and no slot
-    is occupied twice."""
-    if not (isinstance(f.a, int) and f.a >= 1 and isinstance(f.k, int) and f.k >= 1):
-        raise InvariantViolation(f"bad family parameters a={f.a}, k={f.k}")
+    is occupied twice. The first fault in vertex order is reported, a slot
+    out of range before a slot taken twice."""
+    a, k, nodes = f
+    if not (isinstance(a, int) and a >= 1 and isinstance(k, int) and k >= 1):
+        raise InvariantViolation(f"bad family parameters a={a}, k={k}")
     seen: set[Attachment] = set()
-    for i, (parent, slot) in enumerate(f.nodes, start=1):
+    for i, (parent, slot) in enumerate(nodes, start=1):
         kind, idx = parent
-        if kind == "r":
-            if not 1 <= idx <= f.a:
-                raise InvariantViolation(f"v_{i} attaches to nonexistent root {idx}")
-            if slot != 0:
-                raise InvariantViolation(f"roots carry a single slot, v_{i} uses {slot}")
-        elif kind == "v":
-            if not 1 <= idx < i:
+        if not (kind == "r" and 1 <= idx <= a and slot == 0
+                or kind == "v" and 1 <= idx < i and 0 <= slot <= k):
+            if kind == "r":
                 raise InvariantViolation(
-                    f"v_{i} must attach to an earlier internal vertex, got v_{idx}")
-            if not 0 <= slot <= f.k:
+                    f"v_{i} attaches to nonexistent root {idx}" if not 1 <= idx <= a
+                    else f"roots carry a single slot, v_{i} uses {slot}")
+            if kind == "v":
                 raise InvariantViolation(
-                    f"internal vertices carry slots 0..{f.k}, v_{i} uses {slot}")
-        else:
+                    f"v_{i} must attach to an earlier internal vertex, got v_{idx}"
+                    if not 1 <= idx < i
+                    else f"internal vertices carry slots 0..{k}, v_{i} uses {slot}")
             raise InvariantViolation(f"unknown parent kind {kind!r}")
         att = (parent, slot)
         if att in seen:
@@ -99,6 +100,9 @@ def enumerate_forests(family: ForestFamily,
 
     Raises CapExceeded (carrying the exact count) before yielding anything
     if the family is larger than cap.
+
+    The free attachments are carried in scan order, and v_(i+1) takes each
+    in turn: the one taken leaves, and the k+1 slots of v_(i+1) go last.
     """
     total = count(family)
     if total > cap:
@@ -106,29 +110,24 @@ def enumerate_forests(family: ForestFamily,
             f"family (a={family.a}, n={family.n}, k={family.k}) has {total} members, "
             f"cap is {cap}", count=total)
 
-    a, n, k = family.a, family.n, family.k
+    a, n, k = family
+    if n == 0:
+        yield PlanarForest(a, k, ())
+        return
+    # the slots each placed vertex opens; v_n's are never taken
+    opened = [[(("v", m), slot) for slot in range(k + 1)] for m in range(1, n)]
 
-    def rec(nodes: list[Attachment]) -> Iterator[PlanarForest]:
-        i = len(nodes)
-        if i == n:
-            yield PlanarForest(a, k, tuple(nodes))
+    def rec(placed: tuple, free: list) -> Iterator[PlanarForest]:
+        i = len(placed)
+        if i == n - 1:
+            for att in free:
+                yield tuple.__new__(PlanarForest, (a, k, placed + (att,)))
             return
-        occupied = set(nodes)
-        for j in range(1, a + 1):
-            att = (("r", j), 0)
-            if att not in occupied:
-                nodes.append(att)
-                yield from rec(nodes)
-                nodes.pop()
-        for m in range(1, i + 1):
-            for slot in range(k + 1):
-                att = (("v", m), slot)
-                if att not in occupied:
-                    nodes.append(att)
-                    yield from rec(nodes)
-                    nodes.pop()
+        new = opened[i]
+        for p, att in enumerate(free):
+            yield from rec(placed + (att,), free[:p] + free[p + 1:] + new)
 
-    yield from rec([])
+    yield from rec((), [(("r", j), 0) for j in range(1, a + 1)])
 
 
 def derivative_ratio(a: tuple, k: tuple, b: tuple, s: tuple, n: int) -> Fraction:
@@ -151,12 +150,21 @@ def derivative_ratio(a: tuple, k: tuple, b: tuple, s: tuple, n: int) -> Fraction
 def serialize_forest(f: PlanarForest) -> str:
     """Canonical line format (stable across runs, used for golden tests):
     `root i` lines, `node i parent=<v> slot=<j>` lines, final `tails=<m>`."""
-    tails = tail_count(f)  # validates
-    lines = [f"root {j}" for j in range(1, f.a + 1)]
-    for i, ((kind, idx), slot) in enumerate(f.nodes, start=1):
-        lines.append(f"node {i} parent={kind}{idx} slot={slot}")
-    lines.append(f"tails={tails}")
-    return "\n".join(lines) + "\n"
+    validate_forest(f)
+    a, k, nodes = f
+    lines = [_root_lines(a)]
+    i = 0
+    for (kind, idx), slot in nodes:
+        i += 1
+        lines.append(f"node {i} parent={kind}{idx} slot={slot}\n")
+    lines.append(f"tails={a + i * k}\n")
+    return "".join(lines)
+
+
+@lru_cache(maxsize=16)
+def _root_lines(a: int) -> str:
+    """The `root 1` .. `root a` lines, the same for every forest with a roots."""
+    return "".join([f"root {j}\n" for j in range(1, a + 1)])
 
 
 _ROOT_RE = re.compile(r"root (\d+)$")

@@ -216,19 +216,27 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     n prod(b_i + (n-1) s_i), which can reach ~1e5 at degree 15 within the
     legal parameter range, inflate plain rounding past any fixed bound).
     On x^n the left side reads n prod_i (b_i + (n-1) s_i) c_n and the right
-    side prod_j (a_j + (n-1) k_j) c_{n-1}.
+    side prod_j (a_j + (n-1) k_j) c_{n-1}. ResultOverflow where one of them,
+    or a coefficient, passes the float range: the mismatch is then unknown.
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
     _refuse_beyond_float(spec)
-    c = list(islice(_terms(spec, 1.0), degree))
     worst = 0.0
     scale = 0.0
-    for n in range(1, degree):
-        lhs = _times_shifted(n * c[n], spec.b, spec.s, n - 1)
-        rhs = _times_shifted(c[n - 1], spec.a, spec.k, n - 1)
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs(lhs), abs(rhs))
+    try:
+        c = list(islice(_terms(spec, 1.0), degree))
+        for n in range(1, degree):
+            lhs = _times_shifted(n * c[n], spec.b, spec.s, n - 1)
+            rhs = _times_shifted(c[n - 1], spec.a, spec.k, n - 1)
+            worst = max(worst, abs(lhs - rhs))
+            scale = max(scale, abs(lhs), abs(rhs))
+    except (OverflowError, ZeroDivisionError):
+        # a factor an exact parameter forms, or a coefficient, left the range
+        scale = math.inf
+    if not (worst < math.inf and scale < math.inf):
+        raise ResultOverflow(f"ode_residual through degree {degree}: a coefficient or "
+                             "operator output passes the float range")
     return worst / scale if scale > 0.0 else 0.0
 
 
@@ -252,7 +260,9 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     err_estimate and work are those of integrating one node at a time.
     quad_halfline hands the integrand blocks of at most quadrature._BLOCK
     values, so the arrays of every depth stay within a fixed multiple of
-    _BLOCK elements.
+    _BLOCK elements. The base series' denominators (n + 1) prod_i (b_i + n
+    s_i) are formed once per call, when a batch first reaches n; DomainError
+    where one is 0.0, inf or nan, as in transfer_classical.
     """
     if spec.p > spec.q:
         raise DomainError(
@@ -266,8 +276,17 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
     from .quadrature import quad_halfline
 
+    dens: list[float] = []
+
     def base_den(n: int) -> float:
-        return _times_shifted(n + 1.0, spec.b, spec.s, n)
+        while len(dens) <= n:
+            m = len(dens)
+            d = _times_shifted(m + 1.0, spec.b, spec.s, m)
+            if not (0.0 < abs(d) < math.inf):
+                raise DomainError(f"integral route: the base-series denominator "
+                                  f"at n={m} is {d}, outside the float range")
+            dens.append(d)
+        return dens[n]
 
     evals = 0
 

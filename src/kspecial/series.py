@@ -16,7 +16,9 @@ numpy's per-call overhead would cost more than the loop.
 sum_series_batch applies the same rule, element by element, to a whole
 array of arguments of one power series whose coefficient ratio does not
 depend on the argument; the iterated-integral hypergeometric route needs
-that series at thousands of arguments per quadrature level.
+that series at thousands of arguments per quadrature level. It makes terms
+in blocks of 6, 12, 24 and then 32, since most of those series stop
+within a few terms and a long tail needs over a hundred.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ import math
 from .errors import NonConvergent, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
-# Terms made per numpy step in sum_series_batch. A plain one-term-per-step
-# loop is simpler but took ~1.4x as long on the p=2 integral-route check.
-_TERM_BLOCK = 16
+# Terms per numpy step in sum_series_batch: _FIRST_BLOCK, doubling up to
+# _MAX_BLOCK. One term per step took ~1.4x as long on the p=2 integral-route
+# check, whose 79,030 arguments need 5.4 terms on average (131 at most). Its
+# 37 calls took 19.0 ms with a fixed block of 16, 18.0 ms with 6 and 14.5 ms
+# with this schedule (2 vCPU, Python 3.11, numpy 2.4).
+_FIRST_BLOCK = 6
+_MAX_BLOCK = 32
 
 
 def sum_series(x, upper: tuple, lower: tuple,
@@ -83,9 +89,11 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
     scalar one. x == 0 takes the one-term shortcut. Returns (sums, terms
     used) arrays.
 
-    Terms are made _TERM_BLOCK at a time and the stop rule is found in the
+    Terms are made a block at a time and the stop rule is found in the
     block as a whole: the per-call cost of numpy, not the arithmetic, is
-    what a few hundred elements per step would otherwise pay for.
+    what a few hundred elements per step would otherwise pay for. Blocks
+    grow from _FIRST_BLOCK to _MAX_BLOCK terms; the last one ends at
+    profile.max_terms.
     """
     import numpy as np
 
@@ -97,12 +105,13 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
     acc = np.zeros(idx.size)
     run = np.zeros(idx.size, dtype=np.int64)  # small terms in a row, 0..2
     n = 0
+    block_size = _FIRST_BLOCK
     while idx.size:
         if n == profile.max_terms:
             raise NonConvergent(
                 f"sum_series: stop rule unmet after {profile.max_terms} terms",
                 last_value=float(acc[0]))
-        size = min(_TERM_BLOCK, profile.max_terms - n)
+        size = min(block_size, profile.max_terms - n)
         # row 0 the sum so far, rows 1..size terms n..n+size-1
         block = np.empty((size + 1, idx.size))
         block[0] = acc
@@ -132,4 +141,5 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
         run = np.where(small[-1] & small[-2], 2, small[-1])[keep]
         idx, xa, term, acc = idx[keep], xa[keep], term[keep], sums[-1][keep]
         n += size
+        block_size = min(2 * block_size, _MAX_BLOCK)
     return total, terms

@@ -40,13 +40,15 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
     __slots__ = ()
 
     def __new__(cls, k, x, s):
-        if not (k > 0.0):
-            raise DomainError(f"k must be > 0, got {k}")
-        if not (x > 0.0):
-            raise DomainError(f"zeta_k needs x > 0, got {x}")
-        require_finite("k", k)
-        require_finite("x", x)
-        require_finite("s", s)
+        # one comparison per argument; on failure the sign checks come first
+        if not (0.0 < k < math.inf and 0.0 < x < math.inf and -math.inf < s < math.inf):
+            if not (k > 0.0):
+                raise DomainError(f"k must be > 0, got {k}")
+            if not (x > 0.0):
+                raise DomainError(f"zeta_k needs x > 0, got {x}")
+            require_finite("k", k)
+            require_finite("x", x)
+            require_finite("s", s)
         return tuple.__new__(cls, (k, x, s))
 
 

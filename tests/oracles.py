@@ -442,3 +442,24 @@ def hyper_integrand_loop(level, args, a_p: float, k_p: float, depth: int):
         return out
 
     return integrand
+
+
+def enumerate_forests_rescan(a: int, n: int, k: int):
+    """The attachment tuples of the (a, n, k) forest family in scan order,
+    by the plain recursion: every step rescans roots, then earlier vertices
+    and their slots, for the attachments not yet taken."""
+    def rec(nodes):
+        i = len(nodes)
+        if i == n:
+            yield tuple(nodes)
+            return
+        occupied = set(nodes)
+        candidates = [(("r", j), 0) for j in range(1, a + 1)]
+        candidates += [(("v", m), slot) for m in range(1, i + 1) for slot in range(k + 1)]
+        for att in candidates:
+            if att not in occupied:
+                nodes.append(att)
+                yield from rec(nodes)
+                nodes.pop()
+
+    yield from rec([])

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,18 @@ class TestExitCodes:
                                   "--x", "0.5", "--method", "transfer"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("domain error:") and "Traceback" not in err
+
+    def test_integral_denominator_underflow_is_domain_error(self, capsys):
+        # b_1 b_2 underflows to 0.0: numpy printed a divide-by-zero
+        # RuntimeWarning before the domain error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["eval", "hyper", "--a", "1", "--ka", "1",
+                                      "--b", "1e-200,1e-200", "--sb", "1e-200,1e-200",
+                                      "--x", "0.5", "--method", "integral"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("domain error: integral route: the base-series denominator "
+                       "at n=0 is 0.0, outside the float range\n")
 
     def test_exact_value_past_float_range_is_domain_error(self, capsys):
         # float() of the 401-digit k raised OverflowError, a traceback and exit 1

@@ -15,6 +15,8 @@ from kspecial.forests import (ForestFamily, PlanarForest, count,
 from kspecial.hypergeometric import HypergeometricSpec, coefficient
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 
+import oracles
+
 
 class TestCount:
     def test_examples(self):
@@ -76,6 +78,27 @@ class TestEnumeration:
         second = [serialize_forest(f) for f in enumerate_forests(family)]
         assert first == second
 
+    def test_matches_the_rescanning_oracle(self):
+        # the carried free slots give the plain rescan's sequence exactly
+        checked = 0
+        for a in (1, 2, 3):
+            for k in (1, 2, 3):
+                for n in range(7):
+                    family = ForestFamily(a, n, k)
+                    if count(family) > 50_000:
+                        continue
+                    assert list(enumerate_forests(family)) == [
+                        PlanarForest(a, k, nodes)
+                        for nodes in oracles.enumerate_forests_rescan(a, n, k)]
+                    checked += 1
+        assert checked == 59
+
+    def test_cap_is_raised_on_the_first_next(self):
+        # a generator function: the call itself runs no code
+        forests = enumerate_forests(ForestFamily(3, 9, 2), cap=1000)
+        with pytest.raises(CapExceeded):
+            next(forests)
+
     def test_first_forest_is_leftmost_chain(self):
         # scan order means the first (a=2, n=2, k=1) forest attaches v_1 to
         # root 1 and v_2 to root 2
@@ -100,6 +123,22 @@ class TestInvariants:
         for f in bad:
             with pytest.raises(InvariantViolation):
                 tail_count(f)
+
+    @pytest.mark.parametrize("nodes,message", [
+        # a slot taken twice (v_2) before a slot out of range (v_3)
+        (((("r", 1), 0), (("r", 1), 0), (("v", 1), 5)),
+         "slot (('r', 1), 0) occupied twice"),
+        # and the other way round
+        (((("r", 1), 0), (("v", 1), 5), (("r", 1), 0)),
+         "internal vertices carry slots 0..1, v_2 uses 5"),
+        # two faults in one attachment: the parent index is named first
+        (((("r", 3), 1),), "v_1 attaches to nonexistent root 3"),
+        (((("v", 2), 9),), "v_1 must attach to an earlier internal vertex, got v_2"),
+    ])
+    def test_first_fault_is_reported(self, nodes, message):
+        with pytest.raises(InvariantViolation) as exc:
+            validate_forest(PlanarForest(2, 1, nodes))
+        assert str(exc.value) == message
 
     def test_tail_count_values(self):
         assert tail_count(PlanarForest(3, 2, ())) == 3

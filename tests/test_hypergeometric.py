@@ -4,6 +4,7 @@ coefficients."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,20 @@ class TestOdeResidual:
         with pytest.raises(DomainError):
             ode_residual(HypergeometricSpec((), (), (), ()), 1)
 
+    @pytest.mark.parametrize("spec", [
+        # (n + 1) b_1 b_2 underflows to 0.0: raised ZeroDivisionError
+        HypergeometricSpec((1.0,), (1.0,), (1e-200, 1e-200), (1e-200, 1e-200)),
+        # a + k at n = 1 is an int no float holds: raised OverflowError
+        HypergeometricSpec((int(1.5e308),), (int(1.5e308),), (1,), (1,)),
+        # c_2 is inf: returned 0.0, as if both sides agreed
+        HypergeometricSpec((1e200,), (1e200,), (1.0,), (1.0,)),
+        # c_1 is inf: returned nan
+        HypergeometricSpec((1e300,), (1.0,), (1e-300,), (1.0,)),
+    ])
+    def test_out_of_range_is_result_overflow(self, spec):
+        with pytest.raises(ResultOverflow, match="passes the float range"):
+            ode_residual(spec, 4)
+
 
 class TestCoefficient:
     def test_examples(self):
@@ -507,6 +522,19 @@ class TestIntegralRepresentation:
         whole = integral_representation_check(spec, 0.8)
         monkeypatch.setattr(quadrature, "_BLOCK", 300)
         assert integral_representation_check(spec, 0.8) == whole
+
+    @pytest.mark.parametrize("b,s,n", [
+        ((1e-200, 1e-200), (1e-200, 1e-200), 0),   # underflows to 0.0
+        ((1e200, 1e200), (1.0, 1.0), 0),           # overflows to inf
+        ((1.0, 1.0), (1e200, 1e200), 1),           # finite at n = 0 only
+    ])
+    def test_denominator_out_of_range_is_domain_error(self, b, s, n):
+        # a zero denominator divided with a numpy RuntimeWarning first
+        spec = HypergeometricSpec((1.0,), (1.0,), b, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"denominator at n={n} is"):
+                integral_representation_check(spec, 0.5)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):  # p > q

@@ -530,6 +530,12 @@ class TestSumSeries:
 class TestSumSeriesBatch:
     B, S = (2.0, 3.0), (1.0, 2.0)
     X = [0.0, 0.3, -0.3, 1e-12, 4.0, -40.0, 900.0, -2.5e4, 3e5]
+    # term counts (under DEFAULT, through the scalar oracle) on each side of
+    # the default schedule's first three block edges, 6, 18 and 42 terms,
+    # and at and one past the caps of test_nonconvergent_at_each_cap
+    EDGES = {1e-6: 5, 0.001: 6, 0.012: 7, -0.129: 8, -87.1: 17, -114.8: 18,
+             -128.8: 19, -213.8: 20, -263.0: 21, -5128.6: 41, -6166.0: 42,
+             -6456.5: 43, -7943.3: 45, -8317.6: 46}
 
     def den(self, n):
         d = n + 1.0
@@ -537,7 +543,7 @@ class TestSumSeriesBatch:
             d *= b_i + n * s_i
         return d
 
-    def scalar(self, x):
+    def scalar(self, x, profile=DEFAULT):
         """The same series through sum_series, one argument at a time."""
         if x == 0.0:
             return 1.0, 1
@@ -547,15 +553,41 @@ class TestSumSeriesBatch:
             for n in count():
                 yield v
                 v = v * x / self.den(n)
-        r = sum_series(terms(), DEFAULT)
+        r = sum_series(terms(), profile)
         return r.value, r.terms_or_nodes_used
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 16])
-    def test_each_element_matches_sum_series(self, block, monkeypatch):
-        monkeypatch.setattr(series, "_TERM_BLOCK", block)
-        value, terms = sum_series_batch(np.array(self.X), self.den)
+    def test_edge_arguments_land_where_named(self):
+        assert {x: self.scalar(x)[1] for x in self.EDGES} == self.EDGES
+
+    # (first block, largest block): fixed blocks, and the default schedule
+    @pytest.mark.parametrize("schedule", [
+        pytest.param((1, 1), id="1"), pytest.param((2, 2), id="2"),
+        pytest.param((3, 3), id="3"), pytest.param((16, 16), id="16"),
+        pytest.param((series._FIRST_BLOCK, series._MAX_BLOCK), id="default")])
+    def test_each_element_matches_sum_series(self, schedule, monkeypatch):
+        monkeypatch.setattr(series, "_FIRST_BLOCK", schedule[0])
+        monkeypatch.setattr(series, "_MAX_BLOCK", schedule[1])
+        xs = self.X + list(self.EDGES)
+        value, terms = sum_series_batch(np.array(xs), self.den)
         assert list(zip(value.tolist(), terms.tolist())) == [
-            self.scalar(x) for x in self.X]
+            self.scalar(x) for x in xs]
+
+    @pytest.mark.parametrize("cap", [7, 20, 45])
+    def test_nonconvergent_at_each_cap(self, cap):
+        # caps off the block edges: the last block is cut short at the cap,
+        # and each argument converges or is refused as the scalar sum is
+        prof = PrecisionProfile(max_terms=cap)
+        for x in self.EDGES:
+            try:
+                expected = self.scalar(x, prof)
+            except NonConvergent:
+                with pytest.raises(NonConvergent, match=f"after {cap} terms"):
+                    sum_series_batch(np.array([x]), self.den, prof)
+                assert self.EDGES[x] > cap
+            else:
+                value, terms = sum_series_batch(np.array([x]), self.den, prof)
+                assert (value[0], terms[0]) == expected
+                assert self.EDGES[x] <= cap
 
     def test_package_scalar_loop_matches_the_oracle(self):
         lower = tuple(zip(self.B, self.S))

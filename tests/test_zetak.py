@@ -1,6 +1,7 @@
 """zeta_k: reduction to Hurwitz, shift/scaling structure, the trigamma
 identity, the s = 0 derivative composite, and term-wise k-derivatives."""
 
+import itertools
 import math
 
 import pytest
@@ -52,6 +53,31 @@ class TestValues:
         # the spec was built, and hurwitz_zeta refused a = x/k = 0.0
         with pytest.raises(DomainError, match="k must be finite, got inf"):
             ZetaKSpec(math.inf, 1.0, 2.0)
+
+    @staticmethod
+    def sequential_refusal(k, x, s):
+        """The message of two sign checks (k, then x) and then three
+        finiteness checks (k, x, s), or None where all pass."""
+        if not k > 0.0:
+            return f"k must be > 0, got {k}"
+        if not x > 0.0:
+            return f"zeta_k needs x > 0, got {x}"
+        for name, v in (("k", k), ("x", x), ("s", s)):
+            if not math.isfinite(v):
+                return f"{name} must be finite, got {v}"
+        return None
+
+    def test_one_pass_keeps_the_sequential_order(self):
+        # e.g. k = inf with x = -1 reads "zeta_k needs x > 0"
+        values = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1.5)
+        for k, x, s in itertools.product(values, repeat=3):
+            want = self.sequential_refusal(k, x, s)
+            if want is None:
+                assert ZetaKSpec(k, x, s) == (k, x, s)
+                continue
+            with pytest.raises(DomainError) as exc:
+                ZetaKSpec(k, x, s)
+            assert str(exc.value) == want, (k, x, s)
 
 
 class TestScaleBeyondFloatRange:

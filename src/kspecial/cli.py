@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from importlib import import_module
@@ -240,21 +241,33 @@ def _cmd_verify(args, profile: PrecisionProfile) -> int:
     return 0 if worst else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token of - and then a digit or a point
+    (-0.5,1.5 or -1/2) as a value. argparse reads such a token as an option
+    unless it is one plain negative number; an unknown option that starts
+    with a letter is still a usage error."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[0-9.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kspecial",
         description="Evaluate and cross-verify the k-deformed special "
                     "functions (Pochhammer symbol, Gamma_k, B_k, zeta_k, "
                     "generalized hypergeometric series, planar forests).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol = argparse.ArgumentParser(add_help=False)
+    tol = _Parser(add_help=False)
     tol.add_argument("--rel-tol", type=float, default=None,
                      help="override the profile's relative tolerance")
     tol.add_argument("--abs-tol", type=float, default=None,
                      help="override the profile's absolute tolerance")
 
-    fmt = argparse.ArgumentParser(add_help=False)
+    fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
 

@@ -69,11 +69,20 @@ def exp_or_overflow(log_v: float, name: str, k: float, *args: float) -> float:
 
 
 def require_finite(name: str, *values) -> None:
-    """DomainError naming the first float among values that is inf or nan.
-    Exact ints and Fractions pass, however large."""
+    """DomainError naming the first inexact real among values (a float, a
+    numpy float of any width) that is inf or nan. Exact values, which carry
+    a denominator (ints, Fractions), pass, however large."""
     for v in values:
-        if isinstance(v, float) and not math.isfinite(v):
+        if ((isinstance(v, float) or not hasattr(v, "denominator") and _is_real(v))
+                and not math.isfinite(v)):
             raise DomainError(f"{name} must be finite, got {v}")
+
+
+def _is_real(v) -> bool:
+    # numbers is imported only here, for a value that is neither a float nor
+    # exact: no command needs it at start-up
+    from numbers import Real
+    return isinstance(v, Real)
 
 
 def as_float(name: str, v) -> float:

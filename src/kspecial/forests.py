@@ -55,18 +55,20 @@ class PlanarForest(NamedTuple):
 
 
 def validate_forest(f: PlanarForest) -> None:
-    """Family constraints: parents exist and precede their children, slots
-    sit in range (roots expose one slot, internal vertices k+1), and no slot
-    is occupied twice. The first fault in vertex order is reported, a slot
-    out of range before a slot taken twice."""
+    """Family constraints: parents exist and precede their children, slots sit
+    in range (roots one slot, internal vertices k+1), no slot is taken twice.
+    The first fault in vertex order is reported, a range fault before a repeat;
+    repeats are looked for only when len(set(nodes)) shows one."""
     a, k, nodes = f
     if not (isinstance(a, int) and a >= 1 and isinstance(k, int) and k >= 1):
         raise InvariantViolation(f"bad family parameters a={a}, k={k}")
-    seen: set[Attachment] = set()
-    for i, (parent, slot) in enumerate(nodes, start=1):
-        kind, idx = parent
+    dup = len(set(nodes)) < len(nodes) and next(   # v_dup repeats an earlier slot
+        i for i, att in enumerate(nodes, start=1) if nodes.index(att) < i - 1)
+    i = 0
+    for (kind, idx), slot in nodes:
+        i += 1
         if not (kind == "r" and 1 <= idx <= a and slot == 0
-                or kind == "v" and 1 <= idx < i and 0 <= slot <= k):
+                or kind == "v" and 1 <= idx < i and 0 <= slot <= k) and not 0 < dup < i:
             if kind == "r":
                 raise InvariantViolation(
                     f"v_{i} attaches to nonexistent root {idx}" if not 1 <= idx <= a
@@ -77,10 +79,8 @@ def validate_forest(f: PlanarForest) -> None:
                     if not 1 <= idx < i
                     else f"internal vertices carry slots 0..{k}, v_{i} uses {slot}")
             raise InvariantViolation(f"unknown parent kind {kind!r}")
-        att = (parent, slot)
-        if att in seen:
-            raise InvariantViolation(f"slot {att} occupied twice")
-        seen.add(att)
+    if dup:
+        raise InvariantViolation(f"slot {nodes[dup - 1]} occupied twice")
 
 
 def tail_count(f: PlanarForest) -> int:
@@ -152,19 +152,18 @@ def serialize_forest(f: PlanarForest) -> str:
     `root i` lines, `node i parent=<v> slot=<j>` lines, final `tails=<m>`."""
     validate_forest(f)
     a, k, nodes = f
-    lines = [_root_lines(a)]
-    i = 0
-    for (kind, idx), slot in nodes:
-        i += 1
-        lines.append(f"node {i} parent={kind}{idx} slot={slot}\n")
-    lines.append(f"tails={a + i * k}\n")
-    return "".join(lines)
+    args = []
+    for parent, slot in nodes:
+        args += parent
+        args.append(slot)
+    return _template(a, len(nodes), k) % tuple(args)
 
 
-@lru_cache(maxsize=16)
-def _root_lines(a: int) -> str:
-    """The `root 1` .. `root a` lines, the same for every forest with a roots."""
-    return "".join([f"root {j}\n" for j in range(1, a + 1)])
+@lru_cache(maxsize=64)
+def _template(a: int, n: int, k: int) -> str:
+    """Every (a, n, k) forest's text, %s (str) for each parent kind, index and slot."""
+    body = "".join([f"node {i + 1} parent=%s%s slot=%s\n" for i in range(n)])
+    return "".join(f"root {j + 1}\n" for j in range(a)) + body + f"tails={a + n * k}\n"
 
 
 _ROOT_RE = re.compile(r"root (\d+)$")

@@ -382,19 +382,21 @@ def _psi_series(k: float, x: float) -> float:
     return head + tail
 
 
-def _psi_k_series(k: float, x: float) -> float:
-    """(x/k^2) [ (1 - log k + gamma) + k S ]; k S = sum_{n>=1} (k/(x+nk) - 1/n)."""
-    return (x / (k * k)) * ((1.0 - math.log(k) + EULER_GAMMA) + k * _psi_series(k, x))
+def _psi_k_series(k: float, x: float, s: float) -> float:
+    """(x/k^2) [ (1 - log k + gamma) + k S ] from s = S = _psi_series(k, x)."""
+    return (x / (k * k)) * ((1.0 - math.log(k) + EULER_GAMMA) + k * s)
 
 
 def psi_point(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> PsiPoint:
     try:
         psi = log_gamma_k(k, x)
-        psi_x = -1.0 / x + (math.log(k) - EULER_GAMMA) / k - _psi_series(k, x)
+        s = _psi_series(k, x)   # psi_x and psi_k both read S(k, x)
+        psi_x = -1.0 / x + (math.log(k) - EULER_GAMMA) / k - s
         psi_xx = hurwitz_zeta(2.0, x / k, profile).value / (k * k)
-        psi_k = _psi_k_series(k, x)
+        psi_k = _psi_k_series(k, x, s)
         h = 1e-5 * k
-        psi_kk = (_psi_k_series(k + h, x) - _psi_k_series(k - h, x)) / (2.0 * h)
+        psi_kk = (_psi_k_series(k + h, x, _psi_series(k + h, x))
+                  - _psi_k_series(k - h, x, _psi_series(k - h, x))) / (2.0 * h)
         if not all(map(math.isfinite, (psi, psi_x, psi_xx, psi_k, psi_kk))):
             raise OverflowError
     except (ZeroDivisionError, OverflowError):

@@ -1,9 +1,9 @@
 """Pochhammer k-symbol: (x)_{n,k} = x (x+k) (x+2k) ... (x+(n-1)k).
 
-Arithmetic follows the operand types, so passing ints/Fractions gives exact
-rational results while floats give the usual double-precision path. The
-log-space form tracks the sign separately and is the one to use for the
-huge n that show up in limit-style evaluations.
+Arithmetic follows the operand types: exact x = p/q and k = r/s (ints or
+Fractions) run in the integers ps + j rq over one (qs)^n, floats in double
+precision. The log-space form tracks the sign separately and is the one to
+use for the huge n that show up in limit-style evaluations.
 
 pochhammer_k_log sums log|x + jk| with a scalar loop below _NUMPY_CUTOFF =
 32 factors and with numpy from there on. 32 is the measured crossover on a
@@ -79,8 +79,8 @@ def _int_if_whole(v):
 
 
 def pochhammer_k(spec: PochhammerSpec):
-    """Direct product in one loop, from int 1 (exact) when x and k are both
-    int/Fraction and from 1.0 otherwise.
+    """Direct product: the integers ps + j rq over (qs)^n when x = p/q and
+    k = r/s are both int/Fraction, else one loop from 1.0.
 
     A float partial product that reaches inf stays inf, or turns nan at a
     later zero factor, so the loop tests once, after it ends. Only a
@@ -88,12 +88,16 @@ def pochhammer_k(spec: PochhammerSpec):
     spec built by _make), runs the second pass, which tests every partial
     product to name the first factor that overflowed."""
     x, n, k = spec.x, spec.n, spec.k
-    out = 1 if _is_exact(x) and _is_exact(k) else 1.0
+    if _is_exact(x) and _is_exact(k):
+        p, q, r, s = map(int, (x.numerator, x.denominator, k.numerator, k.denominator))
+        return _int_if_whole(Fraction(math.prod(range(p * s, p * s + n * r * q, r * q)),
+                                      (q * s) ** n))
+    out = 1.0
     try:
         for j in range(n):
             out = out * (x + j * k)
         if not isinstance(out, float) or math.isfinite(out):
-            return _int_if_whole(out)
+            return out
     except OverflowError:
         pass
     out = 1.0
@@ -219,12 +223,16 @@ def pochhammer_via_symmetric(spec: PochhammerSpec):
     """(x)_{n,k} = sum_s e_s(1,...,n-1) k^s x^(n-s).
 
     Independent of the direct product; the e_s are exact integers, so in
-    rational mode the two routes must agree exactly.
+    rational mode (e_s (rq)^s (ps)^(n-s) over (qs)^n) the two must agree.
     """
     x, n, k = spec.x, spec.n, spec.k
     if n == 0:
         return pochhammer_k(spec)
     e = _elementary_symmetric_table(n - 1)
+    if _is_exact(x) and _is_exact(k):
+        p, q, r, t = map(int, (x.numerator, x.denominator, k.numerator, k.denominator))
+        return _int_if_whole(Fraction(sum(e[s] * (r * q) ** s * (p * t) ** (n - s)
+                                          for s in range(n)), (q * t) ** n))
     out = 0  # the loop runs, so float inputs give a float
     try:
         for s in range(n):

@@ -463,3 +463,95 @@ def enumerate_forests_rescan(a: int, n: int, k: int):
                 nodes.pop()
 
     yield from rec([])
+
+
+def _whole_as_int(v):
+    return int(v) if type(v) is Fraction and v.denominator == 1 else v
+
+
+def pochhammer_k_fraction_loop(x, n: int, k):
+    """Exact (x)_{n,k} factor by factor from int 1: each step forms and
+    normalizes one Fraction; a whole result comes back as an int."""
+    out = 1
+    for j in range(n):
+        out = out * (x + j * k)
+    return _whole_as_int(out)
+
+
+def pochhammer_symmetric_fraction_sum(x, n: int, k):
+    """Exact sum_s e_s(1..n-1) k^s x^(n-s) in Fractions, the e_s by the
+    add-one-variable recurrence; a whole result comes back as an int."""
+    if n == 0:
+        return 1
+    e = [1] + [0] * (n - 1)
+    for j in range(1, n):
+        for s in range(j, 0, -1):
+            e[s] += j * e[s - 1]
+    out = 0
+    for s in range(n):
+        out = out + e[s] * k ** s * x ** (n - s)
+    return _whole_as_int(out)
+
+
+def validate_forest_sequential(f) -> str | None:
+    """The message of the first structural fault of forest f = (a, k, nodes)
+    in vertex order, each vertex's range before its slot's repeat, by one
+    walk with a set of the slots taken so far; None for a valid forest."""
+    a, k, nodes = f
+    if not (isinstance(a, int) and a >= 1 and isinstance(k, int) and k >= 1):
+        return f"bad family parameters a={a}, k={k}"
+    seen = set()
+    for i, (parent, slot) in enumerate(nodes, start=1):
+        kind, idx = parent
+        if kind == "r":
+            if not 1 <= idx <= a:
+                return f"v_{i} attaches to nonexistent root {idx}"
+            if slot != 0:
+                return f"roots carry a single slot, v_{i} uses {slot}"
+        elif kind == "v":
+            if not 1 <= idx < i:
+                return f"v_{i} must attach to an earlier internal vertex, got v_{idx}"
+            if not 0 <= slot <= k:
+                return f"internal vertices carry slots 0..{k}, v_{i} uses {slot}"
+        else:
+            return f"unknown parent kind {kind!r}"
+        if (parent, slot) in seen:
+            return f"slot {(parent, slot)} occupied twice"
+        seen.add((parent, slot))
+    return None
+
+
+def serialize_forest_lines(f) -> str:
+    """A valid forest's text, one f-string line at a time: `root j` lines,
+    `node i parent=<kind><index> slot=<slot>` lines, then `tails=a + nk`."""
+    a, k, nodes = f
+    lines = [f"root {j}\n" for j in range(1, a + 1)]
+    for i, ((kind, idx), slot) in enumerate(nodes, start=1):
+        lines.append(f"node {i} parent={kind}{idx} slot={slot}\n")
+    lines.append(f"tails={a + len(nodes) * k}\n")
+    return "".join(lines)
+
+
+def psi_point_two_series(k: float, x: float) -> tuple[float, float, float]:
+    """(psi_x, psi_k, psi_kk) of log Gamma_k at (k, x), each partial summing
+    its own series S(k, x) = sum_{n>=1} (1/(x+nk) - 1/(nk)): a 200-term head
+    and an Euler-Maclaurin tail."""
+    euler_gamma = 0.5772156649015329
+
+    def series(k, x):
+        head = 0.0
+        for n in range(1, 201):
+            head += 1.0 / (x + n * k) - 1.0 / (n * k)
+        a = 201.0
+        integral = -math.log1p(x / (a * k)) / k
+        g_a = 1.0 / (x + a * k) - 1.0 / (a * k)
+        g1_a = -k / (x + a * k) ** 2 + 1.0 / (k * a * a)
+        g3_a = -6.0 * k ** 3 / (x + a * k) ** 4 + 6.0 / (k * a ** 4)
+        return head + (integral + 0.5 * g_a - g1_a / 12.0 + g3_a / 720.0)
+
+    def psi_k(k, x):
+        return (x / (k * k)) * ((1.0 - math.log(k) + euler_gamma) + k * series(k, x))
+
+    h = 1e-5 * k
+    return (-1.0 / x + (math.log(k) - euler_gamma) / k - series(k, x), psi_k(k, x),
+            (psi_k(k + h, x) - psi_k(k - h, x)) / (2.0 * h))

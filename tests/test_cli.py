@@ -409,6 +409,40 @@ class TestExitCodes:
         assert_usage_error(argv, text, capsys)
 
 
+class TestNegativeValues:
+    """A flag's value may start with - and a digit or a point: a negative
+    list or fraction is read as the value (argparse alone takes it for an
+    option and refuses the command line)."""
+
+    def test_negative_list_reaches_the_domain_check(self, capsys):
+        code, out, err = run_cli(["eval", "gamma-k", "--k", "1", "--x", "-0.5,1.5"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and "usage" not in err
+
+    def test_negative_parameter_list(self, capsys):
+        code, out, _ = run_cli(["eval", "hyper", "--a", "-2,1", "--ka", "1,1", "--b", "3",
+                                "--sb", "1", "--x", "0.3"], capsys)
+        assert code == 0
+        rec = parse_csv(out)[0]
+        assert rec["a"] == "-2,1"
+        # 2F1(-2, 1; 3; x) = 1 - 2x/3 + x^2/6
+        assert float(rec["value"]) == pytest.approx(1 - 0.2 + 0.015, rel=1e-14)
+
+    def test_negative_fraction(self, capsys):
+        code, out, _ = run_cli(["eval", "pochhammer", "--x", "-1/2", "--n", "3", "--k", "1"],
+                               capsys)
+        assert code == 0 and parse_csv(out)[0]["value"] == "-3/8"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["eval", "gamma-k", "--k", "1", "--x", "1", "--bogus", "2"],
+         "unrecognized arguments: --bogus"),
+        (["eval", "gamma-k", "--k", "1", "--x", "-q"], "expected one argument"),
+    ])
+    def test_unknown_option_is_still_a_usage_error(self, argv, text, capsys):
+        assert_usage_error(argv, text, capsys)
+
+
 class TestProfiles:
     def test_env_profile_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("KSPECIAL_PROFILE", "fast")

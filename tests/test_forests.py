@@ -228,3 +228,63 @@ class TestSerialization:
         f = PlanarForest(2, 1, ((("r", 1), 0), (("v", 1), 1)))
         text = serialize_forest(f)
         assert parse_forest("\n" + text.replace("\n", "\n  \n")) == f
+
+
+# every family with a, k in 1..3 and n <= 6 whose count is at most 50,000
+_SMALL_FAMILIES = [ForestFamily(a, n, k) for a in (1, 2, 3) for k in (1, 2, 3)
+                   for n in range(7) if count(ForestFamily(a, n, k)) <= 50_000]
+
+
+class TestTemplateSerializerAndLeanValidator:
+    """serialize_forest fills a per-(a, n, k) template, and validate_forest
+    tests repeats once for the whole forest: both against the line-by-line
+    f-string serializer and the one-walk validator of tests/oracles.py."""
+
+    def test_every_small_family_serializes_as_the_f_strings(self):
+        assert len(_SMALL_FAMILIES) > 40
+        for family in _SMALL_FAMILIES:
+            for f in enumerate_forests(family):
+                assert serialize_forest(f) == oracles.serialize_forest_lines(f)
+
+    @staticmethod
+    def _message(f):
+        try:
+            validate_forest(f)
+        except InvariantViolation as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("nodes", [
+        # a repeat (v_2) before a range fault (v_4), and after one (v_2, v_4)
+        ((("r", 1), 0), (("r", 1), 0), (("v", 1), 1), (("v", 9), 0)),
+        ((("r", 1), 0), (("v", 1), 7), (("v", 1), 0), (("r", 1), 0)),
+        # the repeating vertex itself out of range: its range is named
+        ((("r", 1), 0), (("v", 1), 0), (("v", 1), 0), (("v", 3), 0), (("v", 3), 0)),
+        ((("r", 2), 0), (("v", 1), 1), (("r", 2), 1)),
+        # two repeats: the first in vertex order
+        ((("r", 1), 0), (("v", 1), 0), (("v", 1), 0), (("r", 1), 0)),
+        ((("r", 2), 0), (("r", 1), 0), (("v", 2), 1), (("r", 1), 0), (("r", 2), 0)),
+        ((("x", 1), 0), (("r", 1), 0), (("r", 1), 0)),
+    ])
+    def test_first_fault_matches_the_one_walk(self, nodes):
+        f = PlanarForest(2, 1, nodes)
+        want = oracles.validate_forest_sequential(f)
+        assert want is not None and self._message(f) == want
+
+    def test_seeded_corruptions_match_the_one_walk(self):
+        import random
+        rng = random.Random(20240817)
+        faults = 0
+        for _ in range(3000):
+            a, k, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 7)
+            nodes = []
+            for i in range(1, n + 1):
+                kind = rng.choice("rrvvv" if i > 1 else "rrrrv")
+                top = a + 1 if kind == "r" else i
+                nodes.append(((kind, rng.randint(0, top)),
+                              rng.randint(0, 1) if kind == "r" else rng.randint(-1, k + 1)))
+            f = PlanarForest(a, k, tuple(nodes))
+            want = oracles.validate_forest_sequential(f)
+            faults += want is not None
+            assert self._message(f) == want, f
+        assert 1000 < faults < 3000

@@ -25,7 +25,8 @@ from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.profiles import DEFAULT, STRICT
 from kspecial.quadrature import quad_halfline
 
-from oracles import central_diff, gamma_k_product_fsum, gamma_k_product_loop
+from oracles import (central_diff, gamma_k_product_fsum, gamma_k_product_loop,
+                     psi_point_two_series)
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -532,6 +533,14 @@ class TestPsiAndPDE:
                 mid = gamma_k_scaling(k, 0.5 * (x + y)).value
                 ends = gamma_k_scaling(k, x).value * gamma_k_scaling(k, y).value
                 assert mid <= math.sqrt(ends) * (1 + 1e-12)
+
+    def test_one_series_per_point_is_bit_identical(self):
+        # the reference sums S(k, x) separately for psi_x and for psi_k
+        rng = random.Random(17)
+        for _ in range(200):
+            k, x = rng.uniform(0.2, 5.0), rng.uniform(0.05, 60.0)
+            p = psi_point(k, x)
+            assert (p.psi_x, p.psi_k, p.psi_kk) == psi_point_two_series(k, x)
 
     def test_digamma_reference(self):
         # k=1: psi_x(1, x) is the classical digamma; mp30 digamma(0.8)

@@ -620,3 +620,52 @@ class TestProfilesAndResults:
         with pytest.raises(ValueError):
             EvalResult(1.0, 0.0, "magic")
         assert float(EvalResult(2.5, 0.0, "scaling")) == 2.5
+
+
+class TestNumpyFloatsRefused:
+    """A numpy float of any width that is inf or nan is refused like a
+    Python float, with the same message (unrefused, zeta_k at x = float32
+    inf gives 0.0 and the product at x = float32 nan gives nan)."""
+
+    BAD = [t(v) for t in (np.float16, np.float32, np.float64)
+           for v in ("inf", "-inf", "nan")]
+
+    @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_pochhammer_spec(self, v):
+        from kspecial.pochhammer import PochhammerSpec
+        with pytest.raises(DomainError, match=f"x must be finite, got {v}"):
+            PochhammerSpec(v, 3, 1.0)
+        if v > 0:   # -inf and nan fail k > 0 first
+            with pytest.raises(DomainError, match=f"k must be finite, got {v}"):
+                PochhammerSpec(1.0, 3, v)
+
+    @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_zeta_k_spec(self, v):
+        from kspecial.zetak import ZetaKSpec
+        with pytest.raises(DomainError, match=f"s must be finite, got {v}"):
+            ZetaKSpec(1.0, 2.0, v)
+        for spec in ((v, 1.0, 2.0), (1.0, v, 2.0)):   # -inf and nan fail > 0 first
+            with pytest.raises(DomainError):
+                ZetaKSpec(*spec)
+
+    @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_pochhammer_rescale(self, v):
+        from kspecial.pochhammer import pochhammer_rescale
+        for args in ((v, 3, 1.0, 2.0), (1.0, 3, 1.0, v)):
+            with pytest.raises(DomainError, match="must be finite"):
+                pochhammer_rescale(*args)
+        with pytest.raises(DomainError):   # s: -inf and nan fail s > 0 first
+            pochhammer_rescale(1.0, 3, v, 2.0)
+
+    @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_precision_profile(self, v):
+        # -inf and nan fail the positivity test first, a ValueError too
+        with pytest.raises(ValueError, match="finite" if v > 0 else "positive"):
+            PrecisionProfile(rel_tol=v)
+        with pytest.raises(ValueError, match="finite" if v > 0 else "positive"):
+            PrecisionProfile(abs_tol=v)
+
+    def test_finite_numpy_floats_and_exact_values_pass(self):
+        from kspecial.errors import require_finite
+        require_finite("x", np.float16(1.5), np.float32(2.0), np.float64(3.0),
+                       10 ** 400, Fraction(10 ** 400, 3), True, np.int64(5))

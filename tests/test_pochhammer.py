@@ -21,8 +21,9 @@ from kspecial.pochhammer import (PochhammerSpec, pochhammer_dk, pochhammer_k,
                                  pochhammer_k_log, pochhammer_rescale,
                                  pochhammer_via_symmetric)
 
-from oracles import (central_diff, pochhammer_k_log_array, pochhammer_k_log_chunked,
-                     pochhammer_k_log_loop, pochhammer_k_tested, rising_product)
+from oracles import (central_diff, pochhammer_k_fraction_loop, pochhammer_k_log_array,
+                     pochhammer_k_log_chunked, pochhammer_k_log_loop, pochhammer_k_tested,
+                     pochhammer_symmetric_fraction_sum, rising_product)
 
 # strategies shared by the exact-mode property tests
 _exact_x = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -533,6 +534,55 @@ class TestResultTypes:
     @pytest.mark.parametrize("x,n,s,k,want", RESCALE)
     def test_rescale(self, x, n, s, k, want):
         self._same(pochhammer_rescale(x, n, s, k), want)
+
+
+class TestExactIntegerPath:
+    """The exact product runs in the integers ps + j rq over (qs)^n, and the
+    symmetric expansion sums e_s (rq)^s (ps)^(n-s) over the same power; each
+    gives the value and the type (int when whole, else Fraction) that its
+    sum or product of Fraction factors gives."""
+
+    _exact = st.one_of(st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                       st.integers(min_value=-8, max_value=8), st.booleans())
+    _step = st.one_of(st.fractions(min_value=Fraction(1, 6), max_value=5,
+                                   max_denominator=9),
+                      st.integers(min_value=1, max_value=5), st.just(True))
+
+    @staticmethod
+    def _same(got, want):
+        assert type(got) is type(want) and got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_exact, st.integers(min_value=0, max_value=12), _step)
+    def test_matches_fraction_factors(self, x, n, k):
+        spec = PochhammerSpec(x, n, k)
+        self._same(pochhammer_k(spec), pochhammer_k_fraction_loop(x, n, k))
+        self._same(pochhammer_via_symmetric(spec), pochhammer_symmetric_fraction_sum(x, n, k))
+
+    @pytest.mark.parametrize("x,n,k", [
+        (Fraction(-3, 2), 4, Fraction(1, 2)),   # factor j = 3 is zero
+        (-4, 3, 2), (Fraction(-2, 3), 5, Fraction(1, 3)), (0, 3, Fraction(5, 7)),
+        (Fraction(-1, 2), 0, Fraction(1, 3)), (Fraction(3, 4), 1, 1),
+        (Fraction(1, 2), 5, Fraction(3, 4)), (Fraction(1, 3), 3, Fraction(1, 3)),
+        (True, 4, True), (Fraction(5, 2), 3, True), (False, 2, Fraction(1, 2))])
+    def test_zero_factors_empty_products_and_mixes(self, x, n, k):
+        spec = PochhammerSpec(x, n, k)
+        self._same(pochhammer_k(spec), pochhammer_k_fraction_loop(x, n, k))
+        self._same(pochhammer_via_symmetric(spec), pochhammer_symmetric_fraction_sum(x, n, k))
+
+    def test_numpy_ints_are_exact(self):
+        # Python ints throughout: no int64 wrap in the product, no C-long
+        # overflow in the symmetric sum
+        import numpy as np
+        want = math.prod(range(3, 63, 2))
+        for route in (pochhammer_k, pochhammer_via_symmetric):
+            got = route(PochhammerSpec(np.int64(3), 30, np.int64(2)))
+            assert type(got) is int and got == want
+
+    def test_frozen_value(self):
+        # (1/2)(5/4)(2)(11/4)(7/2) = 385/32
+        assert pochhammer_k(PochhammerSpec(Fraction(1, 2), 5, Fraction(3, 4))) \
+            == Fraction(385, 32)
 
 
 class TestFloatRange:

@@ -72,6 +72,28 @@ def test_inventory_and_tolerances_are_pinned_and_all_pass(verify_rows):
     assert all(0.0 <= r.max_dev <= r.tol for _, r in rows)
 
 
+def test_gamma_suite_runs_each_route_once_per_point(monkeypatch):
+    # the functional-equation, normalization and route-agreement rows share
+    # one table of the four routes at 35 (k, x); the reflection rows add 12
+    # product calls of their own
+    from collections import Counter
+
+    from kspecial.verify import suite_gamma
+    calls = {name: Counter() for name in ("integral", "limit", "product")}
+    for name, counter in calls.items():
+        route = getattr(gammak, f"gamma_k_{name}")
+
+        def counted(k, x, *args, _route=route, _counter=counter):
+            _counter[k, x] += 1
+            return _route(k, x, *args)
+        monkeypatch.setattr(gammak, f"gamma_k_{name}", counted)
+    assert all(r.passed for r in suite_gamma())
+    for name in ("integral", "limit"):
+        assert len(calls[name]) == 35 and set(calls[name].values()) == {1}
+    assert sum(calls["product"].values()) == 47
+    assert set(calls["product"]) >= set(calls["integral"])
+
+
 class TestNanFails:
     def test_fold_keeps_the_max_in_order(self):
         r = _worst("c", 1.0, iter([0.25, -1.0, 0.5, 0.125]))

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, exp_or_overflow
+from .errors import DomainError, ResultOverflow, builtin_real, exp_or_overflow
 from .gammak import _require_k, log_gamma_k
 from .hurwitz import power_tail_sums
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -33,6 +33,8 @@ class BetaKSpec(NamedTuple("BetaKSpec", [("k", float), ("x", float), ("y", float
     __slots__ = ()
 
     def __new__(cls, k, x, y):
+        if not (type(k) is type(x) is type(y) is float):
+            k, x, y = builtin_real(k), builtin_real(x), builtin_real(y)
         _require_k(k)
         if not (0.0 < x < math.inf and 0.0 < y < math.inf):
             raise DomainError(f"B_k needs finite x, y > 0, got x={x}, y={y}")
@@ -121,7 +123,9 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
             f"tail series converges; got (x+y)/k = {c:.6g}")
     import numpy as np
 
-    nk = k * np.arange(1, n_terms + 1, dtype=np.float64)
+    from .pochhammer import _one_to
+
+    nk = k * _one_to(n_terms)
     terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
     total = float(terms.sum())
     # log s - log x - log y as three terms: x*y underflows to 0 when both

@@ -78,6 +78,11 @@ def require_finite(name: str, *values) -> None:
             raise DomainError(f"{name} must be finite, got {v}")
 
 
+def builtin_real(v):
+    """float(v) for an inexact real that is no float (a numpy float); else v."""
+    return v if hasattr(v, "denominator") or not _is_real(v) else float(v)
+
+
 def _is_real(v) -> bool:
     # numbers is imported only here, for a value that is neither a float nor
     # exact: no command needs it at start-up

@@ -55,10 +55,11 @@ class PlanarForest(NamedTuple):
 
 
 def validate_forest(f: PlanarForest) -> None:
-    """Family constraints: parents exist and precede their children, slots sit
-    in range (roots one slot, internal vertices k+1), no slot is taken twice.
-    The first fault in vertex order is reported, a range fault before a repeat;
-    repeats are looked for only when len(set(nodes)) shows one."""
+    """Family constraints: index and slot are ints, parents exist and precede
+    their children, slots sit in range (roots one slot, internal vertices k+1),
+    no slot is taken twice. The first fault in vertex order is reported, a type
+    or range fault before a repeat; repeats are looked for only when
+    len(set(nodes)) shows one."""
     a, k, nodes = f
     if not (isinstance(a, int) and a >= 1 and isinstance(k, int) and k >= 1):
         raise InvariantViolation(f"bad family parameters a={a}, k={k}")
@@ -67,8 +68,12 @@ def validate_forest(f: PlanarForest) -> None:
     i = 0
     for (kind, idx), slot in nodes:
         i += 1
-        if not (kind == "r" and 1 <= idx <= a and slot == 0
-                or kind == "v" and 1 <= idx < i and 0 <= slot <= k) and not 0 < dup < i:
+        if not (type(idx) is type(slot) is int and (
+                kind == "r" and 1 <= idx <= a and slot == 0
+                or kind == "v" and 1 <= idx < i and 0 <= slot <= k)) and not 0 < dup < i:
+            if not type(idx) is type(slot) is int:   # a float or bool equals an int
+                raise InvariantViolation(
+                    f"v_{i} needs int index and slot, got {idx!r}, {slot!r}")
             if kind == "r":
                 raise InvariantViolation(
                     f"v_{i} attaches to nonexistent root {idx}" if not 1 <= idx <= a

@@ -243,6 +243,9 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     |q| < N, where the tail series converges; beyond, ResultOverflow if
     Gamma_k(x) provably exceeds the largest double, else DomainError.
 
+    Only for q < 0 are the factors 1 + q/n searched for a zero, for values
+    below 0.5 (log|1+q/n| is taken there) and negative ones (the sign).
+
     The N terms log|1+q/n| - q/n are summed pairwise in numpy (ndarray.sum),
     and math.fsum adds that sum to the three head logs and the tail. The
     pairwise sum's rounding, taken as eps log2(N) sum |term|, is part of
@@ -260,22 +263,27 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
             f"series converges; got x/k = {q:.6g}")
     import numpy as np
 
-    r = q / np.arange(1, n_terms + 1, dtype=np.float64)
-    f = 1.0 + r
-    zero = np.flatnonzero(f == 0.0)
-    if zero.size:
-        n = int(zero[0]) + 1
-        raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
-                          nearest_pole=-n * k)
-    # log|1 + q/n| - q/n, through log1p(q/n) where 1 + q/n >= 0.5
-    low = f < 0.5
-    terms = np.empty(n_terms)
-    np.log1p(r, out=terms, where=~low)
-    np.log(np.abs(f), out=terms, where=low)
-    terms -= r
+    from .pochhammer import _one_to
+
+    r = q / _one_to(n_terms)
     sign = 1 if x > 0.0 else -1
-    if np.count_nonzero(f < 0.0) % 2:
-        sign = -sign
+    if q < 0.0:
+        f = 1.0 + r
+        zero = np.flatnonzero(f == 0.0)
+        if zero.size:
+            n = int(zero[0]) + 1
+            raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
+                              nearest_pole=-n * k)
+        # log|1 + q/n| through log1p(q/n) where 1 + q/n >= 0.5
+        low = f < 0.5
+        terms = np.empty(n_terms)
+        np.log1p(r, out=terms, where=~low)
+        np.log(np.abs(f), out=terms, where=low)
+        if np.count_nonzero(f < 0.0) % 2:
+            sign = -sign
+    else:   # every factor 1 + q/n is at least 1
+        terms = np.log1p(r)
+    terms -= r   # log|1 + q/n| - q/n
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
                            float(terms.sum())])
     s2, s3, s4, s5 = power_tail_sums(n_terms)
@@ -368,11 +376,19 @@ class PsiPoint(NamedTuple("PsiPoint", [("k", float), ("x", float), ("psi", float
 
 
 def _psi_series(k: float, x: float) -> float:
-    """S = sum_{n>=1} (1/(x+nk) - 1/(nk)): _PSI_HEAD terms summed directly,
-    the rest by Euler-Maclaurin on g(t) = 1/(x+tk) - 1/(tk)."""
-    head = 0.0
-    for n in range(1, _PSI_HEAD + 1):
-        head += 1.0 / (x + n * k) - 1.0 / (n * k)
+    """S = sum_{n>=1} (1/(x+nk) - 1/(nk)): _PSI_HEAD terms summed in order
+    (numpy's cumsum, not its pairwise sum), the rest by Euler-Maclaurin on
+    g(t) = 1/(x+tk) - 1/(tk). An overflow leaves S non-finite, refused by
+    psi_point; numpy's warning would add nothing."""
+    import numpy as np
+
+    from .pochhammer import _one_to
+
+    with np.errstate(all="ignore"):
+        nk = _one_to(_PSI_HEAD) * k
+        head = 1.0 / (x + nk)
+        head -= 1.0 / nk
+        head = float(head.cumsum()[-1])
     a = float(_PSI_HEAD + 1)
     integral = -math.log1p(x / (a * k)) / k
     g_a = 1.0 / (x + a * k) - 1.0 / (a * k)

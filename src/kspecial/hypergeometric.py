@@ -25,7 +25,8 @@ import math
 from itertools import count, islice
 from typing import NamedTuple
 
-from .errors import DivergentSeries, DomainError, OutsideRadius, ResultOverflow, as_float
+from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
+                     as_float, builtin_real)
 from .gammak import gamma_k_integrand, log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .series import sum_series, sum_series_batch
@@ -43,15 +44,19 @@ class HypergeometricSpec(NamedTuple("HypergeometricSpec", [("a", tuple), ("k", t
             raise DomainError(f"need one step per lower parameter: {len(b)} vs {len(s)}")
         # One pass: a step that is not > 0 is refused at once, the first inf
         # or nan float (in the order a, k, b, s) when the pass ends, and only
-        # then a b_i <= 0 on the pole lattice of its step.
+        # then a b_i <= 0 on the pole lattice of its step. A numpy float
+        # starts the spec again with every such value as a Python float.
         nonfinite = None
         for name, values, step in (("a", a, False), ("k", k, True),
                                    ("b", b, False), ("s", s, True)):
             for v in values:
                 if step and not (v > 0):
                     raise DomainError("all step parameters must be > 0")
-                if nonfinite is None and isinstance(v, float) and not math.isfinite(v):
-                    nonfinite = f"{name} must be finite, got {v}"
+                if type(v) is float:
+                    if nonfinite is None and not math.isfinite(v):
+                        nonfinite = f"{name} must be finite, got {v}"
+                elif builtin_real(v) is not v:
+                    return cls(*(tuple(map(builtin_real, p)) for p in (a, k, b, s)))
         if nonfinite is not None:
             raise DomainError(nonfinite)
         for b_i, s_i in zip(b, s):
@@ -134,6 +139,8 @@ def evaluate(spec: HypergeometricSpec, x: float,
     stop rule. ResultOverflow where a term, the sum or its estimate passes
     the float range; DomainError for a nan x or an exact parameter no float
     holds."""
+    if type(x) is not float:
+        x = builtin_real(x)
     if x != x:
         raise DomainError(f"hypergeometric series needs a number x, got {x}")
     cls = classify(spec)
@@ -184,7 +191,7 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
     if not (0.0 < kbar < math.inf and 0.0 < sbar < math.inf):
         raise DomainError(f"transfer route needs step products inside the float "
                           f"range, got kbar={kbar}, sbar={sbar}")
-    return evaluate(flat, x * kbar / sbar, profile)
+    return evaluate(flat, float(x) * kbar / sbar, profile)
 
 
 def coefficient(spec: HypergeometricSpec, n: int):

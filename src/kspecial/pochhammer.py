@@ -32,7 +32,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, as_float, require_finite
+from .errors import DomainError, ResultOverflow, as_float, builtin_real, require_finite
 
 Number = float | int | Fraction
 
@@ -54,6 +54,8 @@ class PochhammerSpec(NamedTuple("PochhammerSpec",
     __slots__ = ()
 
     def __new__(cls, x, n, k):
+        if not (type(x) is type(k) is float):
+            x, k = builtin_real(x), builtin_real(k)
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"n must be a nonnegative int, got {n!r}")
         if not (k > 0):
@@ -136,6 +138,12 @@ def _chunk_table() -> np.ndarray:
         _J = np.arange(_CHUNK, dtype=np.float64)
         _J.flags.writeable = False
     return _J
+
+
+def _one_to(n: int) -> np.ndarray:
+    """1.0, 2.0, ..., n as float64, read-only from the chunk table below _CHUNK."""
+    import numpy as np
+    return _chunk_table()[1:n + 1] if n < _CHUNK else np.arange(1.0, n + 1.0)
 
 
 def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:

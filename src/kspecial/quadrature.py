@@ -18,10 +18,12 @@ array call, and each row keeps its own stop rule, error estimate and node
 count, leaving the batch once it converges. A level is summed in node order
 (u = 0 first at level 0), so a row's result is bit for bit what the same
 integrand gives alone. Every integrand is an array function, called once per
-level (or per _BLOCK values) and never once per node: quad_halfline and
-quad_unit run the loop for one integrand f(*nodes) as a batch of one row,
-and quad_halfline(batch=n) runs it for n rows of an integrand f(rows, t),
-which the iterated-integral hypergeometric route uses.
+level (or per _BLOCK values) and never once per node. quad_halfline(batch=n)
+runs it for n rows of an integrand f(rows, t), as the iterated-integral
+hypergeometric route does. For one integrand f(*nodes), quad_halfline and
+quad_unit run _refine_one: the same float operations in the same order, its
+bookkeeping in Python floats, not arrays of one row, so the value,
+err_estimate, node count and errors are bit for bit those of a batch of one.
 
 Node/jacobian tables depend only on (map, level), so they are built on first
 use and cached at module level as numpy arrays; evaluation cost is pure
@@ -196,18 +198,32 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
         last_value=float(prev[0]), last_delta=float(delta[0]))
 
 
-def _quad(kind: str, f, profile: PrecisionProfile, batch: int | None
-          ) -> EvalResult | QuadBatch:
-    """_refine for n = batch rows of f(rows, *nodes), or, with batch None,
-    for the single integrand f(*nodes) as one row."""
+def _refine_one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
+    """_refine for one integrand f(*nodes), its bookkeeping in floats. A
+    level of more than _BLOCK nodes, or whose sum is not finite, goes
+    through _level_sums, which raises _block_sums' DomainError."""
     import numpy as np
 
+    evals = 0
     with np.errstate(over="ignore"):    # reported by _block_sums
-        if batch is not None:
-            return _refine(kind, f, batch, profile)
-        value, err, used = _refine(
-            kind, lambda rows, *cols: f(*cols).reshape(1, -1), 1, profile)
-    return EvalResult(float(value[0]), float(err[0]), "integral", int(used[0]))
+        for level in range(profile.max_quad_refinements + 1):
+            *cols, w = _nodes(kind, level)
+            evals += w.size
+            add = float((f(*cols) * w).cumsum()[-1]) if w.size <= _BLOCK else math.inf
+            if not math.isfinite(add):
+                add = float(_level_sums(lambda rows, *c: f(*c).reshape(1, -1),
+                                        np.zeros(1, dtype=np.intp), cols, w)[0])
+            if level == 0:
+                prev = add * _BASE_H
+                continue
+            cur = prev / 2.0 + add * (_BASE_H / (1 << level))
+            delta = abs(cur - prev)
+            if level >= 2 and delta <= profile.rel_tol * abs(cur) + profile.abs_tol:
+                return EvalResult(cur, delta, "integral", evals)
+            prev = cur
+    raise NonConvergent(
+        f"quad_{kind}: no convergence after {profile.max_quad_refinements} refinements",
+        last_value=prev, last_delta=delta)
 
 
 def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
@@ -228,7 +244,12 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
     err_estimate and node count are those of integrating it alone.
     NonConvergent is raised if any row is still open at the cap.
     """
-    return _quad("halfline", f, profile, batch)
+    if batch is None:
+        return _refine_one("halfline", f, profile)
+    import numpy as np
+
+    with np.errstate(over="ignore"):    # reported by _block_sums
+        return _refine("halfline", f, batch, profile)
 
 
 def quad_unit(f, profile: PrecisionProfile = DEFAULT) -> EvalResult:
@@ -239,4 +260,4 @@ def quad_unit(f, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     accurate near t = 1, where 1-t computed by subtraction would lose all
     precision.
     """
-    return _quad("unit", f, profile, None)
+    return _refine_one("unit", f, profile)

@@ -116,10 +116,11 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
         block = np.empty((size + 1, idx.size))
         block[0] = acc
         block[1] = term
+        rows = list(block)
         for j in range(1, size):
-            np.multiply(block[j], xa, out=block[j + 1])
-            block[j + 1] /= den(n + j - 1)
-        term = block[size] * xa / den(n + size - 1)
+            np.multiply(rows[j], xa, out=rows[j + 1])
+            np.divide(rows[j + 1], den(n + j - 1), out=rows[j + 1])
+        term = rows[size] * xa / den(n + size - 1)
         mag = np.abs(block[1:])
         np.cumsum(block, axis=0, out=block)
         sums = block[1:]
@@ -134,7 +135,7 @@ def sum_series_batch(x: np.ndarray, den, profile: PrecisionProfile = DEFAULT
         third = small[2:] & small[1:-1] & small[:-2]
         hit = third.any(axis=0)
         done = np.flatnonzero(hit)
-        first = third[:, done].argmax(axis=0)
+        first = third.argmax(axis=0)[done]
         total[idx[done]] = sums[first, done]
         terms[idx[done]] = n + first + 1
         keep = ~hit

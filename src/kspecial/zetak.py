@@ -24,7 +24,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, exp_or_overflow, require_finite
+from .errors import (DomainError, ResultOverflow, builtin_real, exp_or_overflow,
+                     require_finite)
 from .gammak import psi_point
 from .hurwitz import hurwitz_zeta
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -40,6 +41,8 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
     __slots__ = ()
 
     def __new__(cls, k, x, s):
+        if not (type(k) is type(x) is type(s) is float):
+            k, x, s = builtin_real(k), builtin_real(x), builtin_real(s)
         # one comparison per argument; on failure the sign checks come first
         if not (0.0 < k < math.inf and 0.0 < x < math.inf and -math.inf < s < math.inf):
             if not (k > 0.0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 
@@ -532,26 +533,64 @@ def serialize_forest_lines(f) -> str:
     return "".join(lines)
 
 
+def psi_series_loop(k: float, x: float) -> float:
+    """S(k, x) = sum_{n>=1} (1/(x+nk) - 1/(nk)): a 200-term head added in a
+    loop over n, and an Euler-Maclaurin tail."""
+    head = 0.0
+    for n in range(1, 201):
+        head += 1.0 / (x + n * k) - 1.0 / (n * k)
+    a = 201.0
+    integral = -math.log1p(x / (a * k)) / k
+    g_a = 1.0 / (x + a * k) - 1.0 / (a * k)
+    g1_a = -k / (x + a * k) ** 2 + 1.0 / (k * a * a)
+    g3_a = -6.0 * k ** 3 / (x + a * k) ** 4 + 6.0 / (k * a ** 4)
+    return head + (integral + 0.5 * g_a - g1_a / 12.0 + g3_a / 720.0)
+
+
 def psi_point_two_series(k: float, x: float) -> tuple[float, float, float]:
     """(psi_x, psi_k, psi_kk) of log Gamma_k at (k, x), each partial summing
-    its own series S(k, x) = sum_{n>=1} (1/(x+nk) - 1/(nk)): a 200-term head
-    and an Euler-Maclaurin tail."""
+    its own series S(k, x) by psi_series_loop."""
     euler_gamma = 0.5772156649015329
 
-    def series(k, x):
-        head = 0.0
-        for n in range(1, 201):
-            head += 1.0 / (x + n * k) - 1.0 / (n * k)
-        a = 201.0
-        integral = -math.log1p(x / (a * k)) / k
-        g_a = 1.0 / (x + a * k) - 1.0 / (a * k)
-        g1_a = -k / (x + a * k) ** 2 + 1.0 / (k * a * a)
-        g3_a = -6.0 * k ** 3 / (x + a * k) ** 4 + 6.0 / (k * a ** 4)
-        return head + (integral + 0.5 * g_a - g1_a / 12.0 + g3_a / 720.0)
-
     def psi_k(k, x):
-        return (x / (k * k)) * ((1.0 - math.log(k) + euler_gamma) + k * series(k, x))
+        return (x / (k * k)) * ((1.0 - math.log(k) + euler_gamma)
+                                + k * psi_series_loop(k, x))
 
     h = 1e-5 * k
-    return (-1.0 / x + (math.log(k) - euler_gamma) / k - series(k, x), psi_k(k, x),
-            (psi_k(k + h, x) - psi_k(k - h, x)) / (2.0 * h))
+    return (-1.0 / x + (math.log(k) - euler_gamma) / k - psi_series_loop(k, x),
+            psi_k(k, x), (psi_k(k + h, x) - psi_k(k - h, x)) / (2.0 * h))
+
+
+def gamma_k_product_every_pass(k: float, x: float, n_terms: int) -> tuple[float, float]:
+    """(value, err_estimate) of gammak.gamma_k_product with its factor passes
+    run at every sign of q = x/k: the zero-factor search, log|1+q/n| where
+    1 + q/n < 0.5 and the count of negative factors, over 1..N from
+    np.arange. For (k, x) the route accepts; DomainError at a zero factor."""
+    import numpy as np
+
+    from kspecial.errors import DomainError
+    from kspecial.hurwitz import power_tail_sums
+
+    q = x / k
+    r = q / np.arange(1, n_terms + 1, dtype=np.float64)
+    f = 1.0 + r
+    zero = np.flatnonzero(f == 0.0)
+    if zero.size:
+        n = int(zero[0]) + 1
+        raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
+                          nearest_pole=-n * k)
+    low = f < 0.5
+    terms = np.empty(n_terms)
+    np.log1p(r, out=terms, where=~low)
+    np.log(np.abs(f), out=terms, where=low)
+    terms -= r
+    sign = 1 if x > 0.0 else -1
+    if np.count_nonzero(f < 0.0) % 2:
+        sign = -sign
+    log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * 0.5772156649015329,
+                           float(terms.sum())])
+    s2, s3, s4, s5 = power_tail_sums(n_terms)
+    log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
+    v = sign * math.exp(-log_recip)
+    rounding = sys.float_info.epsilon * math.log2(n_terms) * float(np.abs(terms).sum())
+    return v, abs(v) * (abs(q) ** 5 / 5.0 * s5 + 1e-12 + rounding)

@@ -134,11 +134,26 @@ class TestInvariants:
         # two faults in one attachment: the parent index is named first
         (((("r", 3), 1),), "v_1 attaches to nonexistent root 3"),
         (((("v", 2), 9),), "v_1 must attach to an earlier internal vertex, got v_2"),
+        # a float or bool index or slot, which compares equal to an int
+        (((("r", 1.0), 0), (("v", True), 0)), "v_1 needs int index and slot, got 1.0, 0"),
+        (((("r", 1), 0), (("v", True), 0)), "v_2 needs int index and slot, got True, 0"),
+        (((("r", 1), 0), (("v", 1), 1.0)), "v_2 needs int index and slot, got 1, 1.0"),
+        # in vertex order among range faults and repeats; at the repeating
+        # vertex, before the repeat
+        (((("r", 3), 0), (("r", 1.0), 0)), "v_1 attaches to nonexistent root 3"),
+        (((("r", 1), False), (("r", 3), 0)), "v_1 needs int index and slot, got 1, False"),
+        (((("r", 1), 0), (("r", 1), 0), (("v", 1), 0.0)), "slot (('r', 1), 0) occupied twice"),
+        (((("r", 1), 0), (("r", True), 0)), "v_2 needs int index and slot, got True, 0"),
     ])
     def test_first_fault_is_reported(self, nodes, message):
         with pytest.raises(InvariantViolation) as exc:
             validate_forest(PlanarForest(2, 1, nodes))
         assert str(exc.value) == message
+
+    def test_non_int_forest_is_not_serialized(self):
+        # its text would read "parent=r1.0", which parse_forest refuses
+        with pytest.raises(InvariantViolation, match="needs int index"):
+            serialize_forest(PlanarForest(1, 1, ((("r", 1.0), 0), (("v", True), 0))))
 
     def test_tail_count_values(self):
         assert tail_count(PlanarForest(3, 2, ())) == 3

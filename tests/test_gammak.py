@@ -25,8 +25,8 @@ from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.profiles import DEFAULT, STRICT
 from kspecial.quadrature import quad_halfline
 
-from oracles import (central_diff, gamma_k_product_fsum, gamma_k_product_loop,
-                     psi_point_two_series)
+from oracles import (central_diff, gamma_k_product_every_pass, gamma_k_product_fsum,
+                     gamma_k_product_loop, psi_point_two_series, psi_series_loop)
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -252,6 +252,26 @@ class TestNegativeArguments:
         gap = abs(math.log(abs(got.value / want)))
         assert gap <= eps * (math.log2(10_000) * abs_sum
                              + 4 * abs(math.log(abs(want))) + 4)
+
+    def test_product_matches_every_pass_reference(self):
+        # bit for bit against the route with its zero, low-factor and sign
+        # passes run at every q: q > 0, q < 0 and next to the poles, with
+        # 1..N past the chunk table too; a RuntimeWarning fails the test
+        rng = random.Random(29)
+        points = [(k, k * rng.uniform(-40.0, 40.0), 10_000)
+                  for k in (rng.uniform(0.1, 5.0) for _ in range(150))]
+        for m in (1, 2, 7, 30):
+            for rel in (1e-11, -1e-11, 1e-6, -1e-6, 0.37, -0.37):
+                k = rng.uniform(0.1, 5.0)
+                points.append((k, -m * k * (1.0 + rel), 10_000))
+        points += [(1.0, 2.5, 10), (1.0, -2.5, 10), (0.7, 3.3, 40_000),
+                   (0.7, -3.3, 40_000), (2.0, -0.5, (1 << 15) - 1), (2.0, -0.5, 1 << 15)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, x, n in points:
+                r = gamma_k_product(k, x, n)
+                assert (r.value, r.err_estimate) == gamma_k_product_every_pass(k, x, n)
+        assert sum(x < 0.0 for _, x, _ in points) > 90
 
 
 class TestPoles:
@@ -541,6 +561,26 @@ class TestPsiAndPDE:
             k, x = rng.uniform(0.2, 5.0), rng.uniform(0.05, 60.0)
             p = psi_point(k, x)
             assert (p.psi_x, p.psi_k, p.psi_kk) == psi_point_two_series(k, x)
+
+    def test_head_sum_matches_the_loop(self):
+        # the numpy head against the loop over n, bit for bit, and alike
+        # where a head term leaves the float range; no numpy warning
+        rng = random.Random(31)
+        points = [(math.exp(rng.uniform(-4.0, 4.0)), math.exp(rng.uniform(-8.0, 8.0)))
+                  for _ in range(200)]
+        points += [(1e-310, 1.0), (1e-310, 1e-310), (1e307, 1.0), (1e300, 1e-300),
+                   (1.0, 1e300), (2.0, 1e-300)]
+
+        def outcome(f, k, x):
+            try:
+                return repr(f(k, x))
+            except (OverflowError, ZeroDivisionError) as e:
+                return type(e).__name__
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, x in points:
+                assert outcome(gammak._psi_series, k, x) == outcome(psi_series_loop, k, x)
 
     def test_digamma_reference(self):
         # k=1: psi_x(1, x) is the classical digamma; mp30 digamma(0.8)

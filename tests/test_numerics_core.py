@@ -236,6 +236,99 @@ class TestQuadBatch:
             quad_halfline(_batch_of(fs), prof, batch=2)
 
 
+def _quad_outcome(call):
+    """repr of (value, err_estimate, nodes) of one integral, or the type,
+    message, last_value and last_delta of its error."""
+    try:
+        r = call()
+    except (DomainError, NonConvergent) as e:
+        return (type(e).__name__, str(e), repr(getattr(e, "last_value", None)),
+                repr(getattr(e, "last_delta", None)))
+    if isinstance(r, quadrature.QuadBatch):
+        r = (r.value[0].item(), r.err_estimate[0].item(), r.nodes_used[0].item())
+    else:
+        r = (r.value, r.err_estimate, r.terms_or_nodes_used)
+    return tuple(map(repr, r))
+
+
+class TestOneRowLoop:
+    """The one-row loop, which every single integral runs, against _refine
+    on a batch of one row: both run on each integrand the routes hand to
+    quad_halfline and quad_unit, and agree bit for bit in value,
+    err_estimate and node count, or in the error, its message, last_value
+    and last_delta."""
+
+    CAP_3 = PrecisionProfile(rel_tol=1e-15, abs_tol=1e-300, max_quad_refinements=3)
+    TINY_TOL = PrecisionProfile(rel_tol=1e-300, abs_tol=1e-300, max_quad_refinements=11)
+
+    def _pairs(self, monkeypatch, calls):
+        pairs = []
+        real = quadrature._refine_one
+
+        def both(kind, f, profile):
+            with np.errstate(over="ignore"):    # as quad_halfline's batch path
+                batch = _quad_outcome(lambda: quadrature._refine(
+                    kind, lambda rows, *c: f(*c).reshape(1, -1), 1, profile))
+            pairs.append((_quad_outcome(lambda: real(kind, f, profile)), batch))
+            return real(kind, f, profile)
+
+        monkeypatch.setattr(quadrature, "_refine_one", both)
+        for call in calls:
+            try:
+                call()
+            except (DomainError, NonConvergent, ResultOverflow):
+                pass
+        return pairs
+
+    def _routes(self, seed):
+        from kspecial.betak import (BetaKSpec, beta_k_integral_halfline,
+                                    beta_k_integral_unit)
+        from kspecial.gammak import gamma_k_dk, gamma_k_integral, gamma_k_integrand
+
+        rng = random.Random(seed)
+        profiles = (DEFAULT, FAST, STRICT, self.CAP_3)
+        calls = {name: [] for name in ("integral", "parameter-a", "dk", "halfline", "unit")}
+        for _ in range(60):
+            k = math.exp(rng.uniform(math.log(0.25), math.log(6.0)))
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(40.0)))
+            y = math.exp(rng.uniform(math.log(1e-3), math.log(40.0)))
+            a = rng.uniform(0.2, 5.0)
+            p = rng.choice(profiles)
+            calls["integral"].append(lambda k=k, x=x, p=p: gamma_k_integral(k, x, p))
+            calls["parameter-a"].append(lambda k=k, x=x, a=a, p=p: quad_halfline(
+                gamma_k_integrand(k, x - 1.0, a), p))
+            calls["dk"].append(lambda k=k, x=x, p=p: gamma_k_dk(k, x - 1.0, p))
+            calls["halfline"].append(
+                lambda k=k, x=x, y=y, p=p: beta_k_integral_halfline(BetaKSpec(k, x, y), p))
+            calls["unit"].append(
+                lambda k=k, x=x, y=y, p=p: beta_k_integral_unit(BetaKSpec(k, x, y), p))
+        # levels past _BLOCK nodes (halfline 10 and up), and both DomainErrors
+        calls["integral"] += [lambda: gamma_k_integral(1.0, 1e-3),
+                              lambda: gamma_k_integral(1.0, 2.5, self.TINY_TOL)]
+        calls["dk"] += [lambda: gamma_k_dk(1.0, 169.0)]
+        calls["unit"] += [lambda: beta_k_integral_unit(BetaKSpec(1.0, 1e-3, 1.0)),
+                          lambda: beta_k_integral_unit(BetaKSpec(1.0, 2.0, 3.0),
+                                                       self.TINY_TOL)]
+        return calls
+
+    @pytest.mark.parametrize("route", ["integral", "parameter-a", "dk", "halfline", "unit"])
+    def test_routes_match_the_batch_of_one(self, route, monkeypatch):
+        pairs = self._pairs(monkeypatch, self._routes(23)[route])
+        assert len(pairs) >= 55
+        for one, batch in pairs:
+            assert one == batch
+
+    def test_every_outcome_is_covered(self, monkeypatch):
+        calls = self._routes(23)
+        pairs = self._pairs(monkeypatch, [c for name in calls for c in calls[name]])
+        kinds = {one[0] if one[0] in ("DomainError", "NonConvergent") else "value"
+                 for one, _ in pairs}
+        messages = {one[1].split(" value")[0] for one, _ in pairs if one[0] == "DomainError"}
+        assert kinds == {"value", "DomainError", "NonConvergent"}
+        assert messages == {"integrand returned non-finite",
+                            "integrand times quadrature weight overflows a float"}
+
+
 def _all_nodes(kind):
     """Every node column of levels 0-12, the default profile's reach."""
     tables = [quadrature._nodes(kind, level)[:-1]
@@ -649,6 +742,15 @@ class TestNumpyFloatsRefused:
                 ZetaKSpec(*spec)
 
     @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_hypergeometric_spec(self, v):
+        # a float16/32 inf was built, and the series overflowed later
+        from kspecial.hypergeometric import HypergeometricSpec
+        with pytest.raises(DomainError, match=f"a must be finite, got {v}"):
+            HypergeometricSpec((v,), (1.0,), (2.0,), (1.0,))
+        with pytest.raises(DomainError, match=f"b must be finite, got {v}"):
+            HypergeometricSpec((1.0,), (1.0,), (v,), (1.0,))
+
+    @pytest.mark.parametrize("v", BAD, ids=repr)
     def test_pochhammer_rescale(self, v):
         from kspecial.pochhammer import pochhammer_rescale
         for args in ((v, 3, 1.0, 2.0), (1.0, 3, 1.0, v)):
@@ -669,3 +771,47 @@ class TestNumpyFloatsRefused:
         from kspecial.errors import require_finite
         require_finite("x", np.float16(1.5), np.float32(2.0), np.float64(3.0),
                        10 ** 400, Fraction(10 ** 400, 3), True, np.int64(5))
+
+
+class TestNumpyFloatsComputeInDouble:
+    """A finite numpy float argument is stored as a Python float, so the
+    routes compute in double precision: each returns what the call with
+    float(v) returns, a Python float (zeta_k at x = float32 2.0 returned
+    np.float32(0.64493406), its err_estimate sized for float64)."""
+
+    @staticmethod
+    def _routes(c):
+        from kspecial import betak, hypergeometric
+        from kspecial.betak import BetaKSpec
+        from kspecial.hypergeometric import HypergeometricSpec
+        from kspecial.pochhammer import PochhammerSpec, pochhammer_k
+        from kspecial.zetak import ZetaKSpec, zeta_k
+
+        beta = BetaKSpec(c(1.5), c(2.5), c(3.1))
+        hyper = HypergeometricSpec((c(1.1),), (c(0.9),), (c(2.3),), (c(1.5),))
+        return {"zeta_k": zeta_k(ZetaKSpec(c(1.5), c(2.3), c(2.0))),
+                "pochhammer_k": pochhammer_k(PochhammerSpec(c(1.1), 5, c(0.7))),
+                **{f"beta {name}": route(beta, DEFAULT)
+                   for name, route in betak.ROUTES.items()},
+                **{f"hyper {name}": route(hyper, c(0.3), DEFAULT)
+                   for name, route in hypergeometric.ROUTES.items()}}
+
+    @pytest.mark.parametrize("width", [np.float16, np.float32, np.float64], ids=repr)
+    def test_routes_return_the_float_call(self, width):
+        got = self._routes(width)
+        want = self._routes(lambda v: float(width(v)))
+        for name, r in got.items():
+            value = r if name == "pochhammer_k" else r.value
+            assert type(value) is float, name
+            assert r == want[name], name
+
+    def test_exact_values_stay_exact(self):
+        from kspecial.hypergeometric import HypergeometricSpec
+        from kspecial.pochhammer import PochhammerSpec
+        from kspecial.zetak import ZetaKSpec
+
+        spec = PochhammerSpec(Fraction(1, 2), 3, np.int64(2))
+        assert type(spec.x) is Fraction and type(spec.k) is np.int64
+        h = HypergeometricSpec((1,), (np.float32(1.0),), (Fraction(3, 2),), (True,))
+        assert [type(v) for v in (*h.a, *h.k, *h.b, *h.s)] == [int, float, Fraction, bool]
+        assert [type(v) for v in ZetaKSpec(2, np.float32(1.5), 3)] == [int, float, int]

@@ -21,8 +21,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, ResultOverflow, builtin_real, exp_or_overflow
-from .gammak import _require_k, log_gamma_k
-from .hurwitz import power_tail_sums
+from .gammak import _require_k, _tail_sums, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
 
@@ -131,7 +130,7 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     # log s - log x - log y as three terms: x*y underflows to 0 when both
     # are tiny, though B_k itself is finite there
     log_v = math.fsum([math.log(s), -math.log(x), -math.log(y), total])
-    s2, s3, s4, s5 = power_tail_sums(n_terms)
+    s2, s3, s4, s5 = _tail_sums(n_terms)
     log_v += (-(a * b) * s2 + (a * b * c) * s3
               + ((a ** 4 + b ** 4 - c ** 4) / 4.0) * s4)
     v = exp_or_overflow(log_v, "B_k", k, x, y)

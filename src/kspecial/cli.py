@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 domain error (the message
 names the violated precondition) or a result beyond the float range (the
-message starts with "overflow:"), 3 non-convergence.
+message starts with "overflow:"), 3 non-convergence. No value printed is
+inf or nan: EvalResult refuses one, as the float Pochhammer product does.
 
 Tolerances come from --rel-tol/--abs-tol when given, else from the
 KSPECIAL_PROFILE environment variable (strict|default|fast), else the
@@ -115,17 +116,6 @@ def _emit(records: list[OutputRecord], fmt: str, out) -> None:
     for r in records:
         writer.writerow([r.function, *(_fmt(r.inputs[n]) for n in input_names),
                          _fmt(r.value), _fmt(r.err_estimate), r.method])
-
-
-def _require_finite(records: list[OutputRecord]) -> None:
-    """No inf/nan is printed with exit 0 (exact ints and Fractions are
-    finite by construction)."""
-    for r in records:
-        if not all(math.isfinite(v) for v in (r.value, r.err_estimate)
-                   if isinstance(v, float)):
-            at = ", ".join(f"{n}={_fmt(v)}" for n, v in r.inputs.items())
-            raise ResultOverflow(f"{r.function} at {at} is not finite: value "
-                                 f"{_fmt(r.value)}, err_estimate {_fmt(r.err_estimate)}")
 
 
 def _resolve_profile(args) -> PrecisionProfile:
@@ -306,9 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval":
-            records = _cmd_eval(args, _resolve_profile(args))
-            _require_finite(records)
-            _emit(records, args.format, sys.stdout)
+            _emit(_cmd_eval(args, _resolve_profile(args)), args.format, sys.stdout)
             return 0
         if args.command == "verify":
             return _cmd_verify(args, _resolve_profile(args))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
-from .hurwitz import hurwitz_zeta, power_tail_sums
+from .hurwitz import _tail_sums, hurwitz_zeta
 from .profiles import DEFAULT, EULER_GAMMA, EvalResult, PrecisionProfile
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -51,6 +51,8 @@ def nearest_pole(k: float, x: float) -> float | None:
         return 0.0
     if x > 0.0:
         return None
+    if x / k == -math.inf:   # past 2^53 lattice units every float is a pole
+        return x
     m = round(x / k)
     if m <= 0 and abs(x / k - m) <= 1e-12 * max(1.0, abs(m)):
         return m * k
@@ -75,12 +77,20 @@ def _require_k(k: float, x: float = 0.0) -> None:
 
 
 def log_gamma_k(k: float, x: float) -> float:
-    """log Gamma_k(x) for x > 0, via the scaling relation."""
+    """log Gamma_k(x) for x > 0, via the scaling relation; -log x where x/k
+    underflows (Gamma(q) ~ 1/q), and the Stirling form q (log x - 1) -
+    log(k x)/2 + log(2 pi)/2 where the relation's sum is not finite."""
     _require_k(k, x)
     if not (x > 0.0):
         raise DomainError(f"log_gamma_k requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x) if x <= 0 else None)
-    return (x / k - 1.0) * math.log(k) + log_gamma_classic(x / k)
+    q = x / k
+    if q == 0.0:
+        return -math.log(x)
+    v = (q - 1.0) * math.log(k) + log_gamma_classic(q)
+    if math.isfinite(v):
+        return v
+    return q * (math.log(x) - 1.0) - 0.5 * (math.log(k) + math.log(x) - _LOG_2PI)
 
 
 class GammaKEvaluator(NamedTuple):
@@ -159,8 +169,7 @@ def gamma_k_integral(k: float, x: float,
                           nearest_pole=nearest_pole(k, x))
     _require_below_overflow(k, x)
     from .quadrature import quad_halfline
-    r = quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
-    return EvalResult(r.value, r.err_estimate, "integral", r.terms_or_nodes_used)
+    return quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
 
 
 def gamma_k_limit(k: float, x: float, n: int = 16_384) -> EvalResult:
@@ -286,7 +295,7 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     terms -= r   # log|1 + q/n| - q/n
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
                            float(terms.sum())])
-    s2, s3, s4, s5 = power_tail_sums(n_terms)
+    s2, s3, s4, s5 = _tail_sums(n_terms)
     # tail of sum [log(1+q/n) - q/n] = -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 + ...
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
     v = sign * exp_or_overflow(-log_recip, "Gamma_k", k, x)

@@ -13,12 +13,14 @@ direct terms) and the tail (the rest) cancel, so the value can be far
 smaller than either, or exactly 0.
 Accurate to ~1e-14 relative for s in (-3, 40] and a > 0 at these settings;
 the continuation is what the s-derivative machinery differentiates.
+_tail_sums caches zeta_H(m, N+1), m = 2..5, the product routes' tails.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 from .errors import DomainError, PoleError, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -41,21 +43,10 @@ _ERR_COEFF = -691.0 / 2730.0 / 479001600.0
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
-def power_tail_sums(n_terms: int) -> tuple[float, float, float, float]:
-    """S_m = sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5 in Euler-Maclaurin
-    closed form; the tails of the truncated Gamma_k and B_k products."""
-    N = float(n_terms)
-    s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
-    s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
-    s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
-    s5 = 1.0 / (4.0 * N ** 4) - 1.0 / (2.0 * N ** 5)
-    return s2, s3, s4, s5
-
-
 def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """Continued Hurwitz zeta; PoleError at s = 1, DomainError for a <= 0
-    or s = nan, ResultOverflow when a term or the sum exceeds the largest
-    double (e.g. a^(-s) for tiny a)."""
+    or s = nan, ResultOverflow when a term, the sum or its estimate exceeds
+    the largest double (e.g. a^(-s) for tiny a)."""
     if not (a > 0.0):
         raise DomainError(f"hurwitz_zeta requires a > 0, got a={a}")
     if math.isnan(s):
@@ -78,7 +69,13 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
         value = head + tail
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and math.isfinite(err)):
         raise ResultOverflow(
             f"hurwitz_zeta(s={s}, a={a}) overflows a float")
     return EvalResult(value, err, "euler_maclaurin", _M + len(_CORRECTIONS))
+
+
+@lru_cache
+def _tail_sums(n_terms: int) -> tuple[float, ...]:
+    """sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5, once per N."""
+    return tuple(hurwitz_zeta(m, n_terms + 1.0).value for m in (2.0, 3.0, 4.0, 5.0))

@@ -8,14 +8,16 @@ and the CLI maps KSPECIAL_PROFILE=strict|default|fast onto these.
 Every record in the package is a typing.NamedTuple. One that checks its
 fields does so in __new__, which then builds the record with
 tuple.__new__(cls, fields), not through super() and the generated __new__;
-_replace and _make still skip the checks.
+_replace and _make still skip the checks. Every route returns an EvalResult,
+whose __new__ refuses an inf or nan value or estimate with ResultOverflow.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .errors import require_finite
+from .errors import ResultOverflow, require_finite
 
 # Euler-Mascheroni constant, gamma = lim (H_n - log n).
 EULER_GAMMA = 0.5772156649015328606
@@ -65,6 +67,10 @@ class EvalResult(NamedTuple("EvalResult", [
     def __new__(cls, value, err_estimate, method, terms_or_nodes_used=0):
         if method not in METHODS:
             raise ValueError(f"unknown method tag {method!r}")
+        if not (math.isfinite(value) and math.isfinite(err_estimate)):
+            raise ResultOverflow(f"{method} result overflows a float after "
+                                 f"{terms_or_nodes_used} terms or nodes: value {value}, "
+                                 f"err_estimate {err_estimate}")
         if err_estimate < 0:
             raise ValueError("err_estimate must be >= 0")
         if terms_or_nodes_used < 0:

@@ -62,7 +62,7 @@ def sum_series(x, upper: tuple, lower: tuple,
             consecutive = 0
         else:
             # nan (or inf under rel_tol 0) never meets the rule; an inf sum
-            # under rel_tol > 0 does, and the caller refuses the result
+            # under rel_tol > 0 does, and its EvalResult refuses it
             raise ResultOverflow(f"sum_series: the partial sum is {total} after "
                                  f"{n + 1} terms; the terms pass the float range")
         num = x

@@ -73,8 +73,11 @@ def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
         err += value * 4.5e-16 * (1.0 + abs(log_scale) + abs(log_v))
         return EvalResult(math.copysign(value, r.value), err, "euler_maclaurin",
                           r.terms_or_nodes_used)
-    return EvalResult(scale * r.value, scale * r.err_estimate,
-                      "euler_maclaurin", r.terms_or_nodes_used)
+    value, err = scale * r.value, scale * r.err_estimate
+    if err == math.inf or abs(value) == math.inf:
+        raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k} overflows "
+                             "a float")
+    return EvalResult(value, err, "euler_maclaurin", r.terms_or_nodes_used)
 
 
 def zeta_k_identity_trigamma(k: float, x: float,

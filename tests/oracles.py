@@ -60,14 +60,16 @@ def pochhammer_k_tested(x, n: int, k, overflow=OverflowError):
     return out
 
 
-def _tail_sums(n_terms: int) -> tuple[float, float, float]:
-    """sum_{n > N} n^-p for p = 2, 3, 4, by Euler-Maclaurin: the sums that
-    restore the product routes' tails."""
+def tail_sums(n_terms: int) -> tuple[float, float, float, float]:
+    """sum_{n > N} n^-p for p = 2..5 in Euler-Maclaurin closed form, the
+    sums that restore the product routes' tails. Each stops after the
+    B_2 term, whose successor is below 2/N^4 of the sum."""
     N = float(n_terms)
     s2 = 1.0 / N - 1.0 / (2.0 * N ** 2) + 1.0 / (6.0 * N ** 3)
     s3 = 1.0 / (2.0 * N ** 2) - 1.0 / (2.0 * N ** 3) + 1.0 / (4.0 * N ** 4)
     s4 = 1.0 / (3.0 * N ** 3) - 1.0 / (2.0 * N ** 4) + 1.0 / (3.0 * N ** 5)
-    return s2, s3, s4
+    s5 = 1.0 / (4.0 * N ** 4) - 1.0 / (2.0 * N ** 5) + 5.0 / (12.0 * N ** 6)
+    return s2, s3, s4, s5
 
 
 def gamma_k_product_loop(k: float, x: float, n_terms: int) -> float:
@@ -81,7 +83,7 @@ def gamma_k_product_loop(k: float, x: float, n_terms: int) -> float:
         if f < 0.0:
             sign = -sign
         log_recip += math.log(abs(f)) - q / n
-    s2, s3, s4 = _tail_sums(n_terms)
+    s2, s3, s4, _ = tail_sums(n_terms)
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
     return sign * math.exp(-log_recip)
 
@@ -94,7 +96,7 @@ def beta_k_product_loop(k: float, x: float, y: float, n_terms: int) -> float:
     for n in range(1, n_terms + 1):
         nk = n * k
         log_v += math.log1p(s / nk) - math.log1p(x / nk) - math.log1p(y / nk)
-    s2, s3, s4 = _tail_sums(n_terms)
+    s2, s3, s4, _ = tail_sums(n_terms)
     log_v += (-(x * y / k ** 2) * s2 + (x * y * s / k ** 3) * s3
               + ((x ** 4 + y ** 4 - s ** 4) / (4.0 * k ** 4)) * s4)
     return math.exp(log_v)
@@ -109,7 +111,7 @@ def gamma_k_product_fsum(k: float, x: float, n_terms: int) -> tuple[float, float
              else math.log(abs(1.0 + q / n)) - q / n
              for n in range(1, n_terms + 1)]
     sign = (1 if x > 0.0 else -1) * (-1) ** sum(q / n < -1.0 for n in range(1, n_terms + 1))
-    s2, s3, s4 = _tail_sums(n_terms)
+    s2, s3, s4, _ = tail_sums(n_terms)
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * 0.5772156649015329,
                            *terms, -0.5 * q * q * s2, (q ** 3 / 3.0) * s3,
                            -(q ** 4 / 4.0) * s4])
@@ -124,7 +126,7 @@ def beta_k_product_fsum(k: float, x: float, y: float, n_terms: int) -> tuple[flo
     terms = [math.log1p(s / (n * k)) - math.log1p(x / (n * k)) - math.log1p(y / (n * k))
              for n in range(1, n_terms + 1)]
     a, b, c = x / k, y / k, s / k
-    s2, s3, s4 = _tail_sums(n_terms)
+    s2, s3, s4, _ = tail_sums(n_terms)
     log_v = math.fsum([math.log(s), -math.log(x), -math.log(y), *terms,
                        -(a * b) * s2, (a * b * c) * s3,
                        ((a ** 4 + b ** 4 - c ** 4) / 4.0) * s4])
@@ -167,12 +169,34 @@ def pochhammer_k_log_chunked(x: float, n: int, k: float, chunk: int
 # the same order as the package's streamlined kernels, so the two must agree
 # bit for bit.
 
+def hyper_terms(spec, x: float):
+    """The terms c_n x^n of the hypergeometric series at x, n = 0, 1, ...
+    without end, each from the last by the ratio x prod_j (a_j + n k_j) /
+    ((n + 1.0) prod_i (b_i + n s_i)), multiplied left to right: the
+    recurrence that series.sum_series and hypergeometric.ode_residual form
+    inline."""
+    upper = tuple(zip(spec.a, spec.k))
+    lower = tuple(zip(spec.b, spec.s))
+    v = 1.0
+    n = 0
+    while True:
+        yield v
+        num = x
+        for a_j, k_j in upper:
+            num *= a_j + n * k_j
+        den = n + 1.0
+        for b_i, s_i in lower:
+            den *= b_i + n * s_i
+        v = v * num / den
+        n += 1
+
+
 def sum_series(terms, profile):
     """Sum an iterator of terms (term 0 first, without end) under the
     profile's stop rule; the term after the last included one is read, as
     the error estimate. The iterator form of series.sum_series' stop loop:
-    with hypergeometric._terms as the iterator it must give evaluate's
-    result and refusals bit for bit."""
+    with hyper_terms as the iterator it must give evaluate's result and
+    refusals bit for bit."""
     from kspecial.errors import NonConvergent, ResultOverflow
     from kspecial.profiles import EvalResult
 
@@ -569,7 +593,7 @@ def gamma_k_product_every_pass(k: float, x: float, n_terms: int) -> tuple[float,
     import numpy as np
 
     from kspecial.errors import DomainError
-    from kspecial.hurwitz import power_tail_sums
+    from kspecial.gammak import _tail_sums
 
     q = x / k
     r = q / np.arange(1, n_terms + 1, dtype=np.float64)
@@ -589,7 +613,7 @@ def gamma_k_product_every_pass(k: float, x: float, n_terms: int) -> tuple[float,
         sign = -sign
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * 0.5772156649015329,
                            float(terms.sum())])
-    s2, s3, s4, s5 = power_tail_sums(n_terms)
+    s2, s3, s4, s5 = _tail_sums(n_terms)
     log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
     v = sign * math.exp(-log_recip)
     rounding = sys.float_info.epsilon * math.log2(n_terms) * float(np.abs(terms).sum())

@@ -360,6 +360,35 @@ class TestExitCodes:
         assert err == (f"domain error: {name} is an exact value of 1329 bits, "
                        "beyond the float range\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "gamma-k", "--k", "1e-300", "--x", "-1e10"],
+        ["eval", "gamma-k", "--k", "1e-300", "--x", "-1e10", "--method", "product"],
+        ["eval", "hyper", "--a", "1", "--ka", "1", "--b", "-1e300", "--sb", "1e-300",
+         "--x", "0.5"]])
+    def test_x_over_k_at_minus_inf_is_a_pole(self, argv, capsys):
+        # round(-inf) printed a traceback with exit 1
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error:") and "Traceback" not in err
+
+    def test_gamma_k_where_x_over_k_underflows(self, capsys):
+        # log_gamma_k refused x = 1e-300, naming log_gamma_classic and 0.0
+        code, out, err = run_cli(["eval", "gamma-k", "--k", "1e300", "--x", "1e-300"],
+                                 capsys)
+        assert code == 0 and err == ""
+        assert parse_csv(out)[0]["value"] == "9.999999999999763e+299"
+
+    @pytest.mark.parametrize("argv,names", [
+        # log Gamma_k(1e7) ~ 1.51e308 came back as nan and was refused as a record
+        (["eval", "gamma-k", "--k", "1e-300", "--x", "1e7"], "Gamma_k(10000000.0) with k=1e-300"),
+        # k^(-s) zeta_H(s, x/k) overflows without raising
+        (["eval", "zeta-k", "--k", "1.8e-124", "--x", "1.7e-256", "--s", "1.88"],
+         "zeta_k(1.7e-256, 1.88) with k=1.8e-124")])
+    def test_overflow_names_the_point(self, argv, names, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"overflow: {names} overflows a float")
+
     def test_zeta_k_tiny_k_is_finite(self, capsys):
         # k^(-s) = 1e600 used to raise an untyped OverflowError here
         code, out, err = run_cli(

@@ -26,7 +26,8 @@ from kspecial.profiles import DEFAULT, STRICT
 from kspecial.quadrature import quad_halfline
 
 from oracles import (central_diff, gamma_k_product_every_pass, gamma_k_product_fsum,
-                     gamma_k_product_loop, psi_point_two_series, psi_series_loop)
+                     gamma_k_product_loop, psi_point_two_series, psi_series_loop,
+                     tail_sums)
 
 GRID_K = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.3, 1.0, 2.5, 7.0)
@@ -253,6 +254,12 @@ class TestNegativeArguments:
         assert gap <= eps * (math.log2(10_000) * abs_sum
                              + 4 * abs(math.log(abs(want))) + 4)
 
+    def test_tail_sums_are_the_closed_form(self):
+        # zeta_H(m, N+1), m = 2..5, from the Hurwitz kernel, once per N
+        got = gammak._tail_sums(10_000)
+        assert got == pytest.approx(tail_sums(10_000), rel=1e-15, abs=0.0)
+        assert gammak._tail_sums(10_000) is got
+
     def test_product_matches_every_pass_reference(self):
         # bit for bit against the route with its zero, low-factor and sign
         # passes run at every q: q > 0, q < 0 and next to the poles, with
@@ -385,6 +392,64 @@ class TestPoles:
         # |Gamma(-10000.5)| ~ e^-82110: finite, but past the tail's radius
         with pytest.raises(DomainError, match="n_terms"):
             gamma_k_product(k, x)
+
+
+class TestArgumentsBeyondTheFloatRange:
+    """x/k past the float range: at -inf it is a pole, as every float past
+    2^53 lattice units is; where it underflows, log Gamma_k(x) = -log x;
+    where the scaling relation's two terms are not finite, log_gamma_k
+    takes the Stirling form, and nowhere else."""
+
+    def test_nearest_pole_at_minus_inf(self):
+        assert nearest_pole(1e-300, -1e10) == -1e10
+        assert nearest_pole(1.0, -2.0 ** 60) == -2.0 ** 60
+
+    @pytest.mark.parametrize("route", ["scaling", "limit", "product"])
+    def test_routes_refuse_the_pole(self, route):
+        # round(-inf) raised an untyped OverflowError
+        with pytest.raises(DomainError) as exc:
+            ROUTES[route](1e-300, -1e10, DEFAULT)
+        assert exc.value.nearest_pole == -1e10
+
+    def test_underflowed_quotient(self):
+        # it refused x with a message about log_gamma_classic and 0.0
+        assert log_gamma_k(1e300, 1e-300) == -math.log(1e-300)
+        assert (gamma_k_scaling(1e300, 1e-300).value == gamma_k_product(1e300, 1e-300).value
+                == 9.999999999999763e+299)
+
+    @pytest.mark.parametrize("k,x", [(1e-300, 1e7), (1e-300, 1e6), (1e-10, 1e297),
+                                     (1e-300, 1e10)])
+    def test_stirling_form_where_the_relation_is_nan(self, k, x):
+        mpmath = pytest.importorskip("mpmath")
+        q = x / k
+        assert math.isnan((q - 1.0) * math.log(k) + math.inf)   # lgamma(q) overflows
+        with mpmath.workdps(40):
+            qm = mpmath.mpf(x) / k
+            want = float((qm - 1) * mpmath.log(k) + mpmath.loggamma(qm))
+        got = log_gamma_k(k, x)
+        assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-15)
+
+    def test_overflow_names_the_argument(self):
+        # log Gamma_k(1e7) ~ 1.51e308: it returned EvalResult(nan, nan)
+        with pytest.raises(ResultOverflow, match=re.escape("Gamma_k(10000000.0) with k=1e-300")):
+            gamma_k_scaling(1e-300, 1e7)
+
+    def test_every_finite_relation_is_kept_bit_for_bit(self):
+        rng = random.Random(41)
+        kept = 0
+        for _ in range(3000):
+            k, x = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+            q = x / k
+            if q == 0.0:
+                continue
+            try:
+                want = (q - 1.0) * math.log(k) + math.lgamma(q)
+            except OverflowError:
+                continue
+            if math.isfinite(want):
+                assert log_gamma_k(k, x) == want, (k, x)
+                kept += 1
+        assert kept > 2000
 
 
 class TestReflection:

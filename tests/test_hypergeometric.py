@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from kspecial.hypergeometric import (ConvergenceClass, HypergeometricSpec,
 from kspecial.pochhammer import PochhammerSpec, pochhammer_k
 from kspecial.profiles import DEFAULT, FAST, STRICT, PrecisionProfile
 
-from oracles import (hyper_ode_residual_callback, hyper_term_callback,
+from oracles import (hyper_ode_residual_callback, hyper_term_callback, hyper_terms,
                      sum_series, sum_series_callback)
 
 TRANSFER_SEED = 20240817  # frozen; regenerating specs must not change results
@@ -108,7 +109,7 @@ class TestEvaluate:
             route(spec, 800.0)
         assert route(spec, 700.0).value == pytest.approx(math.exp(700.0), rel=1e-9)
 
-    @pytest.mark.parametrize("x,says", [(2.0, "after 162 terms: sum inf"),
+    @pytest.mark.parametrize("x,says", [(2.0, "after 162 terms or nodes: value inf"),
                                         (-2.0, "partial sum is nan after 161 terms")])
     def test_terms_beyond_float_range_overflow_on_both_signs(self, x, says):
         # at x = -2 the terms alternate past the float range and the partial
@@ -230,7 +231,7 @@ class TestTermGeneratorMatchesCallback:
             value, err, terms = _callback_sum(spec, 800.0)
             assert not (math.isfinite(value) and math.isfinite(err))
             with pytest.raises(ResultOverflow,
-                               match=f"after {terms} terms: sum {value}, "
+                               match=f"after {terms} terms or nodes: value {value}, "
                                      f"err_estimate {err}"):
                 evaluate(spec, 800.0)
 
@@ -249,15 +250,15 @@ def _outcome(route, spec, x, profile):
 
 class TestOneLoopMatchesTheGenerator:
     """evaluate sums through series.sum_series, whose loop forms each term
-    by _terms' recurrence. With oracles.sum_series reading _terms as an
-    iterator in its place, every result and refusal is the same, bit for
+    by the recurrence of oracles.hyper_terms. With oracles.sum_series
+    reading hyper_terms as an iterator in its place, every result and refusal is the same, bit for
     bit, for float, int and Fraction parameters."""
 
     @staticmethod
     def _generator_sum(x, upper, lower, profile):
         spec = HypergeometricSpec([a for a, _ in upper], [k for _, k in upper],
                                   [b for b, _ in lower], [s for _, s in lower])
-        return sum_series(hypergeometric._terms(spec, x), profile)
+        return sum_series(hyper_terms(spec, x), profile)
 
     def test_seeded_draws(self, monkeypatch):
         rng = random.Random(TRANSFER_SEED + 7)
@@ -291,6 +292,63 @@ class TestOneLoopMatchesTheGenerator:
         assert seen == {ResultOverflow, NonConvergent, OutsideRadius,
                         DivergentSeries, DomainError}
         assert sum(isinstance(o[0], float) for o in got) > 500
+
+
+class TestOdeResidualMatchesTheGenerator:
+    """ode_residual forms c_n by the recurrence of oracles.hyper_terms,
+    multiplying the ratio's two products in the same order, so its result
+    and refusals are those of reading the generator at x = 1, bit for
+    bit."""
+
+    @staticmethod
+    def _from_generator(spec, degree):
+        hypergeometric._refuse_beyond_float(spec)
+        worst = scale = 0.0
+        try:
+            c = list(islice(hyper_terms(spec, 1.0), degree))
+            for n in range(1, degree):
+                lhs = hypergeometric._times_shifted(n * c[n], spec.b, spec.s, n - 1)
+                rhs = hypergeometric._times_shifted(c[n - 1], spec.a, spec.k, n - 1)
+                worst = max(worst, abs(lhs - rhs))
+                scale = max(scale, abs(lhs), abs(rhs))
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not (worst < math.inf and scale < math.inf):
+            return ResultOverflow
+        return worst / scale if scale > 0.0 else 0.0
+
+    @staticmethod
+    def _residual(spec, degree):
+        try:
+            return ode_residual(spec, degree)
+        except ResultOverflow:
+            return ResultOverflow
+
+    def test_seeded_specs(self):
+        rng = random.Random(TRANSFER_SEED + 8)
+        draws = (lambda: rng.uniform(-4.0, 6.0), lambda: rng.randint(-4, 6),
+                 lambda: Fraction(rng.randint(-40, 60), rng.randint(1, 12)),
+                 lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0))
+        steps = (lambda: rng.uniform(0.2, 4.0), lambda: rng.randint(1, 4),
+                 lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12)),
+                 lambda: 10.0 ** rng.uniform(-150.0, 150.0))
+        outcomes = []
+        for _ in range(800):
+            kind = rng.randrange(4)
+            p, q = rng.randint(0, 3), rng.randint(0, 3)
+            try:
+                spec = HypergeometricSpec([draws[kind]() for _ in range(p)],
+                                          [steps[kind]() for _ in range(p)],
+                                          [draws[kind]() for _ in range(q)],
+                                          [steps[kind]() for _ in range(q)])
+            except DomainError:
+                continue
+            for degree in (2, 5, 15, 40):
+                got = self._residual(spec, degree)
+                assert got == self._from_generator(spec, degree), (spec, degree)
+                outcomes.append(got)
+        assert sum(o is ResultOverflow for o in outcomes) > 100
+        assert sum(isinstance(o, float) and o > 0.0 for o in outcomes) > 1000
 
 
 class TestExactParametersBeyondTheFloatRange:

@@ -4,11 +4,13 @@ point-eval compares repr(result) between repeats), a record equals the
 plain tuple of its field values, and a record that validates refuses a bad
 field when it is built."""
 
+import math
+
 import pytest
 
 from kspecial.betak import BetaKSpec
 from kspecial.cli import EVAL_COMMANDS, EvalCommand, OutputRecord
-from kspecial.errors import DomainError, InvariantViolation
+from kspecial.errors import DomainError, InvariantViolation, ResultOverflow
 from kspecial.forests import ForestFamily, PlanarForest
 from kspecial.gammak import GammaKEvaluator, PsiPoint, psi_point
 from kspecial.hypergeometric import ConvergenceClass, HypergeometricSpec
@@ -77,6 +79,29 @@ def test_eval_result_refuses_negative_counts(override, message):
     with pytest.raises(ValueError, match=message):
         EvalResult(**{"value": 1.5, "err_estimate": 1e-16, "method": "scaling",
                       "terms_or_nodes_used": 3, **override})
+
+
+@pytest.mark.parametrize("field", ["value", "err_estimate"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_eval_result_refuses_a_non_finite_field(field, bad):
+    # the one home of the finiteness rule: no route can return inf or nan
+    fields = {"value": 1.5, "err_estimate": 1e-16, "method": "integral",
+              "terms_or_nodes_used": 7, field: bad}
+    with pytest.raises(ResultOverflow, match=(
+            f"^integral result overflows a float after 7 terms or nodes: value "
+            f"{fields['value']}, err_estimate {fields['err_estimate']}$")):
+        EvalResult(**fields)
+    # _make and _replace skip the checks, as for every validated record
+    made = EvalResult._make(fields.values())
+    assert getattr(made, field) is bad
+    assert getattr(EvalResult(1.5, 1e-16, "integral", 7)._replace(**{field: bad}),
+                   field) is bad
+
+
+def test_eval_result_names_an_unknown_tag_before_reading_the_fields():
+    # a negative finite estimate stays a ValueError (test above)
+    with pytest.raises(ValueError, match="unknown method tag"):
+        EvalResult(math.nan, 0.0, "guess")
 
 
 def test_hypergeometric_spec_stores_tuples():

@@ -25,8 +25,6 @@ from .gammak import _require_k, _tail_sums, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
 
-_LOG_MAX = math.log(sys.float_info.max)
-
 
 class BetaKSpec(NamedTuple("BetaKSpec", [("k", float), ("x", float), ("y", float)])):
     __slots__ = ()
@@ -102,8 +100,8 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     (a, b, c) = (x, y, x+y)/k, restored through w^4: the linear terms
     cancel and the expansion gives
         -ab w^2 + abc w^3 + (a^4 + b^4 - c^4)/4 w^4 + ...
-    It converges for c < N; beyond, ResultOverflow if B_k(x, y) provably
-    exceeds the largest double, else DomainError.
+    It converges for c < N; beyond, ResultOverflow as beta_k_ratio raises
+    it where B_k(x, y) overflows, else DomainError.
 
     The N terms, all negative, are summed pairwise in numpy (ndarray.sum),
     and math.fsum adds that sum to the three head logs. err_estimate takes
@@ -141,19 +139,13 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
 
 
 def _require_below_overflow(spec: BetaKSpec) -> None:
-    """ResultOverflow when B_k(x, y) provably exceeds the largest double.
-
-    With lo = min(x, y), a = lo/k and b = max(x, y)/k >= 1 (the product
-    route asks only where (x+y)/k >= 10), the integrand t^(a-1) (1-t)^(b-1)
-    of B(a, b) is at least t^(a-1) e^-1 on t < 1/b, so
-        log B_k(x, y) = log(B(a, b)/k) >= -1 - a log b - log lo.
-    """
+    """beta_k_ratio's ResultOverflow where B_k(x, y) exceeds the largest
+    double. With lo = min(x, y), a = lo/k, b = max(x, y)/k: log B_k(x, y) =
+    log Gamma_k(lo) - a log max(x, y) + O(a/b), and B_k overflows only where
+    lo < ~1e-308, so a/b is below rounding unless max(x, y) < ~1e-295."""
     lo, hi = sorted((spec.x, spec.y))
-    lower = -1.0 - (lo / spec.k) * math.log(hi / spec.k) - math.log(lo)
-    if lower > _LOG_MAX:
-        raise ResultOverflow(
-            f"B_k({spec.x}, {spec.y}) with k={spec.k} overflows a float "
-            f"(log value >= {lower:.6g})")
+    exp_or_overflow(log_gamma_k(spec.k, lo) - (lo / spec.k) * math.log(hi),
+                    "B_k", spec.k, spec.x, spec.y)
 
 
 # as gammak.ROUTES: each entry looks its route up by name when called

@@ -28,7 +28,8 @@ from .profiles import DEFAULT, EULER_GAMMA, EvalResult, PrecisionProfile
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EPS = sys.float_info.epsilon
-_LOG_MAX = math.log(sys.float_info.max)
+# e - math.e, the rounding of math.e
+_E_LOW = 1.4456468917292502e-16
 
 # partial-sum length before the Euler-Maclaurin tail takes over in the
 # psi_x / psi_k series
@@ -78,19 +79,23 @@ def _require_k(k: float, x: float = 0.0) -> None:
 
 def log_gamma_k(k: float, x: float) -> float:
     """log Gamma_k(x) for x > 0, via the scaling relation; -log x where x/k
-    underflows (Gamma(q) ~ 1/q), and the Stirling form q (log x - 1) -
-    log(k x)/2 + log(2 pi)/2 where the relation's sum is not finite."""
+    is subnormal or 0 (Gamma(q) ~ 1/q), and the Stirling form q (log x - 1) -
+    log(k x)/2 + log(2 pi)/2 where the relation's sum is not finite. There
+    q (log x - 1) is x (log x - 1)/k where q overflows, and log x - 1, which
+    rounds to 0.0 at math.e and its successor, is (x - e)/e to first order."""
     _require_k(k, x)
     if not (x > 0.0):
         raise DomainError(f"log_gamma_k requires x > 0, got {x}",
                           nearest_pole=nearest_pole(k, x) if x <= 0 else None)
     q = x / k
-    if q == 0.0:
+    if q < sys.float_info.min:
         return -math.log(x)
     v = (q - 1.0) * math.log(k) + log_gamma_classic(q)
     if math.isfinite(v):
         return v
-    return q * (math.log(x) - 1.0) - 0.5 * (math.log(k) + math.log(x) - _LOG_2PI)
+    log_x1 = math.log(x) - 1.0 or (x - math.e - _E_LOW) / math.e
+    lead = q * log_x1 if q < math.inf else x * log_x1 / k
+    return lead - 0.5 * (math.log(k) + math.log(x) - _LOG_2PI)
 
 
 class GammaKEvaluator(NamedTuple):
@@ -109,30 +114,15 @@ def gamma_k_scaling(k: float, x: float) -> EvalResult:
 
 
 def _require_below_overflow(k: float, x: float) -> None:
-    """ResultOverflow when |Gamma_k(x)| provably exceeds the largest double,
-    for finite x off the poles.
-
-    With t = e^u, Gamma_k(x) = int exp(g(u)) du, g(u) = x u - e^(ku)/k,
-    concave with maximum g* = (x/k)(log x - 1) at e^(ku) = x. On
-    |u - u*| <= d, d = 1/sqrt(kx), g >= g* - e^(kd)/2, so for x >= k
-    (kd <= 1)
-        log Gamma_k(x) >= g* + log(2d) - e^(kd)/2.
-    For x < 0 the log itself is at hand, log|Gamma_k(x)| = (q - 1) log k +
-    lgamma(q) with q = x/k (math.lgamma gives log|Gamma| off the poles).
-    """
-    if x < 0.0:
-        q = x / k
-        lower = (q - 1.0) * math.log(k) + math.lgamma(q)
-    elif x >= k:
-        d = 1.0 / (math.sqrt(k) * math.sqrt(x))
-        lower = ((x / k) * (math.log(x) - 1.0) + math.log(2.0 * d)
-                 - 0.5 * math.exp(k * d))
+    """gamma_k_scaling's ResultOverflow where |Gamma_k(x)| exceeds the largest
+    double, x finite and off the poles; for x < 0 the log is (q - 1) log k +
+    lgamma(q), q = x/k (math.lgamma gives log|Gamma| off the poles)."""
+    if x > 0.0:
+        log_v = log_gamma_k(k, x)
     else:
-        return
-    if lower > _LOG_MAX:
-        raise ResultOverflow(
-            f"Gamma_k({x}) with k={k} overflows a float "
-            f"(log value >= {lower:.6g})")
+        q = x / k
+        log_v = (q - 1.0) * math.log(k) + math.lgamma(q)
+    exp_or_overflow(log_v, "Gamma_k", k, x)
 
 
 def gamma_k_integrand(k: float, p: float, c: float = 1.0):
@@ -158,10 +148,9 @@ def gamma_k_integral(k: float, x: float,
                      profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
 
-    ResultOverflow when _require_below_overflow's lower bound on the value
-    exceeds the largest double. Below it, an integrand or level sum that
-    still overflows is the DomainError of quad_halfline: the value may be
-    finite, but this route cannot reach it.
+    ResultOverflow as gamma_k_scaling raises it. Where the value fits, an
+    integrand or level sum that overflows is the DomainError of
+    quad_halfline: this route cannot reach the value.
     """
     _require_k(k, x)
     if not (x > 0.0):
@@ -191,9 +180,9 @@ def gamma_k_limit(k: float, x: float, n: int = 16_384) -> EvalResult:
       ~log(n!) and cancel to log|value|, so at x = k, where every iterate
       is exactly 1, their rounding is all that is left.
 
-    ResultOverflow where _require_below_overflow bounds the value above the
-    largest double. DomainError for n < 4, and where q(q-1)/(2m) > 1: there
-    the iterate's error, ~q(q-1)/(2n), is not yet an expansion in 1/n.
+    ResultOverflow as gamma_k_scaling raises it. DomainError for n < 4, and
+    where q(q-1)/(2m) > 1: there the iterate's error, ~q(q-1)/(2n), is not
+    yet an expansion in 1/n.
     """
     _require_k(k, x)
     if n < 4:
@@ -249,8 +238,8 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
         1/Gamma_k(x) = x k^(-x/k) e^(x gamma / k) prod_{n=1..N} (1+x/(nk)) e^(-x/(nk)),
     with the tail of sum_n [log(1+q/n) - q/n] (q = x/k) restored through
     fourth order in q/n. Valid off the pole set, including negative x, for
-    |q| < N, where the tail series converges; beyond, ResultOverflow if
-    Gamma_k(x) provably exceeds the largest double, else DomainError.
+    |q| < N, where the tail series converges; beyond, ResultOverflow as
+    gamma_k_scaling raises it where |Gamma_k(x)| overflows, else DomainError.
 
     Only for q < 0 are the factors 1 + q/n searched for a zero, for values
     below 0.5 (log|1+q/n| is taken there) and negative ones (the sign).

@@ -27,6 +27,7 @@ sums of two or more chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -43,8 +44,6 @@ _NUMPY_CUTOFF = 32
 _CHUNK = 1 << 15
 # the largest n whose factor indices j are all exact as floats
 _N_MAX = 2 ** 53
-# read-only 0, 1, ..., _CHUNK-1 as float64; built on first use
-_J: np.ndarray | None = None
 
 
 class PochhammerSpec(NamedTuple("PochhammerSpec",
@@ -131,13 +130,13 @@ def _first_nonnegative(x: float, k: float, n: int) -> int:
     return j
 
 
+@functools.cache
 def _chunk_table() -> np.ndarray:
-    global _J
-    if _J is None:
-        import numpy as np
-        _J = np.arange(_CHUNK, dtype=np.float64)
-        _J.flags.writeable = False
-    return _J
+    """Read-only 0, 1, ..., _CHUNK-1 as float64."""
+    import numpy as np
+    j = np.arange(_CHUNK, dtype=np.float64)
+    j.flags.writeable = False
+    return j
 
 
 def _one_to(n: int) -> np.ndarray:

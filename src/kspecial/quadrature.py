@@ -25,12 +25,12 @@ quad_unit run _refine_one: the same float operations in the same order, its
 bookkeeping in Python floats, not arrays of one row, so the value,
 err_estimate, node count and errors are bit for bit those of a batch of one.
 
-Node/jacobian tables depend only on (map, level), so they are built on first
-use and cached at module level as numpy arrays; evaluation cost is pure
-integrand calls. The integrand is asked for at most _BLOCK values per call
-(rows, and the nodes of a level too when it has more than _BLOCK), which
-bounds the memory a nested batch (an integrand that itself integrates a
-batch) can take at any depth.
+Node/jacobian tables depend only on (map, level), so _nodes builds each on
+first use and functools.cache keeps it as numpy arrays; evaluation cost is
+pure integrand calls. The integrand is asked for at most _BLOCK values per
+call (rows, and the nodes of a level too when it has more than _BLOCK),
+which bounds the memory a nested batch (an integrand that itself integrates
+a batch) can take at any depth.
 
 The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
@@ -42,6 +42,7 @@ silenced inside the loop, since that check reports the overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -54,21 +55,20 @@ _U_MAX_UNIT = 6.5
 _BASE_H = 0.5  # level-0 step; level L uses h = _BASE_H / 2**L
 _BLOCK = 1 << 13  # most integrand values requested in one call
 
-# (kind, level) -> (t, weight) for "halfline", (t, 1-t, weight) for "unit";
-# each a float64 array in node order, built lazily.
-_node_cache: dict[tuple[str, int], tuple] = {}
 
-
-def _node_list(kind: str, level: int) -> list[tuple]:
+@functools.cache
+def _nodes(kind: str, level: int) -> tuple:
     """(t, weight) for the exp-sinh map, t = exp(c sinh u), weight =
     t c cosh(u); (t, 1-t, weight) for the tanh-sinh map on (0, 1), t =
     sigma(2 c sinh u), weight = 2 t (1-t) c cosh(u), with the unit nodes
-    whose weight underflows to 0 dropped.
+    whose weight underflows to 0 dropped. Each a float64 array in node order.
 
     Level 0: the u = 0 node, then all nonzero multiples of h0. Level L>0: odd
     multiples of h_L only (the even ones were already seen at coarser
     levels). Nonzero u come in both signs, +u first.
     """
+    import numpy as np
+
     h = _BASE_H / (1 << level)
     halfline = kind == "halfline"
     out = [] if level else [(1.0, _C) if halfline else (0.5, 0.5, 0.5 * _C)]
@@ -86,17 +86,7 @@ def _node_list(kind: str, level: int) -> list[tuple]:
         w = 2.0 * big * small * ch
         if w > 0.0:  # at -u, t and 1-t swap
             out += [(big, small, w), (small, big, w)]
-    return out
-
-
-def _nodes(kind: str, level: int) -> tuple:
-    key = (kind, level)
-    if key not in _node_cache:
-        import numpy as np
-
-        _node_cache[key] = tuple(np.array(col) for col in
-                                 zip(*_node_list(kind, level)))
-    return _node_cache[key]
+    return tuple(np.array(col) for col in zip(*out))
 
 
 class QuadBatch(NamedTuple):

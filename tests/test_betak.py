@@ -1,6 +1,7 @@
 """B_k: four-route agreement, classical collapse, symmetry, shift identity."""
 
 import math
+import random
 import re
 import sys
 
@@ -198,3 +199,33 @@ class TestDispatchAndDomain:
         gap = abs(math.log(got.value / want))
         assert gap <= eps * (math.log2(10_000) * abs_sum
                              + 4 * abs(math.log(want)) + 4)
+
+
+def _overflows(route, spec) -> bool:
+    """Whether route(spec) refuses with ResultOverflow; a DomainError is
+    False, an untyped error propagates."""
+    try:
+        route(spec)
+    except ResultOverflow:
+        return True
+    except DomainError:
+        return False
+    return False
+
+
+def test_product_refuses_overflow_where_ratio_does():
+    """Past (x+y)/k = n_terms, beta_k_product raises ResultOverflow exactly
+    where beta_k_ratio does: min(x, y) log-uniform on [1e-311, 1e-306],
+    max(x, y)/k on [1e4, 1e8]. A lower bound on the value refused 48 of
+    these 500 as DomainError."""
+    rng = random.Random(26)
+    refused = 0
+    for _ in range(500):
+        k = 10.0 ** rng.uniform(-1.0, 1.0)
+        lo = 10.0 ** rng.uniform(-311.0, -306.0)
+        hi = k * 10.0 ** rng.uniform(4.0, 8.0)
+        spec = BetaKSpec(k, lo, hi) if rng.random() < 0.5 else BetaKSpec(k, hi, lo)
+        want = _overflows(beta_k_ratio, spec)
+        refused += want
+        assert _overflows(beta_k_product, spec) == want, spec
+    assert 0 < refused < 500

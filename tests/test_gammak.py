@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kspecial import betak, gammak, quadrature
-from kspecial.errors import DomainError, ResultOverflow
+from kspecial.errors import DomainError, NonConvergent, ResultOverflow
 from kspecial.gammak import (ROUTES, GammaKEvaluator, PsiPoint, gamma_k_dk,
                              gamma_k_integral, gamma_k_limit, gamma_k_product,
                              gamma_k_scaling, gamma_k_stirling, log_gamma_k,
@@ -440,7 +440,7 @@ class TestArgumentsBeyondTheFloatRange:
         for _ in range(3000):
             k, x = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
             q = x / k
-            if q == 0.0:
+            if q < sys.float_info.min:   # subnormal or 0: -log x
                 continue
             try:
                 want = (q - 1.0) * math.log(k) + math.lgamma(q)
@@ -450,6 +450,71 @@ class TestArgumentsBeyondTheFloatRange:
                 assert log_gamma_k(k, x) == want, (k, x)
                 kept += 1
         assert kept > 2000
+
+    def test_subnormal_quotient_is_minus_log_x(self):
+        # the relation lost digits there: log_gamma_k(1e300, 4e-24) was
+        # 53.66454402316754, 19% low as a value
+        rng = random.Random(43)
+        for _ in range(500):
+            k = 10.0 ** rng.uniform(0.0, 300.0)
+            x = k * sys.float_info.min * 10.0 ** rng.uniform(-15.0, 0.0)
+            if x / k < sys.float_info.min:
+                assert log_gamma_k(k, x) == -math.log(x), (k, x)
+        q = math.nextafter(sys.float_info.min, 0.0)
+        assert log_gamma_k(1.0, q) == -math.log(q)
+
+    @pytest.mark.parametrize("k,x", [(1e300, 4e-24), (1e-308, math.e),
+                                     (1e-308, math.nextafter(math.e, 3.0))])
+    def test_quotient_past_the_float_range_against_mpmath(self, k, x):
+        # q subnormal, and q = inf where log x - 1 rounds to 0.0 (it was nan)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            qm = mpmath.mpf(x) / k
+            want = float((qm - 1) * mpmath.log(k) + mpmath.loggamma(qm))
+        assert log_gamma_k(k, x) == pytest.approx(want, rel=1e-15)
+
+    def test_underflowing_value_past_the_float_range(self):
+        # log Gamma_k(e) ~ -1.4e292 with k = 1e-308: it was refused as nan
+        assert gamma_k_scaling(1e-308, math.e).value == 0.0
+        assert gamma_k_scaling(1e300, 4e-24).value == pytest.approx(2.5e23, rel=1e-14)
+
+
+def _overflows(route, k, x) -> bool:
+    """Whether route(k, x) refuses with ResultOverflow; another typed
+    refusal is False, an untyped error propagates."""
+    try:
+        route(k, x)
+    except ResultOverflow:
+        return True
+    except (DomainError, NonConvergent):
+        return False
+    return False
+
+
+def test_routes_refuse_overflow_where_scaling_does():
+    """integral, limit and product raise ResultOverflow exactly where
+    gamma_k_scaling does: near the threshold, log Gamma_k(x) - log(DBL_MAX)
+    uniform on [-1, 3], and at x log-uniform on [1e-320, 1e-305]. A lower
+    bound on the value refused 57 of these 300 calls as DomainError or
+    NonConvergent."""
+    rng = random.Random(26)
+    log_max = math.log(sys.float_info.max)
+    points = []
+    for _ in range(50):
+        k = 10.0 ** rng.uniform(-1.0, 1.0)
+        target = log_max + rng.uniform(-1.0, 3.0)
+        lo, hi = 2.0 * k, 1e4 * k   # log Gamma_k increases on [2k, inf)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_gamma_k(k, mid) < target else (lo, mid)
+        points += [(k, lo), (k, 10.0 ** rng.uniform(-320.0, -305.0))]
+    refused = 0
+    for k, x in points:
+        want = _overflows(gamma_k_scaling, k, x)
+        refused += want
+        for route in (gamma_k_integral, gamma_k_limit, gamma_k_product):
+            assert _overflows(route, k, x) == want, (route.__name__, k, x)
+    assert 0 < refused < len(points)
 
 
 class TestReflection:

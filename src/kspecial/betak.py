@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, builtin_real, exp_or_overflow
+from .errors import DomainError, ResultOverflow, as_float, exp_or_overflow
 from .gammak import _require_k, _tail_sums, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
@@ -31,7 +31,7 @@ class BetaKSpec(NamedTuple("BetaKSpec", [("k", float), ("x", float), ("y", float
 
     def __new__(cls, k, x, y):
         if not (type(k) is type(x) is type(y) is float):
-            k, x, y = builtin_real(k), builtin_real(x), builtin_real(y)
+            k, x, y = as_float("k", k), as_float("x", x), as_float("y", y)
         _require_k(k)
         if not (0.0 < x < math.inf and 0.0 < y < math.inf):
             raise DomainError(f"B_k needs finite x, y > 0, got x={x}, y={y}")
@@ -43,12 +43,17 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
     lb = log_gamma_k(spec.k, spec.y)
     lc = log_gamma_k(spec.k, spec.x + spec.y)
     v = exp_or_overflow(la + lb - lc, "B_k", spec.k, spec.x, spec.y)
-    err = abs(v) * 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
+    rel = 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
+    err = abs(v) * rel
     if not math.isfinite(err):
         # a log Gamma_k beyond the float range (inf - inf is nan), or logs
         # so large that their cancellation leaves no digit of v
         raise ResultOverflow(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k "
                              f"terms {la:.6g}, {lb:.6g}, {lc:.6g} exceed the float range")
+    if not rel < 1.0:   # the estimate does not bound v: B_k may even overflow
+        _require_below_overflow(spec)
+        raise DomainError(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k terms "
+                          f"{la:.6g}, {lb:.6g}, {lc:.6g} cancel past every digit")
     return EvalResult(v, err, "scaling", 0)
 
 
@@ -56,6 +61,7 @@ def beta_k_integral_halfline(spec: BetaKSpec,
                              profile: PrecisionProfile = DEFAULT) -> EvalResult:
     import numpy as np
 
+    _require_below_overflow(spec)
     k, x, y = spec.k, spec.x, spec.y
     power = (x + y) / k
 
@@ -65,7 +71,7 @@ def beta_k_integral_halfline(spec: BetaKSpec,
         # above the exp range, log(1 + t^k) is k log t to below double eps
         lp = np.where(e > 700.0, e, np.log1p(np.exp(np.minimum(e, 700.0))))
         w = (x - 1.0) * lt - power * lp
-        return np.where(w > -745.0, np.exp(w), 0.0)
+        return np.where(w <= -745.0, 0.0, np.exp(w))   # a nan w stays nan
 
     return quad_halfline(integrand, profile)
 
@@ -81,13 +87,14 @@ def beta_k_integral_unit(spec: BetaKSpec,
     """
     import numpy as np
 
+    _require_below_overflow(spec)
     k = spec.k
     p = spec.x / k - 1.0
     q = spec.y / k - 1.0
 
     def integrand(t: np.ndarray, omt: np.ndarray) -> np.ndarray:
         w = p * np.log(t) + q * np.log(omt)
-        return np.where(w > -745.0, np.exp(w), 0.0)
+        return np.where(w <= -745.0, 0.0, np.exp(w))   # a nan w stays nan
 
     r = quad_unit(integrand, profile)
     return EvalResult(r.value / k, r.err_estimate / k, "integral",
@@ -100,8 +107,9 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
     (a, b, c) = (x, y, x+y)/k, restored through w^4: the linear terms
     cancel and the expansion gives
         -ab w^2 + abc w^3 + (a^4 + b^4 - c^4)/4 w^4 + ...
-    It converges for c < N; beyond, ResultOverflow as beta_k_ratio raises
-    it where B_k(x, y) overflows, else DomainError.
+    It converges for c < N, and its factors need k N finite; beyond,
+    ResultOverflow as beta_k_ratio raises it where B_k(x, y) overflows,
+    else DomainError.
 
     The N terms, all negative, are summed pairwise in numpy (ndarray.sum),
     and math.fsum adds that sum to the three head logs. err_estimate takes
@@ -113,11 +121,12 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
     s = x + y
     a, b, c = x / k, y / k, s / k
-    if not c < n_terms:
+    if not (c < n_terms and k * n_terms < math.inf):
         _require_below_overflow(spec)
         raise DomainError(
             f"product route needs (x+y)/k < n_terms = {n_terms}, where its "
-            f"tail series converges; got (x+y)/k = {c:.6g}")
+            f"tail series converges, and a finite k n_terms; got (x+y)/k = {c:.6g}, "
+            f"k = {k}")
     import numpy as np
 
     from .pochhammer import _one_to
@@ -140,9 +149,10 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
 
 def _require_below_overflow(spec: BetaKSpec) -> None:
     """beta_k_ratio's ResultOverflow where B_k(x, y) exceeds the largest
-    double. With lo = min(x, y), a = lo/k, b = max(x, y)/k: log B_k(x, y) =
-    log Gamma_k(lo) - a log max(x, y) + O(a/b), and B_k overflows only where
-    lo < ~1e-308, so a/b is below rounding unless max(x, y) < ~1e-295."""
+    double, for the halfline, unit and product routes. With lo = min(x, y),
+    a = lo/k, b = max(x, y)/k: log B_k(x, y) = log Gamma_k(lo) - a log
+    max(x, y) + O(a/b), and B_k overflows only where lo < ~1e-308, so a/b
+    is below rounding unless max(x, y) < ~1e-295."""
     lo, hi = sorted((spec.x, spec.y))
     exp_or_overflow(log_gamma_k(spec.k, lo) - (lo / spec.k) * math.log(hi),
                     "B_k", spec.k, spec.x, spec.y)

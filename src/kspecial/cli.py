@@ -33,7 +33,7 @@ from importlib import import_module
 from itertools import product
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergent, ResultOverflow
+from .errors import DomainError, NonConvergent, ResultOverflow, as_float
 from .profiles import DEFAULT, PROFILES, PrecisionProfile
 
 # verify.SUITES, spelled out so the parser needs no import of verify
@@ -166,19 +166,20 @@ class EvalCommand(NamedTuple):
 # --method choices are tuple(ROUTES), spelled out so the parser imports none.
 EVAL_COMMANDS = (
     EvalCommand("gamma-k", ("k", "x"), ("scaling", "integral", "limit", "product"),
-                "gammak", lambda m, profile, method, k, x: _tagged(
-                    m.ROUTES[method](float(k), float(x), profile), method)),
+                "gammak", lambda m, profile, method, k, x: _tagged(m.ROUTES[method](
+                    as_float("k", k), as_float("x", x), profile), method)),
     EvalCommand("beta-k", ("k", "x", "y"), ("ratio", "halfline", "unit", "product"),
                 "betak", lambda m, profile, method, k, x, y: _tagged(m.ROUTES[method](
-                    m.BetaKSpec(float(k), float(x), float(y)), profile), method)),
+                    m.BetaKSpec(as_float("k", k), as_float("x", x), as_float("y", y)),
+                    profile), method)),
     EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
-                lambda m, profile, method, k, x, s: _tagged(
-                    m.zeta_k(m.ZetaKSpec(float(k), float(x), float(s)), profile))),
+                lambda m, profile, method, k, x, s: _tagged(m.zeta_k(m.ZetaKSpec(
+                    as_float("k", k), as_float("x", x), as_float("s", s)), profile))),
     EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
     EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
                 lambda m, profile, method, a, ka, b, sb, x: _tagged(m.ROUTES[method](
                     m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb)),
-                    float(x), profile), method),
+                    as_float("x", x), profile), method),
                 params=(("a", True, "upper parameters (comma list)"),
                         ("ka", True, "upper deformation steps, paired with --a"),
                         ("b", False, "lower parameters (comma list)"),

@@ -92,12 +92,15 @@ def _is_real(v) -> bool:
 
 def as_float(name: str, v) -> float:
     """float(v), or DomainError naming name for an int or Fraction no float
-    holds."""
+    holds: one past the largest double, or a nonzero one whose float is 0.0."""
     try:
-        return float(v)
+        f = float(v)
     except OverflowError:
         raise DomainError(f"{name} is an exact value of {int(v).bit_length()} "
                           "bits, beyond the float range") from None
+    if f == 0.0 and v != 0:
+        raise DomainError(f"{name} is a nonzero exact value below the float range")
+    return f
 
 
 class CapExceeded(RuntimeError):

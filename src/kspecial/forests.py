@@ -57,35 +57,34 @@ class PlanarForest(NamedTuple):
 def validate_forest(f: PlanarForest) -> None:
     """Family constraints: index and slot are ints, parents exist and precede
     their children, slots sit in range (roots one slot, internal vertices k+1),
-    no slot is taken twice. The first fault in vertex order is reported, a type
-    or range fault before a repeat; repeats are looked for only when
-    len(set(nodes)) shows one."""
+    no slot is taken twice. One walk names the first fault in vertex order: at
+    each vertex its type, then its range, then a repeat, which is looked for
+    only where len(set(nodes)) shows one."""
     a, k, nodes = f
     if not (isinstance(a, int) and a >= 1 and isinstance(k, int) and k >= 1):
         raise InvariantViolation(f"bad family parameters a={a}, k={k}")
-    dup = len(set(nodes)) < len(nodes) and next(   # v_dup repeats an earlier slot
-        i for i, att in enumerate(nodes, start=1) if nodes.index(att) < i - 1)
+    repeats = len(set(nodes)) < len(nodes)
     i = 0
     for (kind, idx), slot in nodes:
         i += 1
-        if not (type(idx) is type(slot) is int and (
-                kind == "r" and 1 <= idx <= a and slot == 0
-                or kind == "v" and 1 <= idx < i and 0 <= slot <= k)) and not 0 < dup < i:
-            if not type(idx) is type(slot) is int:   # a float or bool equals an int
+        if not type(idx) is type(slot) is int:   # a float or bool equals an int
+            raise InvariantViolation(f"v_{i} needs int index and slot, got {idx!r}, {slot!r}")
+        if kind == "r":
+            if not 1 <= idx <= a:
+                raise InvariantViolation(f"v_{i} attaches to nonexistent root {idx}")
+            if slot != 0:
+                raise InvariantViolation(f"roots carry a single slot, v_{i} uses {slot}")
+        elif kind == "v":
+            if not 1 <= idx < i:
                 raise InvariantViolation(
-                    f"v_{i} needs int index and slot, got {idx!r}, {slot!r}")
-            if kind == "r":
+                    f"v_{i} must attach to an earlier internal vertex, got v_{idx}")
+            if not 0 <= slot <= k:
                 raise InvariantViolation(
-                    f"v_{i} attaches to nonexistent root {idx}" if not 1 <= idx <= a
-                    else f"roots carry a single slot, v_{i} uses {slot}")
-            if kind == "v":
-                raise InvariantViolation(
-                    f"v_{i} must attach to an earlier internal vertex, got v_{idx}"
-                    if not 1 <= idx < i
-                    else f"internal vertices carry slots 0..{k}, v_{i} uses {slot}")
+                    f"internal vertices carry slots 0..{k}, v_{i} uses {slot}")
+        else:
             raise InvariantViolation(f"unknown parent kind {kind!r}")
-    if dup:
-        raise InvariantViolation(f"slot {nodes[dup - 1]} occupied twice")
+        if repeats and nodes.index(nodes[i - 1]) < i - 1:
+            raise InvariantViolation(f"slot {nodes[i - 1]} occupied twice")
 
 
 def tail_count(f: PlanarForest) -> int:

@@ -139,7 +139,7 @@ def gamma_k_integrand(k: float, p: float, c: float = 1.0):
         e = k * lt
         # e is clipped so that the discarded branch does not overflow
         w = p * lt - c * np.exp(np.minimum(e, 700.0)) / k
-        return np.where((e <= 700.0) & (w > -745.0), np.exp(w), 0.0)
+        return np.where((e > 700.0) | (w <= -745.0), 0.0, np.exp(w))   # a nan w stays nan
 
     return f
 

@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
-                     as_float, builtin_real)
+                     as_float, builtin_real, exp_or_overflow)
 from .gammak import gamma_k_integrand, log_gamma_k, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .series import sum_series, sum_series_batch
@@ -89,9 +89,16 @@ def classify(spec: HypergeometricSpec) -> ConvergenceClass:
     if spec.p == spec.q + 1:
         try:
             radius = math.prod(map(float, spec.s)) / math.prod(map(float, spec.k))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             _refuse_beyond_float(spec, "ks")
-            raise
+            radius = math.nan
+        if radius != radius:
+            # prod k underflowed to 0.0, or both products are inf: from logs
+            log_r = math.fsum(map(math.log, spec.s)) - math.fsum(map(math.log, spec.k))
+            try:
+                radius = math.exp(log_r)
+            except OverflowError:
+                radius = math.inf
         return ConvergenceClass("radius", radius)
     return ConvergenceClass("divergent", 0.0)
 
@@ -161,7 +168,7 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
             (1.0,) * spec.p,
             tuple(b_i / s_i for b_i, s_i in zip(spec.b, spec.s)),
             (1.0,) * spec.q)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         _refuse_beyond_float(spec)
         raise
     if not (0.0 < kbar < math.inf and 0.0 < sbar < math.inf):
@@ -300,7 +307,7 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
         r = quad_halfline(integrand, profile, batch=args.size)
         evals += r.terms_or_nodes_used
-        g = math.exp(log_gamma_k(k_p, a_p))
+        g = exp_or_overflow(log_gamma_k(k_p, a_p), "Gamma_k", k_p, a_p)
         return r.value / g, r.err_estimate / g
 
     # an overflow that matters reaches quad_halfline as a non-finite integrand

@@ -86,8 +86,9 @@ def pochhammer_k(spec: PochhammerSpec):
     A float partial product that reaches inf stays inf, or turns nan at a
     later zero factor, so the loop tests once, after it ends. Only a
     non-finite product, or a factor beyond the float range (an int k in a
-    spec built by _make), runs the second pass, which tests every partial
-    product to name the first factor that overflowed."""
+    spec built by _make), runs the second pass. It refuses at the first
+    factor that is not finite, with pochhammer_k_log's DomainError, or at
+    the first partial product that is inf, naming that factor."""
     x, n, k = spec.x, spec.n, spec.k
     if _is_exact(x) and _is_exact(k):
         p, q, r, s = map(int, (x.numerator, x.denominator, k.numerator, k.denominator))
@@ -103,7 +104,10 @@ def pochhammer_k(spec: PochhammerSpec):
         pass
     out = 1.0
     for j in range(n):
-        out = out * (x + j * k)
+        factor = x + j * k
+        if not math.isfinite(factor):
+            raise _last_factor_beyond_range(x, n, k)
+        out = out * factor
         if isinstance(out, float) and math.isinf(out):
             raise ResultOverflow(
                 f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "
@@ -159,8 +163,7 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
                           f"got an n of {n.bit_length()} bits")
     finite = math.isfinite(x) and math.isfinite(k)
     if finite and not math.isfinite(x + (n - 1) * k):
-        raise DomainError(f"(x)_{{n,k}} needs a finite last factor x + (n-1)k, "
-                          f"got x={x}, n={n}, k={k}")
+        raise _last_factor_beyond_range(x, n, k)
     neg = _first_nonnegative(x, k, n)
     if neg < n and x + k * float(neg) == 0.0:
         return -math.inf, 0
@@ -190,6 +193,11 @@ def pochhammer_k_log(spec: PochhammerSpec) -> tuple[float, int]:
     for j in range(neg, n):
         log_abs += math.log(x + j * k)
     return log_abs, sign
+
+
+def _last_factor_beyond_range(x, n: int, k) -> DomainError:
+    return DomainError(f"(x)_{{n,k}} needs a finite last factor x + (n-1)k, "
+                       f"got x={x}, n={n}, k={k}")
 
 
 def log_sum_rounding(n: int, log_abs: float) -> float:

@@ -36,8 +36,9 @@ The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
 still be written so that *their* values stay finite wherever the weight has
 not underflowed to zero: a non-finite integrand value or an integrand times
-weight that overflows raises DomainError. numpy's overflow warnings are
-silenced inside the loop, since that check reports the overflow.
+weight that overflows raises DomainError. numpy's overflow and invalid-value
+warnings are silenced inside the loop, since that check reports the inf or
+nan; so an integrand must not map a nan to 0.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def _refine_one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
     import numpy as np
 
     evals = 0
-    with np.errstate(over="ignore"):    # reported by _block_sums
+    with np.errstate(over="ignore", invalid="ignore"):    # reported by _block_sums
         for level in range(profile.max_quad_refinements + 1):
             *cols, w = _nodes(kind, level)
             evals += w.size
@@ -238,7 +239,7 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
         return _refine_one("halfline", f, profile)
     import numpy as np
 
-    with np.errstate(over="ignore"):    # reported by _block_sums
+    with np.errstate(over="ignore", invalid="ignore"):    # reported by _block_sums
         return _refine("halfline", f, batch, profile)
 
 

@@ -299,22 +299,24 @@ def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
+    """Through the forests API alone: each family is validated forest by forest,
+    counted, checked distinct on its nodes and sent through one text round trip."""
     from fractions import Fraction
 
-    from .forests import (ForestFamily, count, derivative_ratio,
-                          enumerate_forests, serialize_forest)
+    from .forests import (ForestFamily, count, derivative_ratio, enumerate_forests,
+                          parse_forest, serialize_forest, validate_forest)
     from .hypergeometric import HypergeometricSpec, coefficient
     from .pochhammer import PochhammerSpec, pochhammer_k
 
     def family_ok(a, n, k):
         family = ForestFamily(a, n, k)
-        # serialize_forest validates each forest, and its text ends with the
-        # tail count: one call per forest checks all three
-        texts = [serialize_forest(f) for f in enumerate_forests(family)]
-        tails = f"tails={a + n * k}\n"
-        return (len(texts) == count(family) and len(set(texts)) == len(texts)
-                and all(t.endswith(tails) for t in texts)
-                and count(family) == pochhammer_k(PochhammerSpec(a, n, k)))
+        forests = list(enumerate_forests(family))
+        for f in forests:
+            validate_forest(f)
+        back = parse_forest(serialize_forest(forests[-1]))   # its k is 1 at n = 0
+        return (len(forests) == count(family) == pochhammer_k(PochhammerSpec(a, n, k))
+                and len({f.nodes for f in forests}) == len(forests)
+                and (back.a, back.nodes) == (a, forests[-1].nodes))
 
     capped = _raised(CapExceeded, lambda: list(
         enumerate_forests(ForestFamily(3, 9, 2), cap=1000)))

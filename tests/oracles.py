@@ -47,12 +47,19 @@ def rising_product(x: float, n: int, step: float) -> float:
 
 
 def pochhammer_k_tested(x, n: int, k, overflow=OverflowError):
-    """pochhammer.pochhammer_k's float product with the overflow test after
-    every factor: the first inf partial product raises overflow with the
-    kernel's message, and a nan that no inf preceded is returned."""
+    """pochhammer.pochhammer_k's float product with both tests at every
+    factor: the first factor that is not finite raises DomainError, and the
+    first inf partial product raises overflow, each with the kernel's
+    message. No nan is returned."""
+    from kspecial.errors import DomainError
+
     out = 1.0
     for j in range(n):
-        out = out * (x + j * k)
+        factor = x + j * k
+        if not math.isfinite(factor):
+            raise DomainError(f"(x)_{{n,k}} needs a finite last factor x + (n-1)k, "
+                              f"got x={x}, n={n}, k={k}")
+        out = out * factor
         if isinstance(out, float) and math.isinf(out):
             raise overflow(
                 f"(x)_{{n,k}} overflows a float at factor {j + 1} of {n}; "

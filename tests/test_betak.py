@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -172,6 +173,57 @@ class TestDispatchAndDomain:
         # x = y = 1e305 the logs are finite but their sum of magnitudes is not
         with pytest.raises(ResultOverflow, match=r"B_k\(1e\+30[56]"):
             beta_k_ratio(BetaKSpec(1.0, x, y))
+
+    @pytest.mark.parametrize("x,y", [(1e300, 1e-300), (1e100, 1.0)])
+    def test_ratio_refuses_where_its_estimate_does_not_bound_it(self, x, y):
+        # the three logs cancel past every digit: it printed 1.0 with err
+        # 6.9e288 where B_1(1e300, 1e-300) ~ 1e300, and 1.0 +- 2.3e88 where
+        # B_1(1e100, 1) = 1e-100
+        with pytest.raises(DomainError, match="cancel past every digit"):
+            beta_k_ratio(BetaKSpec(1.0, x, y))
+
+    def test_ratio_refuses_overflow_where_its_estimate_does_not_bound_it(self):
+        # B_1(1e300, 1e-320) ~ 1e320; the ratio printed 1.0
+        with pytest.raises(ResultOverflow, match=r"^B_k\(1e\+300, 1e-320\) with k=1.0 "):
+            beta_k_ratio(BetaKSpec(1.0, 1e300, 1e-320))
+
+    def test_ratio_still_returns_an_underflowing_value(self):
+        # B_1(1000, 1000) ~ 1e-603: 0.0, within an estimate of 0.0
+        assert beta_k_ratio(BetaKSpec(1.0, 1000.0, 1000.0)) == (0.0, 0.0, "scaling", 0)
+
+    @pytest.mark.parametrize("k,x,y,message", [
+        (1.0, 10 ** 400, 1.0, "x is an exact value of 1329 bits, beyond the float range"),
+        (Fraction(1, 10 ** 400), 1.0, 1.0,
+         "k is a nonzero exact value below the float range")])
+    def test_spec_refuses_an_exact_value_no_float_holds(self, k, x, y, message):
+        # (1, 10**400, 1) built, and the routes raised an untyped OverflowError
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            BetaKSpec(k, x, y)
+
+    @pytest.mark.parametrize("route,k,x,y", [
+        (beta_k_integral_halfline, 1 / 3, 1.7e308, 1e300),
+        (beta_k_integral_unit, 5e-324, 1.7e308, 1e-300)])
+    def test_integral_routes_refuse_a_nan_integrand(self, route, k, x, y):
+        # inf - inf or inf * 0 in the exponent: a RuntimeWarning, then the
+        # nan was read as 0
+        with pytest.raises(DomainError, match="integrand returned non-finite value nan"):
+            route(BetaKSpec(k, x, y))
+
+    @pytest.mark.parametrize("route", [beta_k_integral_halfline, beta_k_integral_unit])
+    def test_integral_routes_refuse_overflow_where_ratio_does(self, route):
+        # B_k(5e-324, 1.7e308) with k = 1/3 is ~2e323: halfline printed 0.0
+        # with err 0.0, and unit read a nan as 0 after a RuntimeWarning
+        spec = BetaKSpec(1 / 3, 5e-324, 1.7e308)
+        with pytest.raises(ResultOverflow):
+            beta_k_ratio(spec)
+        with pytest.raises(ResultOverflow, match=r"^B_k\(5e-324, 1.7e\+308\) with k=0.3"):
+            route(spec)
+
+    def test_product_refuses_where_k_n_overflows(self):
+        # the factors past k n = inf were dropped: 3.79e-308, where B_k is
+        # 3.618e-308, and a RuntimeWarning
+        with pytest.raises(DomainError, match="a finite k n_terms"):
+            beta_k_product(BetaKSpec(1.7e308, 5e307, 5e307))
 
     def test_product_matches_loop_reference(self):
         # summation order changed, so allow the loop's own rounding:

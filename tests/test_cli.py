@@ -260,7 +260,7 @@ class TestExitCodes:
         ["eval", "gamma-k", "--k", "1", "--x", "1e306"],
         # the ratio route's inf - inf used to print nan,nan with exit 0
         ["eval", "beta-k", "--k", "1", "--x", "1e306", "--y", "1"],
-        # the series sum overflows to inf; the CLI refuses to print it
+        # the series sum overflows to inf; its record refuses it
         ["eval", "hyper", "--a", "1", "--ka", "1", "--b", "1", "--sb", "1",
          "--x", "800"],
         # a zeta_H underflow that k^(-s) cannot scale back
@@ -359,6 +359,61 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == (f"domain error: {name} is an exact value of 1329 bits, "
                        "beyond the float range\n")
+
+    BIG = str(10 ** 400)
+
+    @pytest.mark.parametrize("argv,message", [
+        # float() raised OverflowError: a traceback and exit 1
+        (["eval", "gamma-k", "--k", "1", "--x", BIG],
+         "x is an exact value of 1329 bits, beyond the float range"),
+        (["eval", "beta-k", "--k", "1", "--x", BIG, "--y", "1"],
+         "x is an exact value of 1329 bits, beyond the float range"),
+        (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", BIG],
+         "s is an exact value of 1329 bits, beyond the float range"),
+        (["eval", "hyper", "--a", "1", "--ka", "1", "--x", BIG],
+         "x is an exact value of 1329 bits, beyond the float range"),
+        # the step's float is 0.0: ZeroDivisionError in classify, in the
+        # spec's pole check and in the transfer route's a/k
+        (["eval", "hyper", "--a=-1/3", f"--ka=1/{BIG}", "--x", "0.5"],
+         "k is a nonzero exact value below the float range"),
+        (["eval", "hyper", "--a", "1", "--ka", "1", "--b=-30", f"--sb=1/{BIG}",
+          "--x", "0.5"], "s is a nonzero exact value below the float range"),
+        (["eval", "hyper", "--a=-1e-300", f"--ka=1/{BIG}", "--x=-1", "--method",
+          "transfer"], "k is a nonzero exact value below the float range"),
+        # x read as 0.0: it printed 0.0 with err 0.0, where the product is ~1.7e-92
+        (["eval", "pochhammer", "--x", f"1/{BIG}", "--n", "2", "--k", "1.7e308"],
+         "x is a nonzero exact value below the float range"),
+        # a zero factor met an inf one: nan,nan with exit 0
+        (["eval", "pochhammer", "--x", "0.0", "--n", "3", "--k", "1.7e308"],
+         "(x)_{n,k} needs a finite last factor x + (n-1)k, got x=0.0, n=3, k=1.7e+308"),
+        # 1.0 +- 6.9e288, where B_1(1e300, 1e-300) ~ 1e300
+        (["eval", "beta-k", "--k", "1", "--x", "1e300", "--y", "1e-300"],
+         "B_k(1e+300, 1e-300) with k=1.0: log Gamma_k terms 6.89776e+302, 690.776, "
+         "6.89776e+302 cancel past every digit"),
+    ])
+    def test_exact_value_or_factor_no_float_holds(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"domain error: {message}\n")
+
+    def test_integral_route_weight_overflow_is_typed(self, capsys):
+        # math.exp(log Gamma_k) raised OverflowError: a traceback and exit 1
+        code, out, err = run_cli(["eval", "hyper", "--a", "700", "--ka", "1e-300",
+                                  "--b", "2", "--sb", "1", "--x", "0.5", "--method",
+                                  "integral"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("overflow: Gamma_k(700.0) with k=1e-300 overflows a float "
+                       "(log value 3.88576e+303)\n")
+
+    def test_radius_where_the_step_product_underflows(self, capsys):
+        # prod k = 1e-400 is 0.0 as a float: ZeroDivisionError in classify. The
+        # radius is 1e400, and (1)_{n,1e-200} is 1 to rounding, so the series
+        # is sum 0.5^n / n!^2
+        code, out, err = run_cli(["eval", "hyper", "--a", "1,1", "--ka", "1e-200,1e-200",
+                                  "--b", "1", "--sb", "1", "--x", "0.5"], capsys)
+        assert (code, err) == (0, "")
+        value = float(out.splitlines()[1].split(",")[-3])
+        assert value == pytest.approx(
+            math.fsum(0.5 ** n / math.factorial(n) ** 2 for n in range(30)), rel=1e-14)
 
     @pytest.mark.parametrize("argv", [
         ["eval", "gamma-k", "--k", "1e-300", "--x", "-1e10"],

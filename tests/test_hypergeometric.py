@@ -63,6 +63,24 @@ class TestClassify:
         with pytest.raises(ValueError):
             ConvergenceClass("bounded", 1.0)
 
+    @pytest.mark.parametrize("a,k,b,s,radius", [
+        # prod k underflows to 0.0: ZeroDivisionError, the radius is 1e400
+        ((1.0, 1.0), (1e-200, 1e-200), (1.0,), (1.0,), math.inf),
+        # both products overflow: inf / inf was a nan radius
+        ((1.0,) * 3, (1e200,) * 3, (1.0,) * 2, (1e200,) * 2, 1e-200),
+        # both underflow: 0.0 / 0.0
+        ((1.0,) * 3, (1e-200,) * 3, (1.0,) * 2, (1e-200,) * 2, 1e200)])
+    def test_radius_where_a_step_product_leaves_the_float_range(self, a, k, b, s, radius):
+        # exp of a log of ~460 carries ~460 eps of relative rounding
+        got = classify(HypergeometricSpec(a, k, b, s))
+        assert got.kind == "radius" and got.radius == pytest.approx(radius, rel=1e-12)
+
+    def test_nonzero_exact_step_whose_float_is_zero(self):
+        spec = HypergeometricSpec((Fraction(-1, 3),), (Fraction(1, 10 ** 400),), (), ())
+        with pytest.raises(DomainError,
+                           match="^k is a nonzero exact value below the float range$"):
+            classify(spec)
+
 
 class TestEvaluate:
     def test_empty_is_exponential(self):

@@ -95,8 +95,16 @@ class TestDirectProduct:
     def test_overflow_and_nonfinite_match_per_factor_test(self, x, n, k):
         # _make skips the spec's refusal of non-finite floats
         spec = PochhammerSpec._make((x, n, k))
-        assert _outcome(pochhammer_k, spec) \
-            == _outcome(pochhammer_k_tested, x, n, k, ResultOverflow)
+        got = _outcome(pochhammer_k, spec)
+        assert got == _outcome(pochhammer_k_tested, x, n, k, ResultOverflow)
+        assert got != "nan"
+
+    @pytest.mark.parametrize("x", [0.0, -1.7e308])
+    def test_a_factor_beyond_the_float_range_is_refused(self, x):
+        # a zero factor met the inf last factor: nan,nan with exit 0
+        with pytest.raises(DomainError, match=re.escape(
+                f"needs a finite last factor x + (n-1)k, got x={x}, n=3, k=1.7e+308")):
+            pochhammer_k(PochhammerSpec(x, 3, 1.7e308))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -602,6 +610,13 @@ class TestFloatRange:
     def test_spec_refuses(self, f, x, k, message):
         with pytest.raises(DomainError, match=f"^{message}, beyond the float range$"):
             f(PochhammerSpec(x, 2, k))
+
+    @pytest.mark.parametrize("x", [Fraction(1, BIG), Fraction(-1, BIG)])
+    def test_nonzero_exact_value_whose_float_is_zero(self, x):
+        # x was read as 0.0: the product printed 0.0 with err 0.0, not ~1.7e-92
+        with pytest.raises(DomainError,
+                           match="^x is a nonzero exact value below the float range$"):
+            PochhammerSpec(x, 2, 1.7e308)
 
     def test_exact_spec_passes_and_log_form_refuses(self):
         spec = PochhammerSpec(1, 2, self.BIG)

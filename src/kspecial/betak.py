@@ -50,7 +50,9 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
         # so large that their cancellation leaves no digit of v
         raise ResultOverflow(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k "
                              f"terms {la:.6g}, {lb:.6g}, {lc:.6g} exceed the float range")
-    if not rel < 1.0:   # the estimate does not bound v: B_k may even overflow
+    if not rel < 1.0 and la + lb - lc + rel > -745.2:
+        # the estimate does not bound v, which is not certain to underflow
+        # (log B_k < la + lb - lc + rel): B_k may even overflow
         _require_below_overflow(spec)
         raise DomainError(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k terms "
                           f"{la:.6g}, {lb:.6g}, {lc:.6g} cancel past every digit")

@@ -174,12 +174,13 @@ EVAL_COMMANDS = (
                     profile), method)),
     EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
                 lambda m, profile, method, k, x, s: _tagged(m.zeta_k(m.ZetaKSpec(
-                    as_float("k", k), as_float("x", x), as_float("s", s)), profile))),
+                    as_float("k", k), as_float("x", x), as_float("s", s, zero_ok=True)),
+                    profile))),
     EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
     EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
                 lambda m, profile, method, a, ka, b, sb, x: _tagged(m.ROUTES[method](
                     m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb)),
-                    as_float("x", x), profile), method),
+                    as_float("x", x, zero_ok=True), profile), method),
                 params=(("a", True, "upper parameters (comma list)"),
                         ("ka", True, "upper deformation steps, paired with --a"),
                         ("b", False, "lower parameters (comma list)"),

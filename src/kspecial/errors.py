@@ -90,15 +90,17 @@ def _is_real(v) -> bool:
     return isinstance(v, Real)
 
 
-def as_float(name: str, v) -> float:
+def as_float(name: str, v, zero_ok: bool = False) -> float:
     """float(v), or DomainError naming name for an int or Fraction no float
-    holds: one past the largest double, or a nonzero one whose float is 0.0."""
+    holds: one past the largest double, or a nonzero one whose float is 0.0.
+    zero_ok reads the latter as 0.0, as the float literal 1e-400 reads, for
+    a point where the function is continuous at 0 (hyper's x, zeta_k's s)."""
     try:
         f = float(v)
     except OverflowError:
         raise DomainError(f"{name} is an exact value of {int(v).bit_length()} "
                           "bits, beyond the float range") from None
-    if f == 0.0 and v != 0:
+    if f == 0.0 and not zero_ok and v != 0:
         raise DomainError(f"{name} is a nonzero exact value below the float range")
     return f
 

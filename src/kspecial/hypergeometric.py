@@ -92,8 +92,9 @@ def classify(spec: HypergeometricSpec) -> ConvergenceClass:
         except (OverflowError, ZeroDivisionError):
             _refuse_beyond_float(spec, "ks")
             radius = math.nan
-        if radius != radius:
-            # prod k underflowed to 0.0, or both products are inf: from logs
+        if not 0.0 < radius < math.inf:
+            # a step product left the float range (steps > 0, so the true
+            # radius is positive and finite): from logs
             log_r = math.fsum(map(math.log, spec.s)) - math.fsum(map(math.log, spec.k))
             try:
                 radius = math.exp(log_r)

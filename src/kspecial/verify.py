@@ -299,8 +299,9 @@ def suite_hyper(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
-    """Through the forests API alone: each family is validated forest by forest,
-    counted, checked distinct on its nodes and sent through one text round trip."""
+    """Through the forests API alone, per family: every forest validated; the
+    forest count, count(family), (a)_{n,k} and the number of distinct nodes of
+    forests carrying the family's a, n and k all equal; one text round trip."""
     from fractions import Fraction
 
     from .forests import (ForestFamily, count, derivative_ratio, enumerate_forests,
@@ -315,7 +316,7 @@ def suite_forests(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
             validate_forest(f)
         back = parse_forest(serialize_forest(forests[-1]))   # its k is 1 at n = 0
         return (len(forests) == count(family) == pochhammer_k(PochhammerSpec(a, n, k))
-                and len({f.nodes for f in forests}) == len(forests)
+                == len({f.nodes for f in forests if (f.a, len(f.nodes), f.k) == family})
                 and (back.a, back.nodes) == (a, forests[-1].nodes))
 
     capped = _raised(CapExceeded, lambda: list(

@@ -43,8 +43,8 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
     def __new__(cls, k, x, s):
         if not (type(k) is type(x) is type(s) is float):
             k, x, s = builtin_real(k), builtin_real(x), builtin_real(s)
-            for name, v in zip("kxs", (k, x, s)):   # an exact value stays exact
-                as_float(name, v)
+            for name, v, zero_ok in (("k", k, False), ("x", x, False), ("s", s, True)):
+                as_float(name, v, zero_ok)   # an exact value stays exact
         # one comparison per argument; on failure the sign checks come first
         if not (0.0 < k < math.inf and 0.0 < x < math.inf and -math.inf < s < math.inf):
             if not (k > 0.0):

@@ -187,9 +187,12 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow, match=r"^B_k\(1e\+300, 1e-320\) with k=1.0 "):
             beta_k_ratio(BetaKSpec(1.0, 1e300, 1e-320))
 
-    def test_ratio_still_returns_an_underflowing_value(self):
-        # B_1(1000, 1000) ~ 1e-603: 0.0, within an estimate of 0.0
-        assert beta_k_ratio(BetaKSpec(1.0, 1000.0, 1000.0)) == (0.0, 0.0, "scaling", 0)
+    @pytest.mark.parametrize("x", [1000.0, 1e13, 1e300])
+    def test_ratio_still_returns_an_underflowing_value(self, x):
+        # log B_1(x, x) ~ -2x log 2 lies far below the float range even where
+        # the estimate's log error (~5.9 at 1e13, ~1.4e289 at 1e300) is not
+        # below 1: 0.0, within an estimate of 0.0
+        assert beta_k_ratio(BetaKSpec(1.0, x, x)) == (0.0, 0.0, "scaling", 0)
 
     @pytest.mark.parametrize("k,x,y,message", [
         (1.0, 10 ** 400, 1.0, "x is an exact value of 1329 bits, beyond the float range"),

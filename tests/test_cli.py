@@ -395,6 +395,16 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", f"domain error: {message}\n")
 
+    @pytest.mark.parametrize("argv,value", [
+        (["eval", "hyper", "--a", "1", "--ka", "1", "--x", f"1/{BIG}"], "1.0,0.0,series"),
+        (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", f"1/{BIG}"],
+         "-0.5,3.597122599785507e-14,euler_maclaurin")])
+    def test_tiny_exact_point_where_the_function_is_continuous_at_0(self, argv, value,
+                                                                   capsys):
+        # read as 0.0, as the float literal 1e-400 is
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out.endswith(f",{value}\n")
+
     def test_integral_route_weight_overflow_is_typed(self, capsys):
         # math.exp(log Gamma_k) raised OverflowError: a traceback and exit 1
         code, out, err = run_cli(["eval", "hyper", "--a", "700", "--ka", "1e-300",

@@ -69,11 +69,15 @@ class TestClassify:
         # both products overflow: inf / inf was a nan radius
         ((1.0,) * 3, (1e200,) * 3, (1.0,) * 2, (1e200,) * 2, 1e-200),
         # both underflow: 0.0 / 0.0
-        ((1.0,) * 3, (1e-200,) * 3, (1.0,) * 2, (1e-200,) * 2, 1e200)])
+        ((1.0,) * 3, (1e-200,) * 3, (1.0,) * 2, (1e-200,) * 2, 1e200),
+        # prod s overflows, prod k does not: inf was read as the radius
+        ((1.0,) * 3, (1e100,) * 3, (1.0,) * 2, (1e200,) * 2, 1e100),
+        # prod s underflows, prod k does not: 0.0 was read as the radius
+        ((1.0,) * 3, (1e-100,) * 3, (1.0,) * 2, (1e-200,) * 2, 1e-100)])
     def test_radius_where_a_step_product_leaves_the_float_range(self, a, k, b, s, radius):
         # exp of a log of ~460 carries ~460 eps of relative rounding
         got = classify(HypergeometricSpec(a, k, b, s))
-        assert got.kind == "radius" and got.radius == pytest.approx(radius, rel=1e-12)
+        assert got.kind == "radius" and got.radius == pytest.approx(radius, rel=1e-12, abs=0)
 
     def test_nonzero_exact_step_whose_float_is_zero(self):
         spec = HypergeometricSpec((Fraction(-1, 3),), (Fraction(1, 10 ** 400),), (), ())

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kspecial import betak, gammak
+from kspecial import betak, forests, gammak
 from kspecial.cli import main
 from kspecial.errors import InvariantViolation
 from kspecial.profiles import EvalResult
@@ -131,6 +131,20 @@ class TestNanFails:
             "FAIL beta/first-argument-shift max_dev=nan tol=1.000e-11",
         ]
         assert out[2].startswith("PASS beta/symmetry/halfline-route ")
+
+
+def test_verify_forests_fails_on_a_member_of_another_family(monkeypatch, capsys):
+    # (1)_{1,1} = (1)_{1,2} = 1: the k = 1 forest is valid on its own, has
+    # the right count and round-trips, but is not a member of (1, 1, 2)
+    enumerate_forests = forests.enumerate_forests
+    monkeypatch.setattr(forests, "enumerate_forests", lambda family, cap=1_000_000:
+                        enumerate_forests(family._replace(k=1) if family == (1, 1, 2)
+                                          else family, cap))
+    assert main(["verify", "forests"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("FAIL forests/enumeration-count-distinct-invariants "
+                      "max_dev=1.000e+00 tol=0.000e+00")
+    assert [line[:5] for line in out[1:]] == ["PASS ", "PASS "]
 
 
 # the rows that read psi_point's psi_xx, as a refused point prints them

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, ResultOverflow, as_float, exp_or_overflow
+from .errors import DomainError, as_float, exp_or_overflow
 from .gammak import _require_k, _tail_sums, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
@@ -42,21 +42,16 @@ def beta_k_ratio(spec: BetaKSpec) -> EvalResult:
     la = log_gamma_k(spec.k, spec.x)
     lb = log_gamma_k(spec.k, spec.y)
     lc = log_gamma_k(spec.k, spec.x + spec.y)
-    v = exp_or_overflow(la + lb - lc, "B_k", spec.k, spec.x, spec.y)
     rel = 5e-15 * (2.0 + abs(la) + abs(lb) + abs(lc))
-    err = abs(v) * rel
-    if not math.isfinite(err):
-        # a log Gamma_k beyond the float range (inf - inf is nan), or logs
-        # so large that their cancellation leaves no digit of v
-        raise ResultOverflow(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k "
-                             f"terms {la:.6g}, {lb:.6g}, {lc:.6g} exceed the float range")
-    if not rel < 1.0 and la + lb - lc + rel > -745.2:
-        # the estimate does not bound v, which is not certain to underflow
-        # (log B_k < la + lb - lc + rel): B_k may even overflow
-        _require_below_overflow(spec)
+    if not rel < 1.0:
+        # the logs leave no digit of B_k (or pass the float range): 0.0 where
+        # B_k certainly underflows, ResultOverflow where it overflows
+        if _require_below_overflow(spec) + math.log(2.0) < -745.2:
+            return EvalResult(0.0, 0.0, "scaling", 0)
         raise DomainError(f"B_k({spec.x}, {spec.y}) with k={spec.k}: log Gamma_k terms "
                           f"{la:.6g}, {lb:.6g}, {lc:.6g} cancel past every digit")
-    return EvalResult(v, err, "scaling", 0)
+    v = exp_or_overflow(la + lb - lc, "B_k", spec.k, spec.x, spec.y)
+    return EvalResult(v, v * rel, "scaling", 0)
 
 
 def beta_k_integral_halfline(spec: BetaKSpec,
@@ -149,15 +144,19 @@ def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
                       n_terms)
 
 
-def _require_below_overflow(spec: BetaKSpec) -> None:
-    """beta_k_ratio's ResultOverflow where B_k(x, y) exceeds the largest
-    double, for the halfline, unit and product routes. With lo = min(x, y),
-    a = lo/k, b = max(x, y)/k: log B_k(x, y) = log Gamma_k(lo) - a log
-    max(x, y) + O(a/b), and B_k overflows only where lo < ~1e-308, so a/b
-    is below rounding unless max(x, y) < ~1e-295."""
+def _require_below_overflow(spec: BetaKSpec) -> float:
+    """L = log Gamma_k(lo) - (lo/k) log hi, lo, hi = min, max(x, y), after
+    beta_k_ratio's ResultOverflow where B_k(x, y) exceeds the largest double.
+    log B_k = L + O(lo/hi), and B_k overflows only where lo < ~1e-308, where
+    lo/hi is below rounding unless hi < ~1e-295. Wendel's inequality (Amer.
+    Math. Monthly 55, 1948), B(a, b) <= 2 Gamma(a) b^(-a) for a <= b, gives
+    log B_k <= L + log 2: below the float range, B_k underflows."""
     lo, hi = sorted((spec.x, spec.y))
-    exp_or_overflow(log_gamma_k(spec.k, lo) - (lo / spec.k) * math.log(hi),
-                    "B_k", spec.k, spec.x, spec.y)
+    bound = log_gamma_k(spec.k, lo) - (lo / spec.k) * math.log(hi)
+    if bound != bound:   # inf - inf, where lo/k is so large that L < -lo/k
+        return -math.inf
+    exp_or_overflow(bound, "B_k", spec.k, spec.x, spec.y)
+    return bound
 
 
 # as gammak.ROUTES: each entry looks its route up by name when called

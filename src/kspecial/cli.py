@@ -9,9 +9,9 @@ Subcommands:
     forests  count a forest family, optionally exporting the canonical
              serializations
 
-Exit codes: 0 success, 1 verification failure, 2 domain error (the message
-names the violated precondition) or a result beyond the float range (the
-message starts with "overflow:"), 3 non-convergence. No value printed is
+Exit codes: 0 success, 1 verification failure, 2 domain error (a violated
+precondition, or a finite value the route cannot reach) or a value beyond
+the float range (the message starts with "overflow:"), 3 non-convergence. No value printed is
 inf or nan: EvalResult refuses one, as the float Pochhammer product does.
 
 Tolerances come from --rel-tol/--abs-tol when given, else from the
@@ -169,9 +169,8 @@ EVAL_COMMANDS = (
                 "gammak", lambda m, profile, method, k, x: _tagged(m.ROUTES[method](
                     as_float("k", k), as_float("x", x), profile), method)),
     EvalCommand("beta-k", ("k", "x", "y"), ("ratio", "halfline", "unit", "product"),
-                "betak", lambda m, profile, method, k, x, y: _tagged(m.ROUTES[method](
-                    m.BetaKSpec(as_float("k", k), as_float("x", x), as_float("y", y)),
-                    profile), method)),
+                "betak", lambda m, profile, method, k, x, y: _tagged(
+                    m.ROUTES[method](m.BetaKSpec(k, x, y), profile), method)),
     EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
                 lambda m, profile, method, k, x, s: _tagged(m.zeta_k(m.ZetaKSpec(
                     as_float("k", k), as_float("x", x), as_float("s", s, zero_ok=True)),

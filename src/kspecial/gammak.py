@@ -220,8 +220,6 @@ def gamma_k_limit(k: float, x: float, n: int = 16_384) -> EvalResult:
     two_step = (w_n + w_2m * rho_2m + w_m * rho_m) / den
     one_step = (n - 2 * m * rho_2m) / (n - 2 * m)
     v = v_n * two_step
-    if not math.isfinite(v):
-        raise ResultOverflow(f"Gamma_k({x}) with k={k} overflows a float")
     scale = (w_n * scales[2] + abs(w_2m * rho_2m) * scales[1]
              + abs(w_m * rho_m) * scales[0]) / den
     # the n^-3 term two steps leave, c3 h_m h_2m h_n = c3/(2 m^2 n), taken
@@ -343,7 +341,7 @@ def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalR
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.log(t) * weight(t)
 
-    g = exp_or_overflow(log_gamma_k(k, x + k + 1.0), "Gamma_k", k, x + k + 1.0)
+    g = gamma_k_scaling(k, x + k + 1.0).value
     if k * k == 0.0 or g / (k * k) == math.inf:
         raise ResultOverflow(f"d/dk Gamma_k(x+1) at x={x} with k={k}: "
                              "Gamma_k(x+k+1)/k^2 overflows a float")

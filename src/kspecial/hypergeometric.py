@@ -25,8 +25,8 @@ import math
 from typing import NamedTuple
 
 from .errors import (DivergentSeries, DomainError, OutsideRadius, ResultOverflow,
-                     as_float, builtin_real, exp_or_overflow)
-from .gammak import gamma_k_integrand, log_gamma_k, nearest_pole
+                     as_float, builtin_real)
+from .gammak import gamma_k_integrand, gamma_k_scaling, nearest_pole
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .series import sum_series, sum_series_batch
 
@@ -125,7 +125,8 @@ def evaluate(spec: HypergeometricSpec, x: float,
              profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """The series at x, summed by series.sum_series under the profile's
     stop rule. ResultOverflow where a term, the sum or its estimate passes
-    the float range; DomainError for a nan x or an exact parameter no float
+    the float range; DomainError for a nan x, a nan term (inf/inf: its
+    factor products leave the float range) or an exact parameter no float
     holds."""
     if type(x) is not float:
         x = builtin_real(x)
@@ -308,7 +309,7 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
         r = quad_halfline(integrand, profile, batch=args.size)
         evals += r.terms_or_nodes_used
-        g = exp_or_overflow(log_gamma_k(k_p, a_p), "Gamma_k", k_p, a_p)
+        g = gamma_k_scaling(k_p, a_p).value
         return r.value / g, r.err_estimate / g
 
     # an overflow that matters reaches quad_halfline as a non-finite integrand

@@ -7,7 +7,8 @@ alternating or polynomial series). err_estimate is the magnitude of the
 first omitted term, which is honest only when the terms eventually decrease;
 slowly converging series satisfy the rule long before the sum is accurate,
 which is the caller's problem to know about. A nan partial sum can never
-meet the rule, so sum_series raises ResultOverflow at the first one.
+meet the rule, so sum_series raises at the first one: DomainError where
+the term itself is nan, ResultOverflow where inf terms made it.
 
 sum_series sums one series, forming each term and applying the stop rule
 in one loop: per-term interpreter overhead is most of a point evaluation's
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonConvergent, ResultOverflow
+from .errors import DomainError, NonConvergent, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 
 # Terms per numpy step in sum_series_batch: _FIRST_BLOCK, doubling up to
@@ -63,6 +64,9 @@ def sum_series(x, upper: tuple, lower: tuple,
         else:
             # nan (or inf under rel_tol 0) never meets the rule; an inf sum
             # under rel_tol > 0 does, and its EvalResult refuses it
+            if t != t:   # inf/inf or 0*inf: the term itself may be small
+                raise DomainError(f"sum_series: term {n + 1} is nan; its factor "
+                                  "products leave the float range")
             raise ResultOverflow(f"sum_series: the partial sum is {total} after "
                                  f"{n + 1} terms; the terms pass the float range")
         num = x

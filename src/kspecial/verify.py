@@ -167,19 +167,20 @@ def suite_gamma(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
-    from .betak import ROUTES, BetaKSpec, beta_k_integral_halfline, beta_k_ratio
-    specs = [BetaKSpec(k, x, y) for k in (0.5, 1.0, 2.0)
-             for x in (0.5, 1.0, 2.5) for y in (0.5, 1.0, 2.5)]
+    """at[spec] holds the four ROUTES results at the 27 specs three checks read."""
+    from .betak import ROUTES, BetaKSpec, beta_k_ratio
+    at = {s: {name: r(s, profile) for name, r in ROUTES.items()}
+          for s in (BetaKSpec(k, x, y) for k in (0.5, 1.0, 2.0)
+                    for x in (0.5, 1.0, 2.5) for y in (0.5, 1.0, 2.5))}
     return [
         _worst("four-routes-pairwise/combined-error-units", 3.0,
-               (_combined_error_units([r(s, profile) for r in ROUTES.values()])
-                for s in specs)),
+               (_combined_error_units(list(routes.values())) for routes in at.values())),
         _worst("scaling-collapse", 1e-9,
                (_rel(beta_k_ratio(BetaKSpec(1.0, s.x / s.k, s.y / s.k)).value / s.k,
-                     beta_k_ratio(s).value) for s in specs)),
+                     at[s]["ratio"].value) for s in at)),
         _worst("symmetry/halfline-route", 1e-9,
-               (_rel(beta_k_integral_halfline(BetaKSpec(k, 2.5, 0.5), profile).value,
-                     beta_k_integral_halfline(BetaKSpec(k, 0.5, 2.5), profile).value)
+               (_rel(at[BetaKSpec(k, 2.5, 0.5)]["halfline"].value,
+                     at[BetaKSpec(k, 0.5, 2.5)]["halfline"].value)
                 for k in (0.5, 1.0, 2.0))),
         _worst("first-argument-shift", 1e-11,
                (_rel(beta_k_ratio(BetaKSpec(k, x + k, y)).value,
@@ -189,7 +190,6 @@ def suite_beta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
 
 
 def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
-    from .gammak import psi_point
     from .zetak import (ZetaKSpec, zeta_k, zeta_k_dk, zeta_k_dk_printed_variant,
                         zeta_k_ds_at_zero, zeta_k_identity_trigamma)
     grid = [(k, x) for k in (0.5, 1.0, 2.0) for x in (0.5, 1.0, 2.5)]
@@ -197,8 +197,11 @@ def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
     def zeta(k, x, s):
         return zeta_k(ZetaKSpec(k, x, s), profile).value
 
-    s0 = [(zeta_k_ds_at_zero(k, x, profile).value,
-           _unless_refused(lambda: psi_point(k, x, profile).psi_xx)) for k, x in grid]
+    # (zeta_k(x, 2), psi_xx) per grid point, both nan where psi_point refuses
+    trigamma = [_unless_refused(lambda: zeta_k_identity_trigamma(k, x, profile),
+                                (math.nan, math.nan)) for k, x in grid]
+    s0 = [(zeta_k_ds_at_zero(k, x, profile).value, psi_xx)
+          for (k, x), (_, psi_xx) in zip(grid, trigamma)]
     return [
         _worst("shift-telescoping", 1e-10,
                (_rel(zeta(k, x, s) - zeta(k, x + k, s), x ** (-s))
@@ -207,8 +210,7 @@ def suite_zeta(profile: PrecisionProfile = DEFAULT) -> list[CheckResult]:
                (_rel(k ** (-s) * zeta(1.0, x / k, s), zeta(k, x, s), 1e-30)
                 for s in (-0.5, 0.3, 2.5) for k, x in grid)),
         _worst("trigamma-identity", 1e-9,
-               (_unless_refused(lambda: _rel(*zeta_k_identity_trigamma(k, x, profile)))
-                for k, x in grid)),
+               (_rel(zeta2, psi_xx) for zeta2, psi_xx in trigamma)),
         _worst("s0-derivative-composite/positive-sign", 1e-3,
                (_rel(comp, psi_xx) for comp, psi_xx in s0)),
         _worst("s0-derivative-composite/flipped-sign-gap-is-2x", 1e-3,

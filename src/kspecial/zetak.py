@@ -35,6 +35,7 @@ from .profiles import DEFAULT, EvalResult, PrecisionProfile
 # jitter of each zeta evaluation through the 1/h^2 stencil to percent level)
 _H_S = 1e-5
 _H_X_FACTOR = 1e-2
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float)])):
@@ -58,15 +59,25 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
 
 
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    r = hurwitz_zeta(spec.s, spec.x / spec.k, profile)
+    """k^(-s) zeta_H(s, x/k). ResultOverflow where zeta_k itself passes the
+    float range; DomainError where zeta_H does, or underflows, and k^(-s) may
+    scale it back: this route cannot reach the value."""
+    try:
+        r = hurwitz_zeta(spec.s, spec.x / spec.k, profile)
+    except ResultOverflow:
+        # for s > 1, zeta_k exceeds its first term x^(-s)
+        if spec.s > 1.0 and -spec.s * math.log(spec.x) > _LOG_MAX:
+            raise
+        raise DomainError(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: zeta_H(s, x/k) "
+                          "passes the float range, and k^(-s) may scale it back") from None
     try:
         scale = spec.k ** (-spec.s)
     except OverflowError:
         # k^(-s) beyond the float range: form exp(-s log k + log|v|), unless
         # zeta_H(s, x/k) underflowed and kept too few digits to scale
         if not abs(r.value) >= sys.float_info.min:
-            raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
-                                 f"zeta_H(s, x/k) = {r.value!r} underflows") from None
+            raise DomainError(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
+                              f"zeta_H(s, x/k) = {r.value!r} underflows") from None
         log_scale = -spec.s * math.log(spec.k)
         log_v = math.log(abs(r.value))
         value, err = (exp_or_overflow(log_scale + t, "zeta_k", spec.k, spec.x, spec.s)

@@ -140,6 +140,34 @@ def beta_k_product_fsum(k: float, x: float, y: float, n_terms: int) -> tuple[flo
     return math.exp(log_v), math.fsum(map(abs, terms))
 
 
+def log_beta_k(k: float, x: float, y: float) -> float:
+    """log B_k(x, y) = log B(a, b) - log k, a, b = x/k, y/k, in mpmath at 256
+    bits, taking a <= b. Where b/a passes 2^128, a + b is within rounding of
+    b and log Gamma(b) - log Gamma(a + b) would keep no digit: there it is
+    -a psi(b), as its Taylor series in a gives, whose next term (a^2/2)
+    psi'(b) is below 2^-128 (1 + a) (at 40 digits, log B read +744.44 at
+    (5e-324, 1.7e308, 5e-324), where the truth is log(1/x) = -709.7)."""
+    import mpmath
+
+    with mpmath.workprec(256):
+        a, b = sorted((mpmath.mpf(x) / k, mpmath.mpf(y) / k))
+        if b / a > mpmath.mpf(2) ** 128:
+            log_b = mpmath.loggamma(a) - a * mpmath.digamma(b)
+        else:
+            log_b = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        return float(log_b - mpmath.log(k))
+
+
+def log_abs_zeta_k(k: float, x: float, s: float) -> float:
+    """log|zeta_k(x, s)| = -s log k + log|zeta_H(s, x/k)|, in mpmath at 256
+    bits; -inf where zeta_H is 0."""
+    import mpmath
+
+    with mpmath.workprec(256):
+        z = mpmath.zeta(mpmath.mpf(s), mpmath.mpf(x) / k)
+        return float(-s * mpmath.log(k) + mpmath.log(abs(z))) if z else -math.inf
+
+
 def pochhammer_k_log_array(x: float, n: int, k: float) -> tuple[float, int]:
     """(log|(x)_{n,k}|, sign) by the full-array formula: every factor in one
     numpy array, zero and negative factors counted over the whole array,

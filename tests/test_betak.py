@@ -14,7 +14,7 @@ from kspecial.betak import (BetaKSpec, beta_k_integral_halfline, beta_k_integral
 from kspecial.errors import DomainError, ResultOverflow
 from kspecial.profiles import DEFAULT
 
-from oracles import beta_k_product_fsum, beta_k_product_loop
+from oracles import beta_k_product_fsum, beta_k_product_loop, log_beta_k
 
 ROUTES = (beta_k_ratio, beta_k_integral_halfline, beta_k_integral_unit,
           beta_k_product)
@@ -167,18 +167,12 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow):
             beta_k_ratio(BetaKSpec(1.0, 1e-320, 1.0))
 
-    @pytest.mark.parametrize("x,y", [(1e306, 1.0), (1e305, 1e305)])
-    def test_ratio_log_terms_beyond_float_range_are_typed(self, x, y):
-        # log Gamma(1e306) is inf, and inf - inf gave a nan value; at
-        # x = y = 1e305 the logs are finite but their sum of magnitudes is not
-        with pytest.raises(ResultOverflow, match=r"B_k\(1e\+30[56]"):
-            beta_k_ratio(BetaKSpec(1.0, x, y))
-
-    @pytest.mark.parametrize("x,y", [(1e300, 1e-300), (1e100, 1.0)])
+    @pytest.mark.parametrize("x,y", [(1e300, 1e-300), (1e100, 1.0), (1e306, 1.0)])
     def test_ratio_refuses_where_its_estimate_does_not_bound_it(self, x, y):
         # the three logs cancel past every digit: it printed 1.0 with err
         # 6.9e288 where B_1(1e300, 1e-300) ~ 1e300, and 1.0 +- 2.3e88 where
-        # B_1(1e100, 1) = 1e-100
+        # B_1(1e100, 1) = 1e-100. log Gamma(1e306) is inf, and the finite
+        # B_1(1e306, 1) = 1e-306 was refused as an overflow
         with pytest.raises(DomainError, match="cancel past every digit"):
             beta_k_ratio(BetaKSpec(1.0, x, y))
 
@@ -187,12 +181,24 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow, match=r"^B_k\(1e\+300, 1e-320\) with k=1.0 "):
             beta_k_ratio(BetaKSpec(1.0, 1e300, 1e-320))
 
-    @pytest.mark.parametrize("x", [1000.0, 1e13, 1e300])
+    @pytest.mark.parametrize("x", [1000.0, 1e13, 1e300, 1e305])
     def test_ratio_still_returns_an_underflowing_value(self, x):
         # log B_1(x, x) ~ -2x log 2 lies far below the float range even where
         # the estimate's log error (~5.9 at 1e13, ~1.4e289 at 1e300) is not
-        # below 1: 0.0, within an estimate of 0.0
+        # below 1: 0.0, within an estimate of 0.0. At 1e305 the sum of the
+        # logs' magnitudes is inf, which was refused as an overflow
         assert beta_k_ratio(BetaKSpec(1.0, x, x)) == (0.0, 0.0, "scaling", 0)
+
+    def test_ratio_underflows_at_subnormal_k(self):
+        # log B_k(1.7e308, 1e-300) ~ -2.8e26 with k = 5e-324, where the logs
+        # pass the float range: it was refused as an overflow
+        assert beta_k_ratio(BetaKSpec(5e-324, 1.7e308, 1e-300)) == (0.0, 0.0, "scaling", 0)
+
+    def test_ratio_refuses_a_finite_value_its_logs_cannot_give(self):
+        # B_k(x, k) = Gamma_k(x)/Gamma_k(x+k) = 1/x ~ 5.9e-309: finite, and
+        # not an overflow, which the ratio used to report
+        with pytest.raises(DomainError, match="cancel past every digit"):
+            beta_k_ratio(BetaKSpec(5e-324, 1.7e308, 5e-324))
 
     @pytest.mark.parametrize("k,x,y,message", [
         (1.0, 10 ** 400, 1.0, "x is an exact value of 1329 bits, beyond the float range"),
@@ -284,3 +290,33 @@ def test_product_refuses_overflow_where_ratio_does():
         refused += want
         assert _overflows(beta_k_product, spec) == want, spec
     assert 0 < refused < 500
+
+
+class TestRatioRefusalBound:
+    """beta_k_ratio's refusals and its 0.0 read one bound, L + log 2 >= log B_k
+    (Wendel), against an independent log B_k."""
+
+    def test_bound_and_outcome_against_mpmath(self):
+        pytest.importorskip("mpmath")
+        rng = random.Random(28)
+        log_max = math.log(sys.float_info.max)
+        for _ in range(300):
+            k, x, y = (10.0 ** rng.uniform(-320.0, 307.0) for _ in range(3))
+            spec = BetaKSpec(k, x, y)
+            want = log_beta_k(k, x, y)
+            try:
+                bound = betak._require_below_overflow(spec)
+            except ResultOverflow:
+                assert want > log_max, (spec, want)
+                with pytest.raises(ResultOverflow):
+                    beta_k_ratio(spec)
+                continue
+            slack = 1e-11 * (1.0 + abs(bound)) if bound > -math.inf else 0.0
+            assert want <= bound + math.log(2.0) + slack, (spec, want)
+            try:
+                r = beta_k_ratio(spec)
+            except DomainError:
+                continue
+            if r.value == 0.0:   # below half the smallest subnormal
+                assert want < math.log(5e-324) - math.log(2.0), (spec, want)
+

@@ -255,22 +255,44 @@ class TestExitCodes:
         ["eval", "pochhammer", "--x", "1.5", "--n", "400", "--k", "2"],
         ["eval", "beta-k", "--k", "1", "--x", "1e-320", "--y", "1"],
         ["eval", "zeta-k", "--k", "1", "--x", "5e-324", "--s", "2"],
-        ["eval", "zeta-k", "--k", "1e300", "--x", "1", "--s", "2"],
         # log Gamma(1e306) itself overflows: math.lgamma raises there
         ["eval", "gamma-k", "--k", "1", "--x", "1e306"],
-        # the ratio route's inf - inf used to print nan,nan with exit 0
-        ["eval", "beta-k", "--k", "1", "--x", "1e306", "--y", "1"],
         # the series sum overflows to inf; its record refuses it
         ["eval", "hyper", "--a", "1", "--ka", "1", "--b", "1", "--sb", "1",
          "--x", "800"],
-        # a zeta_H underflow that k^(-s) cannot scale back
-        ["eval", "zeta-k", "--k", "1e-300", "--x", "1", "--s", "3"],
     ])
     def test_overflow_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("overflow:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,outcome", [
+        # log B_k ~ -2.8e26: 0.0
+        (["beta-k", "--k", "5e-324", "--x", "1.7e308", "--y", "1e-300"],
+         "beta-k,5e-324,1.7e+308,1e-300,0.0,0.0,ratio"),
+        # B_k = 1/x ~ 5.9e-309 and B_1(1e306, 1) = 1e-306 are finite, but the
+        # logs that give them pass the float range
+        (["beta-k", "--k", "5e-324", "--x", "1.7e308", "--y", "5e-324"], "domain error:"),
+        (["beta-k", "--k", "1", "--x", "1e306", "--y", "1"], "domain error:"),
+        (["beta-k", "--k", "1", "--x", "1e305", "--y", "1e305"],
+         "beta-k,1,1e+305,1e+305,0.0,0.0,ratio"),
+        # k^(-3) zeta_H(3, 1e300) ~ 5e299, where zeta_H underflows to 0
+        (["zeta-k", "--k", "1e-300", "--x", "1", "--s", "3"], "domain error:"),
+        # zeta_k(1, 2) with k = 1e300 is 1.0 to rounding, where zeta_H(2, 1e-300)
+        # ~ 1e600 overflows
+        (["zeta-k", "--k", "1e300", "--x", "1", "--s", "2"], "domain error:"),
+        # a tenth of the radius, F ~ 1.0, and term 3 is inf/inf
+        (["hyper", "--a", "1,1,1", "--ka", "1e200,1e200,1e200", "--b", "1,1",
+          "--sb", "1e200,1e200", "--x", "1e-201"], "domain error:"),
+    ])
+    def test_finite_values_are_not_overflows(self, argv, outcome, capsys):
+        # each printed overflow: before
+        code, out, err = run_cli(["eval", *argv], capsys)
+        if outcome.endswith(":"):
+            assert (code, out) == (2, "") and err.startswith(outcome), err
+        else:
+            assert (code, out.splitlines()[-1]) == (0, outcome)
 
     @pytest.mark.parametrize("argv,prefix", [
         (["eval", "gamma-k", "--k", "1", "--x", "200", "--method",

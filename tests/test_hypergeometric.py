@@ -141,6 +141,14 @@ class TestEvaluate:
         with pytest.raises(ResultOverflow, match=says):
             evaluate(spec, x)
 
+    def test_nan_term_is_a_domain_error(self):
+        # x is a tenth of the radius and F ~ 1.0, but term 3 is inf/inf: its
+        # factor products pass the float range. It was refused as an overflow
+        spec = HypergeometricSpec((1.0,) * 3, (1e200,) * 3, (1.0,) * 2, (1e200,) * 2)
+        assert classify(spec).radius == pytest.approx(1e-200)
+        with pytest.raises(DomainError, match="term 3 is nan"):
+            evaluate(spec, 1e-201)
+
     @pytest.mark.parametrize("route", [evaluate, transfer_classical])
     def test_nan_argument_is_a_domain_error(self, route):
         spec = HypergeometricSpec((1.0,), (1.0,), (2.0,), (1.0,))

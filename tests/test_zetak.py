@@ -95,10 +95,34 @@ class TestScaleBeyondFloatRange:
 
     @pytest.mark.parametrize("k,x,s", [
         (1e-300, 1e-10, 2.0),   # the value itself is ~1e310
-        (1e-300, 1.0, 3.0),     # zeta_H(3, 1e300) underflows to 0
     ])
     def test_unrepresentable_is_typed(self, k, x, s):
         with pytest.raises(ResultOverflow, match="zeta_k"):
+            zeta_k(ZetaKSpec(k, x, s))
+
+    @pytest.mark.parametrize("k,x,s", [
+        (1e300, 1.0, 2.0),          # 1.0 to rounding; zeta_H(2, 1e-300) ~ 1e600
+        (1e300, 1.0 / 3.0, 3.0),    # ~27
+        (1e-300, 1.0 / 3.0, -1e300),   # ~ (1/3)^1e300, below the float range
+    ])
+    def test_overflowed_hurwitz_is_a_domain_error(self, k, x, s):
+        # zeta_H(s, x/k) passes the float range, but k^(-s) scales it back:
+        # zeta_k itself is not an overflow, which it used to be refused as
+        with pytest.raises(DomainError, match="k\\^\\(-s\\) may scale it back"):
+            zeta_k(ZetaKSpec(k, x, s))
+
+    @pytest.mark.parametrize("k,x,s", [(1.0, 5e-324, 2.0), (1e10, 1e-160, 2.0)])
+    def test_overflowed_hurwitz_past_its_first_term_is_an_overflow(self, k, x, s):
+        # zeta_k(x, s) > x^(-s) for s > 1: ~4e646 and 1e320
+        with pytest.raises(ResultOverflow, match="hurwitz_zeta"):
+            zeta_k(ZetaKSpec(k, x, s))
+
+    @pytest.mark.parametrize("k,x,s", [(1e-300, 1.0, 3.0), (1e-300, 1.0 / 3.0, 3.0)])
+    def test_underflowed_hurwitz_is_a_domain_error(self, k, x, s):
+        # zeta_H(3, x/k) underflows (to 0 at 1e300), so k^(-3) cannot scale
+        # it back to the finite value, ~5e299 and ~4.5e300: the route cannot
+        # reach it, and it used to be refused as an overflow
+        with pytest.raises(DomainError, match="underflows"):
             zeta_k(ZetaKSpec(k, x, s))
 
 

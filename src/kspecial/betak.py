@@ -21,7 +21,8 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, as_float, exp_or_overflow
-from .gammak import _require_k, _tail_sums, log_gamma_k
+from .gammak import _require_k, log_gamma_k
+from .hurwitz import _tail_sums
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
 

@@ -10,9 +10,11 @@ Subcommands:
              serializations
 
 Exit codes: 0 success, 1 verification failure, 2 domain error (a violated
-precondition, or a finite value the route cannot reach) or a value beyond
-the float range (the message starts with "overflow:"), 3 non-convergence. No value printed is
-inf or nan: EvalResult refuses one, as the float Pochhammer product does.
+precondition, a finite value the route cannot reach, or an --export path
+that cannot be written) or a value beyond the float range (the message
+starts with "overflow:"), 3 non-convergence. A reader of stdout that leaves
+early (| head -1) changes no status. No value printed is inf or nan:
+EvalResult refuses one, as the float Pochhammer product does.
 
 Tolerances come from --rel-tol/--abs-tol when given, else from the
 KSPECIAL_PROFILE environment variable (strict|default|fast), else the
@@ -172,13 +174,12 @@ EVAL_COMMANDS = (
                 "betak", lambda m, profile, method, k, x, y: _tagged(
                     m.ROUTES[method](m.BetaKSpec(k, x, y), profile), method)),
     EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
-                lambda m, profile, method, k, x, s: _tagged(m.zeta_k(m.ZetaKSpec(
-                    as_float("k", k), as_float("x", x), as_float("s", s, zero_ok=True)),
-                    profile))),
+                lambda m, profile, method, k, x, s: _tagged(
+                    m.zeta_k(m.ZetaKSpec(k, x, s), profile))),
     EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
     EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
                 lambda m, profile, method, a, ka, b, sb, x: _tagged(m.ROUTES[method](
-                    m.HypergeometricSpec(tuple(a), tuple(ka), tuple(b), tuple(sb)),
+                    m.HypergeometricSpec(a, ka, b, sb),
                     as_float("x", x, zero_ok=True), profile), method),
                 params=(("a", True, "upper parameters (comma list)"),
                         ("ka", True, "upper deformation steps, paired with --a"),
@@ -211,25 +212,24 @@ def _cmd_forests(args) -> int:
               file=sys.stderr)
         return 2
     if args.export is not None:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            for f in enumerate_forests(family, cap=args.cap):
-                fh.write(serialize_forest(f))
-                fh.write("\n")
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                for f in enumerate_forests(family, cap=args.cap):
+                    fh.write(serialize_forest(f))
+                    fh.write("\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write --export {args.export}: "
+                              f"{exc.strerror or exc}") from None
     return 0
 
 
-def _cmd_verify(args, profile: PrecisionProfile) -> int:
-    from .verify import run_suite
-    rows = run_suite(args.suite, profile)
-    worst = True
+def _print_verify(rows: list) -> None:
     for suite, r in rows:
         status = "PASS" if r.passed else "FAIL"
-        worst = worst and r.passed
         print(f"{status} {suite}/{r.name} max_dev={r.max_dev:.3e} "
               f"tol={r.tol:.3e}")
     print(f"{sum(r.passed for _, r in rows)}/{len(rows)} checks passed",
           file=sys.stderr)
-    return 0 if worst else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,13 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    status = 0   # the command's, set before it writes to stdout
     try:
         if args.command == "eval":
             _emit(_cmd_eval(args, _resolve_profile(args)), args.format, sys.stdout)
-            return 0
-        if args.command == "verify":
-            return _cmd_verify(args, _resolve_profile(args))
-        return _cmd_forests(args)
+        elif args.command == "verify":
+            from .verify import run_suite
+            rows = run_suite(args.suite, _resolve_profile(args))
+            status = 0 if all(r.passed for _, r in rows) else 1
+            _print_verify(rows)
+        else:
+            status = _cmd_forests(args)
+        sys.stdout.flush()   # a reader that left raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader of stdout left (`| head -1`): the rest of the output
+        # goes to devnull, and the status stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ValueError as exc:   # DomainError and InvariantViolation among them
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
@@ -311,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergent as exc:
         print(f"failed to converge: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 def entry() -> None:

@@ -146,17 +146,10 @@ def gamma_k_integrand(k: float, p: float, c: float = 1.0):
 
 def gamma_k_integral(k: float, x: float,
                      profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0.
-
-    ResultOverflow as gamma_k_scaling raises it. Where the value fits, an
-    integrand or level sum that overflows is the DomainError of
-    quad_halfline: this route cannot reach the value.
-    """
-    _require_k(k, x)
-    if not (x > 0.0):
-        raise DomainError(f"integral route requires x > 0, got {x}",
-                          nearest_pole=nearest_pole(k, x))
-    _require_below_overflow(k, x)
+    """int_0^inf t^(x-1) exp(-t^k/k) dt, x > 0; refuses as gamma_k_scaling
+    does. Where the value fits, an integrand or level sum that overflows is
+    the DomainError of quad_halfline: this route cannot reach the value."""
+    gamma_k_scaling(k, x)
     from .quadrature import quad_halfline
     return quad_halfline(gamma_k_integrand(k, x - 1.0), profile)
 

@@ -18,9 +18,9 @@ _tail_sums caches zeta_H(m, N+1), m = 2..5, the product routes' tails.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from functools import lru_cache
 
 from .errors import DomainError, PoleError, ResultOverflow
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -75,7 +75,7 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
     return EvalResult(value, err, "euler_maclaurin", _M + len(_CORRECTIONS))
 
 
-@lru_cache
+@functools.cache
 def _tail_sums(n_terms: int) -> tuple[float, ...]:
     """sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5, once per N."""
     return tuple(hurwitz_zeta(m, n_terms + 1.0).value for m in (2.0, 3.0, 4.0, 5.0))

@@ -21,6 +21,7 @@ Routes kept independent for cross-checking:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -182,7 +183,8 @@ def transfer_classical(spec: HypergeometricSpec, x: float,
 def coefficient(spec: HypergeometricSpec, n: int):
     """n! c_n = prod (a_j)_{n,k_j} / prod (b_i)_{n,s_i}: the n-th derivative
     of the series at x = 0. Exact (Fraction) when every parameter is
-    rational; float otherwise.
+    rational; float otherwise, and then ResultOverflow where a factor
+    product or the coefficient passes the float range, as in ode_residual.
     """
     if n < 0:
         raise DomainError(f"derivative order must be >= 0, got {n}")
@@ -191,11 +193,19 @@ def coefficient(spec: HypergeometricSpec, n: int):
 
     params = (*spec.a, *spec.k, *spec.b, *spec.s)
     exact = all(isinstance(v, Rational) for v in params)
+    if not exact:
+        _refuse_beyond_float(spec)
     r = Fraction(1) if exact else 1.0
     one = 1 if exact else 1.0
-    for m in range(n):
-        r = (r * _times_shifted(one, spec.a, spec.k, m)
-             / _times_shifted(one, spec.b, spec.s, m))
+    try:
+        for m in range(n):
+            r = (r * _times_shifted(one, spec.a, spec.k, m)
+                 / _times_shifted(one, spec.b, spec.s, m))
+    except (OverflowError, ZeroDivisionError):   # float mode only
+        r = math.inf
+    if not abs(r) < math.inf:
+        raise ResultOverflow(f"coefficient n={n}: a factor product or the coefficient "
+                             "passes the float range")
     return r
 
 
@@ -253,9 +263,9 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
     one array call, down to one sum_series_batch over every base-series
     argument. Each row and each series keeps its own stop rule, so value,
     err_estimate and work are those of integrating one node at a time.
-    quad_halfline hands the integrand blocks of at most quadrature._BLOCK
-    values, so the arrays of every depth stay within a fixed multiple of
-    _BLOCK elements. The base series' denominators (n + 1) prod_i (b_i + n
+    quad_halfline hands the integrand blocks of at most max(quadrature._BLOCK,
+    one level) values, so the arrays of every depth stay within a fixed
+    multiple of that. The base series' denominators (n + 1) prod_i (b_i + n
     s_i) are formed once per call, when a batch first reaches n; DomainError
     where one is 0.0, inf or nan, as in transfer_classical.
     """
@@ -271,17 +281,13 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
     from .quadrature import quad_halfline
 
-    dens: list[float] = []
-
+    @functools.cache
     def base_den(n: int) -> float:
-        while len(dens) <= n:
-            m = len(dens)
-            d = _times_shifted(m + 1.0, spec.b, spec.s, m)
-            if not (0.0 < abs(d) < math.inf):
-                raise DomainError(f"integral route: the base-series denominator "
-                                  f"at n={m} is {d}, outside the float range")
-            dens.append(d)
-        return dens[n]
+        d = _times_shifted(n + 1.0, spec.b, spec.s, n)
+        if not (0.0 < abs(d) < math.inf):
+            raise DomainError(f"integral route: the base-series denominator "
+                              f"at n={n} is {d}, outside the float range")
+        return d
 
     evals = 0
 

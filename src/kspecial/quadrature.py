@@ -17,20 +17,21 @@ asks the integrand for every active row at all of the level's nodes in one
 array call, and each row keeps its own stop rule, error estimate and node
 count, leaving the batch once it converges. A level is summed in node order
 (u = 0 first at level 0), so a row's result is bit for bit what the same
-integrand gives alone. Every integrand is an array function, called once per
-level (a batch's, per _BLOCK values) and never once per node. quad_halfline(batch=n)
-runs it for n rows of an integrand f(rows, t), as the iterated-integral
-hypergeometric route does. For one integrand f(*nodes), quad_halfline and
-quad_unit run _refine_one: the same float operations in the same order, its
-bookkeeping in Python floats, not arrays of one row, so the value,
-err_estimate, node count and errors are bit for bit those of a batch of one.
+integrand gives alone. Every integrand is an array function, called with
+whole levels (a batch's, for a block of rows) and never once per node.
+quad_halfline(batch=n) runs it for n rows of an integrand f(rows, t), as the
+iterated-integral hypergeometric route does. For one integrand f(*nodes),
+quad_halfline and quad_unit run _refine_one: the same float operations in
+the same order, its bookkeeping in Python floats, not arrays of one row, so
+the value, err_estimate, node count and errors are bit for bit those of a
+batch of one.
 
 Node/jacobian tables depend only on (map, level), so _nodes builds each on
 first use and functools.cache keeps it as numpy arrays; evaluation cost is
-pure integrand calls. A batch's integrand is asked for at most _BLOCK
-values per call (rows, and a level's nodes too when it has more), which
-bounds the memory a nested batch can take at any depth; a single integrand
-gets a whole level, at most 221,184 nodes (halfline level 14, 1.8 MB).
+pure integrand calls. A batch's integrand is asked for as many rows as fit
+in _BLOCK values, and at least one, so a call takes at most max(_BLOCK, one
+level) values: that bounds the memory a nested batch can take at any depth.
+The widest level has 221,184 nodes (halfline level 14, 1.8 MB).
 
 The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
@@ -103,54 +104,47 @@ class QuadBatch(NamedTuple):
         return int(self.nodes_used.sum())
 
 
-def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray,
-                acc: np.ndarray | None = None) -> np.ndarray:
-    """acc plus each row's sum of f * w over the nodes cols, added in node
-    order (a pairwise sum would round differently), so a row's sum depends
-    neither on the batch it is in nor on how its nodes are split."""
+def _refuse(fv, t: np.ndarray) -> None:
+    """The DomainError of a level whose sum is not finite: the first
+    non-finite value in fv (broadcast against the nodes t) and its t, else
+    the overflowing product with the weight."""
+    import numpy as np
+
+    fv = np.broadcast_to(fv, np.broadcast_shapes(np.shape(fv), t.shape))
+    bad = np.argwhere(~np.isfinite(fv))
+    if bad.size:
+        at = tuple(bad[0])
+        raise DomainError(f"integrand returned non-finite value {fv[at]} "
+                          f"at t={t[at[-1]]}")
+    raise DomainError("integrand times quadrature weight overflows a float")
+
+
+def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray) -> np.ndarray:
+    """Each row's sum of f * w over the nodes cols, added in node order (a
+    pairwise sum would round differently), so a row's sum does not depend
+    on the batch it is in."""
     import numpy as np
 
     fv = np.asarray(f(rows, *cols), dtype=np.float64)
-    fw = fv * w
-    if acc is not None:
-        fw[:, 0] += acc
-    sums = fw.cumsum(axis=1)[:, -1]
+    sums = (fv * w).cumsum(axis=1)[:, -1]
     # a non-finite value or an overflowing product makes its row's sum
     # non-finite; count_nonzero is cheaper than all() on a small array
     if np.count_nonzero(np.isfinite(sums)) != sums.size:
-        bad = np.argwhere(~np.isfinite(fv))
-        if bad.size:
-            i, j = bad[0]
-            raise DomainError(f"integrand returned non-finite value "
-                              f"{fv[i, j]} at t={cols[0][j]}")
-        raise DomainError("integrand times quadrature weight overflows a "
-                          "float")
+        _refuse(fv, cols[0])
     return sums
 
 
 def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
                 ) -> np.ndarray:
-    """Each active row's sum of f * w over one level's nodes.
-
-    f sees at most _BLOCK values per call: rows are taken a block at a time
-    and, when one row alone has more nodes than that, the nodes too.
-    """
-    if active.size * w.size <= _BLOCK:  # one call, the common case
+    """Each active row's sum of f * w over one level's nodes: f gets the
+    whole level for as many rows as fit in _BLOCK values, and at least one."""
+    step = max(1, _BLOCK // w.size)
+    if active.size <= step:  # one call, the common case
         return _block_sums(f, active, cols, w)
     import numpy as np
 
-    width = min(w.size, _BLOCK)
-    step = _BLOCK // width
-    sums = np.empty(active.size)
-    for lo in range(0, active.size, step):
-        rows = active[lo:lo + step]
-        acc = None
-        for c in range(0, w.size, width):
-            part = slice(c, c + width)
-            acc = _block_sums(f, rows, [col[part] for col in cols], w[part],
-                              acc)
-        sums[lo:lo + step] = acc
-    return sums
+    return np.concatenate([_block_sums(f, active[lo:lo + step], cols, w)
+                           for lo in range(0, active.size, step)])
 
 
 def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
@@ -191,18 +185,18 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
 
 def _refine_one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
     """_refine for one integrand f(*nodes), its bookkeeping in floats and
-    each level summed in one call. A level whose sum is not finite goes to
-    _block_sums, which raises its DomainError."""
+    each level summed in one call; _refuse reports a sum that is not
+    finite."""
     import numpy as np
 
     evals = 0
-    with np.errstate(over="ignore", invalid="ignore"):    # reported by _block_sums
+    with np.errstate(over="ignore", invalid="ignore"):    # reported by _refuse
         for level in range(profile.max_quad_refinements + 1):
             *cols, w = _nodes(kind, level)
             evals += w.size
             add = float(((fv := f(*cols)) * w).cumsum()[-1])
             if not math.isfinite(add):
-                _block_sums(lambda rows, *c: fv.reshape(1, -1), None, cols, w)
+                _refuse(fv, cols[0])
             if level == 0:
                 prev = add * _BASE_H
                 continue
@@ -228,18 +222,18 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
     successive levels agree.
 
     With batch=n, n integrands are integrated at once and the result is a
-    QuadBatch: f(rows, t) gets an int array of row numbers and an array of
-    nodes, at most quadrature._BLOCK values in all, and returns the values
-    of those rows at those nodes, shape (len(rows), len(t)). Each row stops
-    on its own, and its value, err_estimate and node count are those of
-    integrating it alone. NonConvergent is raised if any row is still open
-    at the cap.
+    QuadBatch: f(rows, t) gets an int array of row numbers and all of a
+    level's nodes, as many rows as fit in quadrature._BLOCK values and at
+    least one, and returns the values of those rows at those nodes, shape
+    (len(rows), len(t)). Each row stops on its own, and its value,
+    err_estimate and node count are those of integrating it alone.
+    NonConvergent is raised if any row is still open at the cap.
     """
     if batch is None:
         return _refine_one("halfline", f, profile)
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):    # reported by _block_sums
+    with np.errstate(over="ignore", invalid="ignore"):    # reported by _refuse
         return _refine("halfline", f, batch, profile)
 
 

@@ -24,8 +24,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import (DomainError, ResultOverflow, as_float, builtin_real,
-                     exp_or_overflow, require_finite)
+from .errors import (DomainError, ResultOverflow, as_float, exp_or_overflow,
+                     require_finite)
 from .gammak import psi_point
 from .hurwitz import hurwitz_zeta
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
@@ -43,9 +43,7 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
 
     def __new__(cls, k, x, s):
         if not (type(k) is type(x) is type(s) is float):
-            k, x, s = builtin_real(k), builtin_real(x), builtin_real(s)
-            for name, v, zero_ok in (("k", k, False), ("x", x, False), ("s", s, True)):
-                as_float(name, v, zero_ok)   # an exact value stays exact
+            k, x, s = as_float("k", k), as_float("x", x), as_float("s", s, zero_ok=True)
         # one comparison per argument; on failure the sign checks come first
         if not (0.0 < k < math.inf and 0.0 < x < math.inf and -math.inf < s < math.inf):
             if not (k > 0.0):
@@ -133,7 +131,8 @@ def _weighted_sum(spec: ZetaKSpec, m: int, factor: float,
                   profile: PrecisionProfile) -> EvalResult:
     """factor (s)_m W, W = sum_{n>=0} n^m (x + nk)^(-s-m) reduced exactly to
     Hurwitz calls through n^m = k^(-m) ((x+nk) - x)^m expanded binomially;
-    for m >= 1 and s > 1, where every reduced exponent is off the s = 1 pole."""
+    for m >= 1 and s > 1, where every reduced exponent is off the s = 1 pole.
+    DomainError where a power x^(m-j) or k^(-m) passes the float range."""
     from .pochhammer import PochhammerSpec, pochhammer_k
     k, x, s = spec.k, spec.x, spec.s
     if m < 1:
@@ -143,13 +142,19 @@ def _weighted_sum(spec: ZetaKSpec, m: int, factor: float,
     total = 0.0
     err = 0.0
     terms = 0
-    for j in range(m + 1):
-        coef = math.comb(m, j) * (-x) ** (m - j)
-        part = zeta_k(ZetaKSpec(k, x, s + m - j), profile)
-        total += coef * part.value
-        err += abs(coef) * part.err_estimate
-        terms += part.terms_or_nodes_used
-    scale = k ** (-m)
+    try:
+        for j in range(m + 1):
+            coef = math.comb(m, j) * (-x) ** (m - j)
+            part = zeta_k(ZetaKSpec(k, x, s + m - j), profile)
+            total += coef * part.value
+            err += abs(coef) * part.err_estimate
+            terms += part.terms_or_nodes_used
+        scale = k ** (-m)
+    except ResultOverflow:
+        raise
+    except OverflowError:   # a power past the float range; W itself may fit
+        raise DomainError(f"k-derivative of zeta_k({x}, {s}) with k={k}: a power in "
+                          "its binomial reduction passes the float range") from None
     w, werr = scale * total, scale * err
     pref = factor * pochhammer_k(PochhammerSpec(s, m, 1))
     return EvalResult(pref * w, abs(pref) * werr, "euler_maclaurin", terms)

@@ -392,6 +392,11 @@ class TestExitCodes:
          "x is an exact value of 1329 bits, beyond the float range"),
         (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", BIG],
          "s is an exact value of 1329 bits, beyond the float range"),
+        # ZetaKSpec converts the fields in the order k, x, s
+        (["eval", "zeta-k", "--k", "1", "--x", BIG, "--s", "2"],
+         "x is an exact value of 1329 bits, beyond the float range"),
+        (["eval", "zeta-k", "--k", BIG, "--x", f"1/{BIG}", "--s", "2"],
+         "k is an exact value of 1329 bits, beyond the float range"),
         (["eval", "hyper", "--a", "1", "--ka", "1", "--x", BIG],
          "x is an exact value of 1329 bits, beyond the float range"),
         # the step's float is 0.0: ZeroDivisionError in classify, in the
@@ -631,6 +636,59 @@ def fresh_python(code: str, *args: str) -> str:
                           capture_output=True, text=True, timeout=120,
                           check=True)
     return proc.stdout
+
+
+def run_kspecial(argv, cwd, read_lines=None):
+    """(exit code, stdout, stderr) of `python -m kspecial argv` in a fresh
+    process. With read_lines=n, the reader of stdout reads n lines and
+    closes the pipe, as `| head -n` does."""
+    env = {k: v for k, v in os.environ.items() if k != "KSPECIAL_PROFILE"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "kspecial", *argv],
+                            cwd=cwd, env=env, text=True, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    if read_lines is None:
+        out, err = proc.communicate(timeout=120)
+        return proc.returncode, out, err
+    out = "".join(proc.stdout.readline() for _ in range(read_lines))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return proc.wait(timeout=120), out, err
+
+
+class TestOutputErrors:
+    """An output that fails keeps the exit contract: an --export path that
+    cannot be written is a domain error, and a reader of stdout that leaves
+    early changes no status. Each printed a traceback and exited 1, the
+    status of a failed verify check."""
+
+    @pytest.mark.parametrize("path,reason", [
+        ("missing/f.txt", "No such file or directory"),
+        (".", "Is a directory"),
+        pytest.param("/dev/full", "No space left on device",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
+    ])
+    def test_unwritable_export_is_domain_error(self, path, reason, tmp_path):
+        argv = ["forests", "--a", "2", "--n", "3", "--k", "1", "--export", path]
+        assert run_kspecial(argv, tmp_path) == (
+            2, "24\n", f"domain error: cannot write --export {path}: {reason}\n")
+
+    def test_reader_leaving_mid_output(self, tmp_path):
+        # 100,000 records: the pipe fills, and a write fails while they print
+        ks = ",".join(str(1.0 + i / 100) for i in range(100))
+        xs = ",".join(str(1.0 + i / 10) for i in range(1000))
+        code, out, err = run_kspecial(["eval", "gamma-k", "--k", ks, "--x", xs],
+                                      tmp_path, read_lines=1)
+        assert (code, out, err) == (0, "function,k,x,value,err_estimate,method\n", "")
+
+    @pytest.mark.parametrize("argv", [["verify", "stirling"],
+                                      ["eval", "gamma-k", "--k", "2", "--x", "1"],
+                                      ["forests", "--a", "2", "--n", "3", "--k", "1"]])
+    def test_reader_gone_before_any_output(self, argv, tmp_path):
+        # the write fails where stdout is flushed, before the process exits
+        code, out, err = run_kspecial(argv, tmp_path, read_lines=0)
+        assert code == 0 and "Traceback" not in err and "Exception" not in err
 
 
 class TestLazyNumpy:

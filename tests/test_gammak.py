@@ -289,6 +289,10 @@ class TestPoles:
         assert exc.value.nearest_pole == x
         with pytest.raises(DomainError):
             gamma_k_product(k, x, 1000)
+        # through the scaling route's check of x > 0
+        with pytest.raises(DomainError) as exc:
+            gamma_k_integral(k, x)
+        assert exc.value.nearest_pole == x
 
     def test_vanishing_product_factor_names_pole(self, monkeypatch):
         # the lattice test catches this first; the factor check backs it up

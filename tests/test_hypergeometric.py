@@ -566,6 +566,17 @@ class TestCoefficient:
         with pytest.raises(DomainError):
             coefficient(HypergeometricSpec((), (), (), ()), -1)
 
+    @pytest.mark.parametrize("spec,n", [
+        # returned inf
+        (HypergeometricSpec((1e300,), (5e-324,), (), ()), 6),
+        # a denominator product underflows to 0.0: ZeroDivisionError
+        (HypergeometricSpec((), (), (1e-320, 1e-320), (1e-320, 1.0)), 3),
+    ])
+    def test_float_mode_past_the_float_range_is_typed(self, spec, n):
+        with pytest.raises(ResultOverflow, match=f"^coefficient n={n}: a factor "
+                                                 "product or the coefficient passes"):
+            coefficient(spec, n)
+
 
 class TestIntegralRepresentation:
     def test_p1_examples(self):

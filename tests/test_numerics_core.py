@@ -149,11 +149,10 @@ def _power_exp(a):
 
 def _batch_of(fs, seen=None):
     """Batched integrand for the integrands fs, one per row, each called
-    once per node; appends the number of values each call asks for to
-    seen."""
+    once per node; appends the (rows, nodes) each call asks for to seen."""
     def f(rows, *cols):
         if seen is not None:
-            seen.append(rows.size * cols[0].size)
+            seen.append((rows.size, cols[0].size))
         nodes = list(zip(*(c.tolist() for c in cols)))
         return [[fs[r](*node) for node in nodes] for r in rows.tolist()]
     return f
@@ -207,7 +206,7 @@ class TestQuadBatch:
         assert [(a.value, a.err_estimate, a.terms_or_nodes_used) for a in alone] \
             == [_level_loop(kind, f) for f in fs]
 
-    @pytest.mark.parametrize("block", [7, 50])
+    @pytest.mark.parametrize("block", [7, 50, 60])
     def test_small_blocks_change_nothing(self, block, monkeypatch):
         whole = quad_halfline(_batch_of(self.HALFLINE), batch=len(self.HALFLINE))
         alone = [quad_halfline(f) for f in self.HALFLINE]
@@ -218,9 +217,20 @@ class TestQuadBatch:
                                 batch=len(self.HALFLINE))
         for a, b in zip(whole, blocked):
             assert a.tolist() == b.tolist()
-        # a level has more nodes than the block, so the nodes were split too
-        assert max(seen) <= block
+        # levels wider than the block arrive whole, one row at a time; the
+        # rows of a narrower level come as many as fit in the block
+        levels = {quadrature._nodes("halfline", level)[-1].size
+                  for level in range(DEFAULT.max_quad_refinements + 1)}
+        assert all(nodes in levels and rows <= max(1, block // nodes)
+                   for rows, nodes in seen)
+        assert max(nodes for _, nodes in seen) > block
         assert [quad_halfline(f) for f in self.HALFLINE] == alone
+
+    def test_scalar_non_finite_value_is_named(self):
+        # a scalar inf raised AttributeError in the refusal's reshape
+        with pytest.raises(DomainError, match=r"^integrand returned non-finite "
+                                              r"value inf at t=1.0$"):
+            quad_halfline(lambda t: np.inf)
 
     def test_nonfinite_row_rejected(self):
         fs = [lambda t: np.exp(-t), lambda t: np.exp(-2.0 * t),
@@ -808,10 +818,8 @@ class TestNumpyFloatsComputeInDouble:
     def test_exact_values_stay_exact(self):
         from kspecial.hypergeometric import HypergeometricSpec
         from kspecial.pochhammer import PochhammerSpec
-        from kspecial.zetak import ZetaKSpec
 
         spec = PochhammerSpec(Fraction(1, 2), 3, np.int64(2))
         assert type(spec.x) is Fraction and type(spec.k) is np.int64
         h = HypergeometricSpec((1,), (np.float32(1.0),), (Fraction(3, 2),), (True,))
         assert [type(v) for v in (*h.a, *h.k, *h.b, *h.s)] == [int, float, Fraction, bool]
-        assert [type(v) for v in ZetaKSpec(2, np.float32(1.5), 3)] == [int, float, int]

@@ -6,6 +6,7 @@ field when it is built."""
 
 import math
 
+import numpy as np
 import pytest
 
 from kspecial.betak import BetaKSpec
@@ -109,3 +110,10 @@ def test_hypergeometric_spec_stores_tuples():
     spec = HypergeometricSpec([1.0, 2.0], [1.0, 1.0], [3.0], [1.0])
     assert spec == ((1.0, 2.0), (1.0, 1.0), (3.0,), (1.0,))
     hash(spec)
+
+
+def test_zeta_spec_stores_floats():
+    # its __new__ converts each field through as_float, as BetaKSpec's does
+    spec = ZetaKSpec(2, np.float32(1.5), 3)
+    assert [type(v) for v in spec] == [float, float, float]
+    assert spec == (2.0, 1.5, 3.0)

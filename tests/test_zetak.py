@@ -264,6 +264,15 @@ class TestOverflowIsTyped:
     typed error naming them, where they raised ZeroDivisionError or returned
     nan."""
 
+    @pytest.mark.parametrize("f", [zeta_k_dk, zeta_k_dk_printed_variant])
+    @pytest.mark.parametrize("k,x,s", [(5e-324, 1e300, 1.5),   # (-x)^2
+                                       (1e-160, 1e-40, 1.05)])  # k^(-2)
+    def test_k_derivative_power_past_the_float_range(self, f, k, x, s):
+        # the power raised a bare OverflowError
+        with pytest.raises(DomainError, match="a power in its binomial reduction "
+                                              "passes the float range"):
+            f(ZetaKSpec(k, x, s), 2)
+
     def test_trigamma_identity_at_tiny_k(self):
         # k*k underflows to 0 in psi_point's psi_xx
         with pytest.raises(ResultOverflow, match=r"^psi_point\(k=1e-300, x=1.0\)"):

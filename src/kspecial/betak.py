@@ -7,9 +7,9 @@ Four independent routes, kept separate so they can cross-check:
   unit       (1/k) int_0^1 t^(x/k - 1) (1 - t)^(y/k - 1) dt
   product    ((x+y)/(x y)) prod_{n>=1} (1 + (x+y)/(nk)) / ((1+x/(nk))(1+y/(nk)))
 
-All routes require k, x, y > 0. The product route restores the truncated
-tail through fourth order in 1/(nk), which brings N = 10^4 terms to ~1e-12
-relative accuracy for moderate arguments.
+All routes require k, x, y > 0. The product route reads Gamma_k's
+Weierstrass sum at x, y and x+y, whose tail through fourth order brings
+N = 10^4 terms to ~1e-12 relative accuracy for moderate arguments.
 
 ROUTES maps each name to a call at (spec, profile), as gammak.ROUTES does.
 """
@@ -17,12 +17,10 @@ ROUTES maps each name to a call at (spec, profile), as gammak.ROUTES does.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import DomainError, as_float, exp_or_overflow
-from .gammak import _require_k, log_gamma_k
-from .hurwitz import _tail_sums
+from .gammak import _require_k, _weierstrass_sum, log_gamma_k
 from .profiles import DEFAULT, EvalResult, PrecisionProfile
 from .quadrature import quad_halfline, quad_unit
 
@@ -100,49 +98,30 @@ def beta_k_integral_unit(spec: BetaKSpec,
 
 
 def beta_k_product(spec: BetaKSpec, n_terms: int = 10_000) -> EvalResult:
-    """Truncated product with the tail of
-        sum_n [log(1 + c w) - log(1 + a w) - log(1 + b w)],  w = 1/n,
-    (a, b, c) = (x, y, x+y)/k, restored through w^4: the linear terms
-    cancel and the expansion gives
-        -ab w^2 + abc w^3 + (a^4 + b^4 - c^4)/4 w^4 + ...
-    It converges for c < N, and its factors need k N finite; beyond,
-    ResultOverflow as beta_k_ratio raises it where B_k(x, y) overflows,
-    else DomainError.
-
-    The N terms, all negative, are summed pairwise in numpy (ndarray.sum),
-    and math.fsum adds that sum to the three head logs. err_estimate takes
-    the first dropped (w^5) order of the tail and the pairwise sum's
-    rounding, eps log2(N) sum |term|.
-    """
+    """log((x+y)/(x y)) + W_c - W_a - W_b + the tails, from _weierstrass_sum
+    at (a, b, c) = (x, y, x+y)/k: Gamma_k's product at x, y and x+y without
+    the heads -q log k + q gamma, which cancel in c - a - b but round in
+    c |log k|. For c < N; beyond, ResultOverflow as beta_k_ratio raises it
+    where B_k(x, y) overflows, else DomainError. The relative err_estimate
+    adds the signed fifth orders, combined, the three W's rounding and exp's,
+    4.5e-16 (1 + |log B_k|)."""
     k, x, y = spec.k, spec.x, spec.y
     if n_terms < 10:
         raise DomainError(f"product route needs n_terms >= 10, got {n_terms}")
-    s = x + y
-    a, b, c = x / k, y / k, s / k
-    if not (c < n_terms and k * n_terms < math.inf):
+    c = (x + y) / k
+    if not c < n_terms:
         _require_below_overflow(spec)
         raise DomainError(
             f"product route needs (x+y)/k < n_terms = {n_terms}, where its "
-            f"tail series converges, and a finite k n_terms; got (x+y)/k = {c:.6g}, "
-            f"k = {k}")
-    import numpy as np
-
-    from .pochhammer import _one_to
-
-    nk = k * _one_to(n_terms)
-    terms = np.log1p(s / nk) - np.log1p(x / nk) - np.log1p(y / nk)
-    total = float(terms.sum())
-    # log s - log x - log y as three terms: x*y underflows to 0 when both
+            f"tail series converges; got (x+y)/k = {c:.6g}")
+    w, _, t, f, r = zip(*(_weierstrass_sum(q, n_terms) for q in (c, x / k, y / k)))
+    # log(x+y) - log x - log y as three terms: x*y underflows to 0 when both
     # are tiny, though B_k itself is finite there
-    log_v = math.fsum([math.log(s), -math.log(x), -math.log(y), total])
-    s2, s3, s4, s5 = _tail_sums(n_terms)
-    log_v += (-(a * b) * s2 + (a * b * c) * s3
-              + ((a ** 4 + b ** 4 - c ** 4) / 4.0) * s4)
+    log_v = math.fsum([math.log(x + y), -math.log(x), -math.log(y), w[0], -w[1], -w[2]])
+    log_v += t[0] - t[1] - t[2]
     v = exp_or_overflow(log_v, "B_k", k, x, y)
-    c5 = abs(c ** 5 - a ** 5 - b ** 5) / 5.0
-    rounding = sys.float_info.epsilon * math.log2(n_terms) * abs(total)
-    return EvalResult(v, abs(v) * (c5 * s5 + 1e-13 + rounding), "product",
-                      n_terms)
+    rel = abs(f[0] - f[1] - f[2]) + 1e-13 + sum(r) + 4.5e-16 * (1.0 + abs(log_v))
+    return EvalResult(v, v * rel, "product", n_terms)
 
 
 def _require_below_overflow(spec: BetaKSpec) -> float:

@@ -17,13 +17,14 @@ machinery (series-summed derivatives) feeding a PDE residual.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, ResultOverflow, exp_or_overflow
 from .loggamma import log_gamma_classic
-from .hurwitz import _tail_sums, hurwitz_zeta
+from .hurwitz import hurwitz_zeta
 from .profiles import DEFAULT, EULER_GAMMA, EvalResult, PrecisionProfile
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -224,21 +225,50 @@ def gamma_k_limit(k: float, x: float, n: int = 16_384) -> EvalResult:
                       "limit", n)
 
 
+@functools.cache
+def _tail_sums(n_terms: int) -> tuple[float, ...]:
+    """sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5, once per N."""
+    return tuple(hurwitz_zeta(m, n_terms + 1.0).value for m in (2.0, 3.0, 4.0, 5.0))
+
+
+def _weierstrass_sum(q: float, n_terms: int) -> tuple[float, int, float, float, float]:
+    """(W, sign, tail, fifth, rounding) of sum_{n>=1} [log|1+q/n| - q/n],
+    |q| < N, for both product routes: W sums N terms pairwise (ndarray.sum),
+    sign is -1 where an odd number of factors 1 + q/n is negative, tail is
+    -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 (S_m = sum_{n>N} n^-m), fifth the signed
+    first dropped order q^5/5 S5, and rounding eps log2(N) sum |term|. Only
+    for q < 0 are the factors searched; for q >= 0, sum |term| is -W."""
+    import numpy as np
+
+    from .pochhammer import _one_to
+
+    r = q / _one_to(n_terms)
+    if q < 0.0:
+        f = 1.0 + r
+        # log|1 + q/n| through log1p(q/n) where 1 + q/n >= 0.5
+        low = f < 0.5
+        terms = np.empty(n_terms)
+        np.log1p(r, out=terms, where=~low)
+        np.log(np.abs(f), out=terms, where=low)
+        sign = -1 if np.count_nonzero(f < 0.0) % 2 else 1
+    else:   # every factor 1 + q/n is at least 1
+        terms, sign = np.log1p(r), 1
+    terms -= r   # log|1 + q/n| - q/n
+    total = float(terms.sum())
+    abs_sum = float(np.abs(terms).sum()) if q < 0.0 else -total
+    s2, s3, s4, s5 = _tail_sums(n_terms)
+    tail = -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
+    return total, sign, tail, q ** 5 / 5.0 * s5, _EPS * math.log2(n_terms) * abs_sum
+
+
 def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
     """Reciprocal of the truncated product
         1/Gamma_k(x) = x k^(-x/k) e^(x gamma / k) prod_{n=1..N} (1+x/(nk)) e^(-x/(nk)),
-    with the tail of sum_n [log(1+q/n) - q/n] (q = x/k) restored through
-    fourth order in q/n. Valid off the pole set, including negative x, for
-    |q| < N, where the tail series converges; beyond, ResultOverflow as
+    with the tail of _weierstrass_sum (q = x/k) added after math.fsum adds
+    its W to the three head logs. Valid off the pole set, where no factor
+    1 + q/n rounds to 0.0, for |q| < N; beyond, ResultOverflow as
     gamma_k_scaling raises it where |Gamma_k(x)| overflows, else DomainError.
-
-    Only for q < 0 are the factors 1 + q/n searched for a zero, for values
-    below 0.5 (log|1+q/n| is taken there) and negative ones (the sign).
-
-    The N terms log|1+q/n| - q/n are summed pairwise in numpy (ndarray.sum),
-    and math.fsum adds that sum to the three head logs and the tail. The
-    pairwise sum's rounding, taken as eps log2(N) sum |term|, is part of
-    err_estimate, with the first dropped (fifth) order of the tail.
+    err_estimate takes the fifth order and the rounding of W.
     """
     _require_k(k, x)
     if n_terms < 10:
@@ -250,38 +280,11 @@ def gamma_k_product(k: float, x: float, n_terms: int = 10_000) -> EvalResult:
         raise DomainError(
             f"product route needs |x/k| < n_terms = {n_terms}, where its tail "
             f"series converges; got x/k = {q:.6g}")
-    import numpy as np
-
-    from .pochhammer import _one_to
-
-    r = q / _one_to(n_terms)
-    sign = 1 if x > 0.0 else -1
-    if q < 0.0:
-        f = 1.0 + r
-        zero = np.flatnonzero(f == 0.0)
-        if zero.size:
-            n = int(zero[0]) + 1
-            raise DomainError(f"product factor vanished at n={n}; x on pole lattice",
-                              nearest_pole=-n * k)
-        # log|1 + q/n| through log1p(q/n) where 1 + q/n >= 0.5
-        low = f < 0.5
-        terms = np.empty(n_terms)
-        np.log1p(r, out=terms, where=~low)
-        np.log(np.abs(f), out=terms, where=low)
-        if np.count_nonzero(f < 0.0) % 2:
-            sign = -sign
-    else:   # every factor 1 + q/n is at least 1
-        terms = np.log1p(r)
-    terms -= r   # log|1 + q/n| - q/n
+    total, sign, tail, fifth, rounding = _weierstrass_sum(q, n_terms)
     log_recip = math.fsum([math.log(abs(x)), -q * math.log(k), q * EULER_GAMMA,
-                           float(terms.sum())])
-    s2, s3, s4, s5 = _tail_sums(n_terms)
-    # tail of sum [log(1+q/n) - q/n] = -q^2/2 S2 + q^3/3 S3 - q^4/4 S4 + ...
-    log_recip += -0.5 * q * q * s2 + (q ** 3 / 3.0) * s3 - (q ** 4 / 4.0) * s4
-    v = sign * exp_or_overflow(-log_recip, "Gamma_k", k, x)
-    rounding = _EPS * math.log2(n_terms) * float(np.abs(terms).sum())
-    err = abs(v) * (abs(q) ** 5 / 5.0 * s5 + 1e-12 + rounding)
-    return EvalResult(v, err, "product", n_terms)
+                           total]) + tail
+    v = (sign if x > 0.0 else -sign) * exp_or_overflow(-log_recip, "Gamma_k", k, x)
+    return EvalResult(v, abs(v) * (abs(fifth) + 1e-12 + rounding), "product", n_terms)
 
 
 # route name -> call of that route at (k, x, profile) with its default

@@ -13,12 +13,10 @@ direct terms) and the tail (the rest) cancel, so the value can be far
 smaller than either, or exactly 0.
 Accurate to ~1e-14 relative for s in (-3, 40] and a > 0 at these settings;
 the continuation is what the s-derivative machinery differentiates.
-_tail_sums caches zeta_H(m, N+1), m = 2..5, the product routes' tails.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -74,8 +72,3 @@ def hurwitz_zeta(s: float, a: float, profile: PrecisionProfile = DEFAULT) -> Eva
             f"hurwitz_zeta(s={s}, a={a}) overflows a float")
     return EvalResult(value, err, "euler_maclaurin", _M + len(_CORRECTIONS))
 
-
-@functools.cache
-def _tail_sums(n_terms: int) -> tuple[float, ...]:
-    """sum_{n>N} n^-m = zeta_H(m, N+1) for m = 2..5, once per N."""
-    return tuple(hurwitz_zeta(m, n_terms + 1.0).value for m in (2.0, 3.0, 4.0, 5.0))

@@ -122,6 +122,17 @@ def _times_shifted(acc, params: tuple, steps: tuple, n: int):
     return acc
 
 
+def _step(acc, up, down, what: str, n: int):
+    """acc * up / down, step n of a coefficient recursion. DomainError where
+    up and down leave the float range the same way (0.0/0.0 or inf/inf): the
+    quotient is unknown, not an overflow."""
+    if up == down == 0.0 or abs(up) == abs(down) == math.inf:
+        way = "underflow to 0.0" if up == 0.0 else "overflow"
+        raise DomainError(f"{what}: the upper and lower factor products of step {n} "
+                          f"both {way}, so this route cannot form their quotient")
+    return acc * up / down
+
+
 def evaluate(spec: HypergeometricSpec, x: float,
              profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """The series at x, summed by series.sum_series under the profile's
@@ -184,7 +195,8 @@ def coefficient(spec: HypergeometricSpec, n: int):
     """n! c_n = prod (a_j)_{n,k_j} / prod (b_i)_{n,s_i}: the n-th derivative
     of the series at x = 0. Exact (Fraction) when every parameter is
     rational; float otherwise, and then ResultOverflow where a factor
-    product or the coefficient passes the float range, as in ode_residual.
+    product or the coefficient passes the float range, and DomainError where
+    a step's two products leave it the same way, as in ode_residual.
     """
     if n < 0:
         raise DomainError(f"derivative order must be >= 0, got {n}")
@@ -199,8 +211,8 @@ def coefficient(spec: HypergeometricSpec, n: int):
     one = 1 if exact else 1.0
     try:
         for m in range(n):
-            r = (r * _times_shifted(one, spec.a, spec.k, m)
-                 / _times_shifted(one, spec.b, spec.s, m))
+            r = _step(r, _times_shifted(one, spec.a, spec.k, m),
+                      _times_shifted(one, spec.b, spec.s, m), f"coefficient n={n}", m)
     except (OverflowError, ZeroDivisionError):   # float mode only
         r = math.inf
     if not abs(r) < math.inf:
@@ -219,7 +231,8 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     legal parameter range, inflate plain rounding past any fixed bound).
     On x^n the left side reads n prod_i (b_i + (n-1) s_i) c_n and the right
     side prod_j (a_j + (n-1) k_j) c_{n-1}. ResultOverflow where one of them,
-    or a coefficient, passes the float range: the mismatch is then unknown.
+    or a coefficient, passes the float range: the mismatch is then unknown;
+    DomainError where a coefficient step's two products leave it the same way.
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
@@ -229,8 +242,9 @@ def ode_residual(spec: HypergeometricSpec, degree: int) -> float:
     try:
         c = [1.0]
         for n in range(degree - 1):
-            c.append(c[n] * _times_shifted(1.0, spec.a, spec.k, n)
-                     / _times_shifted(n + 1.0, spec.b, spec.s, n))
+            c.append(_step(c[n], _times_shifted(1.0, spec.a, spec.k, n),
+                           _times_shifted(n + 1.0, spec.b, spec.s, n),
+                           f"ode_residual through degree {degree}", n))
         for n in range(1, degree):
             lhs = _times_shifted(n * c[n], spec.b, spec.s, n - 1)
             rhs = _times_shifted(c[n - 1], spec.a, spec.k, n - 1)

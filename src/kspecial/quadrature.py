@@ -119,32 +119,25 @@ def _refuse(fv, t: np.ndarray) -> None:
     raise DomainError("integrand times quadrature weight overflows a float")
 
 
-def _block_sums(f, rows: np.ndarray, cols: list, w: np.ndarray) -> np.ndarray:
-    """Each row's sum of f * w over the nodes cols, added in node order (a
-    pairwise sum would round differently), so a row's sum does not depend
-    on the batch it is in."""
-    import numpy as np
-
-    fv = np.asarray(f(rows, *cols), dtype=np.float64)
-    sums = (fv * w).cumsum(axis=1)[:, -1]
-    # a non-finite value or an overflowing product makes its row's sum
-    # non-finite; count_nonzero is cheaper than all() on a small array
-    if np.count_nonzero(np.isfinite(sums)) != sums.size:
-        _refuse(fv, cols[0])
-    return sums
-
-
 def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
                 ) -> np.ndarray:
     """Each active row's sum of f * w over one level's nodes: f gets the
-    whole level for as many rows as fit in _BLOCK values, and at least one."""
-    step = max(1, _BLOCK // w.size)
-    if active.size <= step:  # one call, the common case
-        return _block_sums(f, active, cols, w)
+    whole level for as many rows as fit in _BLOCK values, and at least one.
+    A row's sum is added in node order (a pairwise sum would round
+    differently), so it does not depend on the batch the row is in."""
     import numpy as np
 
-    return np.concatenate([_block_sums(f, active[lo:lo + step], cols, w)
-                           for lo in range(0, active.size, step)])
+    step = max(1, _BLOCK // w.size)
+    blocks = []
+    for lo in range(0, active.size, step):
+        fv = np.asarray(f(active[lo:lo + step], *cols), dtype=np.float64)
+        sums = (fv * w).cumsum(axis=1)[:, -1]
+        # a non-finite value or an overflowing product makes its row's sum
+        # non-finite; count_nonzero is cheaper than all() on a small array
+        if np.count_nonzero(np.isfinite(sums)) != sums.size:
+            _refuse(fv, cols[0])
+        blocks.append(sums)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:

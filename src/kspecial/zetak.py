@@ -59,7 +59,17 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """k^(-s) zeta_H(s, x/k). ResultOverflow where zeta_k itself passes the
     float range; DomainError where zeta_H does, or underflows, and k^(-s) may
-    scale it back: this route cannot reach the value."""
+    scale it back: this route cannot reach the value. Where x/k underflows
+    to 0.0, x + k is k and zeta_k(x, s) = x^(-s) + zeta_k(k, s)."""
+    if spec.x / spec.k == 0.0:
+        r = zeta_k(ZetaKSpec(spec.k, spec.k, spec.s), profile)   # s = 1: the pole
+        try:
+            value = spec.x ** -spec.s + r.value
+        except OverflowError:   # s > 0, and zeta_k exceeds x^(-s)
+            raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
+                                 "x^(-s) overflows a float") from None
+        return EvalResult(value, r.err_estimate + sys.float_info.epsilon * abs(value),
+                          "euler_maclaurin", r.terms_or_nodes_used)
     try:
         r = hurwitz_zeta(spec.s, spec.x / spec.k, profile)
     except ResultOverflow:

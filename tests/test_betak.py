@@ -228,11 +228,11 @@ class TestDispatchAndDomain:
         with pytest.raises(ResultOverflow, match=r"^B_k\(5e-324, 1.7e\+308\) with k=0.3"):
             route(spec)
 
-    def test_product_refuses_where_k_n_overflows(self):
-        # the factors past k n = inf were dropped: 3.79e-308, where B_k is
-        # 3.618e-308, and a RuntimeWarning
-        with pytest.raises(DomainError, match="a finite k n_terms"):
-            beta_k_product(BetaKSpec(1.7e308, 5e307, 5e307))
+    def test_product_answers_where_k_n_overflows(self):
+        # the route forms (x+y)/(nk) as ((x+y)/k)/n, so k n = inf drops no
+        # factor; B_k is 3.6182469125914773e-308 (mpmath)
+        r = beta_k_product(BetaKSpec(1.7e308, 5e307, 5e307))
+        assert abs(r.value - 3.6182469125914773e-308) <= r.err_estimate
 
     def test_product_matches_loop_reference(self):
         # summation order changed, so allow the loop's own rounding:
@@ -290,6 +290,30 @@ def test_product_refuses_overflow_where_ratio_does():
         refused += want
         assert _overflows(beta_k_product, spec) == want, spec
     assert 0 < refused < 500
+
+
+def test_product_estimate_covers_mpmath_over_wide_k():
+    """The product route's err_estimate bounds its distance from log B_k at
+    k = 10**U(-300, 300) and x/k, y/k = 10**U(-3, 2.5), skipping typed
+    refusals and values at or below 1e-300. Without exp's rounding of a log
+    of size |log B_k| in the estimate, 32 of these 596 points missed, by up
+    to 2.27 units."""
+    pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(600):
+        k = 10.0 ** rng.uniform(-300.0, 300.0)
+        x, y = (k * 10.0 ** rng.uniform(-3.0, 2.5) for _ in range(2))
+        try:
+            r = beta_k_product(BetaKSpec(k, x, y))
+        except (DomainError, ResultOverflow):
+            continue
+        if r.value <= 1e-300:
+            continue
+        checked += 1
+        miss = abs(math.log(r.value) - log_beta_k(k, x, y))
+        assert miss <= r.err_estimate / r.value, (k, x, y, r)
+    assert checked == 596
 
 
 class TestRatioRefusalBound:

@@ -294,13 +294,6 @@ class TestPoles:
             gamma_k_integral(k, x)
         assert exc.value.nearest_pole == x
 
-    def test_vanishing_product_factor_names_pole(self, monkeypatch):
-        # the lattice test catches this first; the factor check backs it up
-        monkeypatch.setattr(gammak, "_require_off_pole", lambda k, x: None)
-        with pytest.raises(DomainError) as exc:
-            gamma_k_product(2.0, -6.0, 1000)
-        assert exc.value.nearest_pole == -6.0
-
     def test_near_pole_is_fine(self):
         assert math.isfinite(gamma_k_product(1.0, -0.9999, 1000).value)
 

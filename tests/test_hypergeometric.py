@@ -578,6 +578,19 @@ class TestCoefficient:
             coefficient(spec, n)
 
 
+def test_a_quotient_of_two_out_of_range_products_is_a_domain_error():
+    # both products of step 0 are 0.0 (or inf), though the coefficients are
+    # 1: ZeroDivisionError (or inf/inf = nan) was read as ResultOverflow
+    for v in (1e-320, 1e200):
+        spec = HypergeometricSpec((v, v), (1.0, 1.0), (v, v), (1.0, 1.0))
+        with pytest.raises(DomainError, match="^coefficient n=1: the upper and lower "
+                                              "factor products of step 0 both"):
+            coefficient(spec, 1)
+        with pytest.raises(DomainError, match="^ode_residual through degree 3: the "
+                                              "upper and lower factor products of step 0"):
+            ode_residual(spec, 3)
+
+
 class TestIntegralRepresentation:
     def test_p1_examples(self):
         for a, k, b, s, x in [(1.0, 1.0, 2.0, 1.0, 0.5),

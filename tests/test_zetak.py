@@ -288,3 +288,23 @@ class TestOverflowIsTyped:
         # (x/100)^2 underflows to 0
         with pytest.raises(DomainError, match=r"got k=1.0, x=1e-200$"):
             zeta_k_ds_at_zero(1.0, 1e-200)
+
+
+class TestUnderflowingRatio:
+    """Where x/k underflows to 0.0, zeta_k(x, s) = x^(-s) + zeta_k(k, s), as
+    x + k is k: the route named hurwitz_zeta's a = 0.0 before."""
+
+    @pytest.mark.parametrize("k,x,s", [(3.0, 5e-324, 0.5), (3.0, 5e-324, 0.0),
+                                       (3.0, 5e-324, -2.5), (1e10, 1e-320, -1.0)])
+    def test_value_against_mpmath(self, k, x, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(256):
+            want = float(mpmath.mpf(k) ** -s * mpmath.zeta(s, mpmath.mpf(x) / k))
+        r = zeta_k(ZetaKSpec(k, x, s))
+        assert abs(r.value - want) <= r.err_estimate
+
+    def test_pole_and_overflow(self):
+        with pytest.raises(PoleError):
+            zeta_k(ZetaKSpec(3.0, 5e-324, 1.0))
+        with pytest.raises(ResultOverflow, match="x\\^\\(-s\\) overflows a float"):
+            zeta_k(ZetaKSpec(3.0, 5e-324, 2.0))

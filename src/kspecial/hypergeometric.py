@@ -272,14 +272,15 @@ def integral_representation_check(spec: HypergeometricSpec, x: float,
 
     Each nesting level is evaluated for a whole batch of arguments: one
     batched quad_halfline call integrates F_(p-1) for every argument the
-    enclosing level asks for, and at each refinement level its integrand
-    evaluates the next level inward for all active rows times all nodes in
-    one array call, down to one sum_series_batch over every base-series
-    argument. Each row and each series keeps its own stop rule, so value,
-    err_estimate and work are those of integrating one node at a time.
-    quad_halfline hands the integrand blocks of at most max(quadrature._BLOCK,
-    one level) values, so the arrays of every depth stay within a fixed
-    multiple of that. The base series' denominators (n + 1) prod_i (b_i + n
+    enclosing level asks for, and at each of its calls (refinement levels
+    0-2 joined, then one level each) its integrand evaluates the next level
+    inward for all active rows times all nodes in one array call, down to
+    one sum_series_batch over every base-series argument. Each row and each
+    series keeps its own stop rule, so value, err_estimate and work are
+    those of integrating one node at a time. quad_halfline hands the
+    integrand blocks of at most max(quadrature._BLOCK, one call's nodes)
+    values, so the arrays of every depth stay within a fixed multiple of
+    that. The base series' denominators (n + 1) prod_i (b_i + n
     s_i) are formed once per call, when a batch first reaches n; DomainError
     where one is 0.0, inf or nan, as in transfer_classical.
     """

@@ -12,13 +12,15 @@ levels agree within the profile tolerances; err_estimate is the last
 inter-level delta (a conservative bound, since convergence is much faster
 than linear).
 
-The loop integrates a batch of independent integrands at once: each level
-asks the integrand for every active row at all of the level's nodes in one
-array call, and each row keeps its own stop rule, error estimate and node
-count, leaving the batch once it converges. A level is summed in node order
-(u = 0 first at level 0), so a row's result is bit for bit what the same
-integrand gives alone. Every integrand is an array function, called with
-whole levels (a batch's, for a block of rows) and never once per node.
+The loop integrates a batch of independent integrands at once: each call
+asks the integrand for every active row at all of its nodes in one array,
+and each row keeps its own stop rule, error estimate and node count,
+leaving the batch once it converges. No row stops before level 2, so the
+first call takes levels 0-2 joined, then each level is one call. A level is
+summed from its own slice in node order (u = 0 first at level 0), so a
+row's result is bit for bit what the same integrand gives alone. Every
+integrand is an array function, called with whole levels (a batch's, for a
+block of rows) and never once per node.
 quad_halfline(batch=n) runs it for n rows of an integrand f(rows, t), as the
 iterated-integral hypergeometric route does. For one integrand f(*nodes),
 quad_halfline and quad_unit run _refine_one: the same float operations in
@@ -29,9 +31,9 @@ batch of one.
 Node/jacobian tables depend only on (map, level), so _nodes builds each on
 first use and functools.cache keeps it as numpy arrays; evaluation cost is
 pure integrand calls. A batch's integrand is asked for as many rows as fit
-in _BLOCK values, and at least one, so a call takes at most max(_BLOCK, one
-level) values: that bounds the memory a nested batch can take at any depth.
-The widest level has 221,184 nodes (halfline level 14, 1.8 MB).
+in _BLOCK values, and at least one, so a call takes at most max(_BLOCK, its
+nodes) values: that bounds the memory a nested batch can take at any depth.
+The widest call is halfline level 14, 221,184 nodes (1.8 MB).
 
 The u-range is clipped to keep every intermediate double finite:
 |c sinh u| <= ~671 at U = 6.75, so t itself never overflows. Integrands must
@@ -56,6 +58,7 @@ _U_MAX_HALFLINE = 6.75
 _U_MAX_UNIT = 6.5
 _BASE_H = 0.5  # level-0 step; level L uses h = _BASE_H / 2**L
 _BLOCK = 1 << 13  # most integrand values requested in one call
+_FIRST_STOP = 2  # no row stops before this level; the first call takes 0 to it
 
 
 @functools.cache
@@ -104,40 +107,75 @@ class QuadBatch(NamedTuple):
         return int(self.nodes_used.sum())
 
 
-def _refuse(fv, t: np.ndarray) -> None:
+def _refuse(fv, t: np.ndarray, at: slice) -> None:
     """The DomainError of a level whose sum is not finite: the first
-    non-finite value in fv (broadcast against the nodes t) and its t, else
-    the overflowing product with the weight."""
+    non-finite value in fv (broadcast against the nodes t) at the level's
+    nodes t[at], and its t, else the overflowing product with the weight."""
     import numpy as np
 
-    fv = np.broadcast_to(fv, np.broadcast_shapes(np.shape(fv), t.shape))
+    fv = np.broadcast_to(fv, np.broadcast_shapes(np.shape(fv), t.shape))[..., at]
     bad = np.argwhere(~np.isfinite(fv))
     if bad.size:
-        at = tuple(bad[0])
-        raise DomainError(f"integrand returned non-finite value {fv[at]} "
-                          f"at t={t[at[-1]]}")
+        i = tuple(bad[0])
+        raise DomainError(f"integrand returned non-finite value {fv[i]} "
+                          f"at t={t[at][i[-1]]}")
     raise DomainError("integrand times quadrature weight overflows a float")
 
 
-def _level_sums(f, active: np.ndarray, cols: list, w: np.ndarray
-                ) -> np.ndarray:
-    """Each active row's sum of f * w over one level's nodes: f gets the
-    whole level for as many rows as fit in _BLOCK values, and at least one.
-    A row's sum is added in node order (a pairwise sum would round
-    differently), so it does not depend on the batch the row is in."""
+@functools.cache
+def _call(kind: str, first: int, last: int) -> tuple:
+    """One integrand call's nodes: the columns of _nodes for levels
+    first..last joined in level order, then per level a (level, its slice,
+    nodes of levels 0..level)."""
+    import numpy as np
+
+    tables = [_nodes(kind, level) for level in range(first, last + 1)]
+    used = sum(_nodes(kind, level)[-1].size for level in range(first))
+    levels, lo = [], 0
+    for level, (*_, w) in enumerate(tables, first):
+        levels.append((level, slice(lo, lo + w.size), used + lo + w.size))
+        lo += w.size
+    return (*(np.concatenate(c) if first < last else c[0] for c in zip(*tables)),
+            tuple(levels))
+
+
+def _calls(kind: str, cap: int):
+    """The _call of each integrand call up to level cap: levels 0 to
+    _FIRST_STOP (or cap) in one, then one per level."""
+    yield _call(kind, 0, min(_FIRST_STOP, cap))
+    for level in range(_FIRST_STOP + 1, cap + 1):
+        yield _call(kind, level, level)
+
+
+def _call_sums(f, active: np.ndarray, cols: list, w: np.ndarray,
+               levels: tuple) -> np.ndarray:
+    """Each active row's sum of f * w over each level of one call's nodes,
+    one row per level: f gets all of the call's nodes for as many rows as
+    fit in _BLOCK values, and at least one. A row's sum is added in node
+    order (a pairwise sum would round differently), so it does not depend
+    on the batch the row is in, nor on the levels that share its call."""
     import numpy as np
 
     step = max(1, _BLOCK // w.size)
-    blocks = []
+    sums = np.empty((len(levels), active.size))
+    bad = (len(levels), None)   # the first non-finite level, and its block's fv
     for lo in range(0, active.size, step):
         fv = np.asarray(f(active[lo:lo + step], *cols), dtype=np.float64)
-        sums = (fv * w).cumsum(axis=1)[:, -1]
+        fw = fv * w
+        block = sums[:, lo:lo + step]
+        for out, (_, at, _) in zip(block, levels):
+            out[:] = fw[:, at].cumsum(axis=1)[:, -1]
         # a non-finite value or an overflowing product makes its row's sum
         # non-finite; count_nonzero is cheaper than all() on a small array
-        if np.count_nonzero(np.isfinite(sums)) != sums.size:
-            _refuse(fv, cols[0])
-        blocks.append(sums)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if np.count_nonzero(np.isfinite(block)) != block.size:
+            level = int(np.argmin(np.isfinite(block).all(axis=1)))
+            if level < bad[0]:
+                bad = (level, fv)
+            if level == 0:
+                break
+    if bad[1] is not None:
+        _refuse(bad[1], cols[0], levels[bad[0]][1])
+    return sums
 
 
 def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
@@ -145,32 +183,28 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
     ("halfline" for (0, inf), "unit" for (0, 1)); see quad_halfline."""
     import numpy as np
 
-    value = np.zeros(n)
-    err = np.zeros(n)
+    value, err = np.zeros(n), np.zeros(n)
     used = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    evals = 0
-    for level in range(profile.max_quad_refinements + 1):
-        *cols, w = _nodes(kind, level)
-        evals += w.size
-        add = _level_sums(f, active, cols, w)
-        if level == 0:
-            prev = add * _BASE_H
-            continue
-        cur = prev / 2.0 + add * (_BASE_H / (1 << level))
-        delta = np.abs(cur - prev)
-        if level >= 2:
-            done = delta <= profile.rel_tol * np.abs(cur) + profile.abs_tol
-            closed = np.count_nonzero(done)
-            if closed == done.size:
-                value[active], err[active], used[active] = cur, delta, evals
-                return QuadBatch(value, err, used)
-            if closed:
-                rows = active[done]
-                value[rows], err[rows], used[rows] = cur[done], delta[done], evals
-                keep = ~done
-                active, cur, delta = active[keep], cur[keep], delta[keep]
-        prev = cur
+    for *cols, w, levels in _calls(kind, profile.max_quad_refinements):
+        for (level, _, evals), add in zip(levels, _call_sums(f, active, cols, w, levels)):
+            if level == 0:
+                prev = add * _BASE_H
+                continue
+            cur = prev / 2.0 + add * (_BASE_H / (1 << level))
+            delta = np.abs(cur - prev)
+            if level >= _FIRST_STOP:   # the last level of its call
+                done = delta <= profile.rel_tol * np.abs(cur) + profile.abs_tol
+                closed = np.count_nonzero(done)
+                if closed == done.size:
+                    value[active], err[active], used[active] = cur, delta, evals
+                    return QuadBatch(value, err, used)
+                if closed:
+                    rows = active[done]
+                    value[rows], err[rows], used[rows] = cur[done], delta[done], evals
+                    keep = ~done
+                    active, cur, delta = active[keep], cur[keep], delta[keep]
+            prev = cur
     raise NonConvergent(
         f"quad_{kind}: no convergence after {profile.max_quad_refinements} refinements",
         last_value=float(prev[0]), last_delta=float(delta[0]))
@@ -178,26 +212,25 @@ def _refine(kind: str, f, n: int, profile: PrecisionProfile) -> QuadBatch:
 
 def _refine_one(kind: str, f, profile: PrecisionProfile) -> EvalResult:
     """_refine for one integrand f(*nodes), its bookkeeping in floats and
-    each level summed in one call; _refuse reports a sum that is not
-    finite."""
+    each call's nodes in one array; _refuse reports a level whose sum is
+    not finite."""
     import numpy as np
 
-    evals = 0
     with np.errstate(over="ignore", invalid="ignore"):    # reported by _refuse
-        for level in range(profile.max_quad_refinements + 1):
-            *cols, w = _nodes(kind, level)
-            evals += w.size
-            add = float(((fv := f(*cols)) * w).cumsum()[-1])
-            if not math.isfinite(add):
-                _refuse(fv, cols[0])
-            if level == 0:
-                prev = add * _BASE_H
-                continue
-            cur = prev / 2.0 + add * (_BASE_H / (1 << level))
-            delta = abs(cur - prev)
-            if level >= 2 and delta <= profile.rel_tol * abs(cur) + profile.abs_tol:
-                return EvalResult(cur, delta, "integral", evals)
-            prev = cur
+        for *cols, w, levels in _calls(kind, profile.max_quad_refinements):
+            fw = (fv := f(*cols)) * w
+            for level, at, evals in levels:
+                add = float(fw[at].cumsum()[-1])
+                if not math.isfinite(add):
+                    _refuse(fv, cols[0], at)
+                if level == 0:
+                    prev = add * _BASE_H
+                    continue
+                cur = prev / 2.0 + add * (_BASE_H / (1 << level))
+                delta = abs(cur - prev)
+                if level >= _FIRST_STOP and delta <= profile.rel_tol * abs(cur) + profile.abs_tol:
+                    return EvalResult(cur, delta, "integral", evals)
+                prev = cur
     raise NonConvergent(
         f"quad_{kind}: no convergence after {profile.max_quad_refinements} refinements",
         last_value=prev, last_delta=delta)
@@ -209,14 +242,15 @@ def quad_halfline(f, profile: PrecisionProfile = DEFAULT,
 
     f is an array function: f(t) gets a float64 array of nodes and returns
     the integrand's values there, an array of t's shape, finite on (0, inf);
-    values are allowed to underflow to 0. It is called once per refinement
+    values are allowed to underflow to 0. It is called once with the nodes
+    of levels 0-2, joined in level order, then once per further refinement
     level, with all of the level's nodes. Raises DomainError on a non-finite
     value and NonConvergent if the refinement cap is hit before two
     successive levels agree.
 
     With batch=n, n integrands are integrated at once and the result is a
     QuadBatch: f(rows, t) gets an int array of row numbers and all of a
-    level's nodes, as many rows as fit in quadrature._BLOCK values and at
+    call's nodes, as many rows as fit in quadrature._BLOCK values and at
     least one, and returns the values of those rows at those nodes, shape
     (len(rows), len(t)). Each row stops on its own, and its value,
     err_estimate and node count are those of integrating it alone.

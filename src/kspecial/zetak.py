@@ -59,9 +59,10 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
     """k^(-s) zeta_H(s, x/k). ResultOverflow where zeta_k itself passes the
     float range; DomainError where zeta_H does, or underflows, and k^(-s) may
-    scale it back: this route cannot reach the value. Where x/k underflows
-    to 0.0, x + k is k and zeta_k(x, s) = x^(-s) + zeta_k(k, s)."""
-    if spec.x / spec.k == 0.0:
+    scale it back: this route cannot reach the value. Where x/k is below the
+    normal range (subnormal or 0.0, with fewer bits than x), x + k is k and
+    zeta_k(x, s) = x^(-s) + zeta_k(k, s)."""
+    if spec.x / spec.k < sys.float_info.min:
         r = zeta_k(ZetaKSpec(spec.k, spec.k, spec.s), profile)   # s = 1: the pole
         try:
             value = spec.x ** -spec.s + r.value

@@ -8,7 +8,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import count
+from itertools import count, groupby
 
 import numpy as np
 import pytest
@@ -107,24 +107,141 @@ class TestQuadUnit:
 
 
 class TestOneCallPerLevel:
-    """A single integral asks its integrand for each level's nodes in one
-    call, in the order and number of the node tables."""
+    """A single integral asks its integrand for levels 0-2 in one call,
+    joined in level order, then for each later level's nodes in one call,
+    in the order and number of the node tables."""
+
+    CAP_1 = PrecisionProfile(max_quad_refinements=1)
 
     @pytest.mark.parametrize("quad,f,nodes", [
         (quad_halfline, lambda t: np.exp(-t) / (1.0 + t), halfline_nodes),
-        (quad_unit, lambda t, omt: t ** (-0.75) * omt ** (-0.5), unit_nodes)])
+        (quad_unit, lambda t, omt: 1.0 / (1e-2 + (t - 0.3) ** 2), unit_nodes)])
     def test_calls_match_levels(self, quad, f, nodes):
-        sizes = []
+        calls = []
 
-        def counted(t, *rest):
-            sizes.append(t.size)
-            return f(t, *rest)
+        def counted(*cols):
+            calls.append(np.concatenate(cols).tobytes())
+            return f(*cols)
 
         r = quad(counted)
-        levels = [len(nodes(level))
+        levels = [np.array(list(zip(*nodes(level)))[:-1])
                   for level in range(DEFAULT.max_quad_refinements + 1)]
-        assert len(sizes) >= 3 and sizes == levels[:len(sizes)]
-        assert sum(sizes) == r.terms_or_nodes_used
+        want = [np.concatenate(levels[:3], axis=1)] + levels[3:]
+        assert len(calls) >= 2
+        assert calls == [np.concatenate(cols).tobytes() for cols in want[:len(calls)]]
+        assert sum(cols.shape[1] for cols in want[:len(calls)]) == r.terms_or_nodes_used
+
+    @pytest.mark.parametrize("quad,f,nodes,last", [
+        (quad_halfline, lambda t: np.exp(-t) / (1.0 + t), halfline_nodes,
+         (0.5963463000805496, 0.00012314599867069287)),
+        (quad_unit, lambda t, omt: t ** (-0.75) * omt ** (-0.5), unit_nodes,
+         (5.24411510858424, 1.4548046056717112e-07))])
+    def test_cap_below_the_first_stop_is_one_call(self, quad, f, nodes, last):
+        calls = []
+
+        def counted(t, *rest):
+            calls.append(t.size)
+            return f(t, *rest)
+
+        with pytest.raises(NonConvergent, match="after 1 refinements") as e:
+            quad(counted, self.CAP_1)
+        assert calls == [len(nodes(0)) + len(nodes(1))]
+        # the values of summing levels 0 and 1 one call each
+        assert (e.value.last_value, e.value.last_delta) == last
+
+    def test_batch_at_cap_below_the_first_stop(self):
+        seen = []
+
+        def f(rows, t):
+            seen.append((rows.size, t.size))
+            return np.exp(-np.multiply.outer(rows + 1.0, t))
+
+        with pytest.raises(NonConvergent) as e:
+            quad_halfline(f, self.CAP_1, batch=3)
+        assert seen == [(3, len(halfline_nodes(0)) + len(halfline_nodes(1)))]
+        assert (e.value.last_value, e.value.last_delta) \
+            == (0.9999927491474494, 0.0015669345354220043)
+
+    def test_nested_route_makes_one_base_call_per_inner_call(self, monkeypatch):
+        from kspecial import hypergeometric
+        from kspecial.hypergeometric import (HypergeometricSpec,
+                                             integral_representation_check)
+        sizes = []
+        real = hypergeometric.sum_series_batch
+
+        def spy(args, *rest):
+            sizes.append(args.size)
+            return real(args, *rest)
+
+        monkeypatch.setattr(hypergeometric, "sum_series_batch", spy)
+        spec = HypergeometricSpec((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 2.0))
+        r = integral_representation_check(spec, 0.8)
+        # the p=2 verify row; its value, estimate and work are pinned in
+        # test_hypergeometric.py::TestIntegralRepresentation
+        assert (len(sizes), sum(sizes)) == (21, 79_030)
+        assert r.terms_or_nodes_used == 559_153
+
+
+class TestRefusalOrder:
+    """_refuse names the first non-finite value of the first level whose sum
+    is not finite, though levels 0-2 share one call."""
+
+    @staticmethod
+    def _at(level, j):
+        return quadrature._nodes("halfline", level)[0][j]
+
+    def test_single_integral_names_the_first_level(self):
+        t1, t2 = self._at(1, 0), self._at(2, 0)
+
+        def f(t):
+            v = np.exp(-t)
+            v[t == t2] = np.nan
+            v[t == t1] = 1e308   # finite, but its weight is over 2
+            return v
+
+        with pytest.raises(DomainError, match="^integrand times quadrature weight "
+                                              "overflows a float$"):
+            quad_halfline(f)
+
+    def test_single_integral_names_the_value_and_its_t(self):
+        t1, t2 = self._at(1, 5), self._at(2, 0)
+
+        def f(t):
+            v = np.exp(-t)
+            v[(t == t1) | (t == t2)] = -np.inf
+            return v
+
+        with pytest.raises(DomainError, match=rf"^integrand returned non-finite "
+                                              rf"value -inf at t={t1}$"):
+            quad_halfline(f)
+
+    def test_batch_names_the_first_level_across_blocks(self, monkeypatch):
+        t0, t1 = self._at(0, 2), self._at(1, 0)
+
+        def row(bad_t, bad_value):
+            return lambda t: np.where(t == bad_t, bad_value, np.exp(-t))
+
+        # one row per block: the second block's level-0 inf is named before
+        # the first block's level-1 nan, and at one level the first block
+        monkeypatch.setattr(quadrature, "_BLOCK", 109)
+        with pytest.raises(DomainError, match=rf"^integrand returned non-finite "
+                                              rf"value inf at t={t0}$"):
+            quad_halfline(_batch_of([row(t1, np.nan), row(t0, np.inf)]), batch=2)
+        with pytest.raises(DomainError, match=rf"value nan at t={t1}$"):
+            quad_halfline(_batch_of([row(t1, np.nan), row(t1, np.inf)]), batch=2)
+
+    def test_integrand_error_at_level_one_comes_first(self):
+        # levels 0-2 share a call: the integrand's own error at a level-1
+        # node comes before the refusal of a non-finite level-0 value
+        t1 = self._at(1, 0)
+
+        def f(t):
+            if (t == t1).any():
+                raise DomainError("the integrand's own refusal")
+            return np.full_like(t, np.nan)
+
+        with pytest.raises(DomainError, match="own refusal"):
+            quad_halfline(f)
 
 
 @pytest.mark.parametrize("kind,node_list", [("halfline", halfline_nodes),
@@ -217,13 +334,17 @@ class TestQuadBatch:
                                 batch=len(self.HALFLINE))
         for a, b in zip(whole, blocked):
             assert a.tolist() == b.tolist()
-        # levels wider than the block arrive whole, one row at a time; the
-        # rows of a narrower level come as many as fit in the block
-        levels = {quadrature._nodes("halfline", level)[-1].size
-                  for level in range(DEFAULT.max_quad_refinements + 1)}
-        assert all(nodes in levels and rows <= max(1, block // nodes)
-                   for rows, nodes in seen)
+        # calls wider than the block arrive whole, one row at a time; the
+        # rows of a narrower call come as many as fit in the block. The
+        # first call is levels 0-2 joined, then one call per level
+        levels = [quadrature._nodes("halfline", level)[-1].size
+                  for level in range(DEFAULT.max_quad_refinements + 1)]
+        calls = [sum(levels[:3])] + levels[3:]
+        in_order = [nodes for nodes, _ in groupby(nodes for _, nodes in seen)]
+        assert in_order == calls[:len(in_order)]
+        assert all(rows <= max(1, block // nodes) for rows, nodes in seen)
         assert max(nodes for _, nodes in seen) > block
+        assert sum(rows * nodes for rows, nodes in seen) == blocked.terms_or_nodes_used
         assert [quad_halfline(f) for f in self.HALFLINE] == alone
 
     def test_scalar_non_finite_value_is_named(self):

@@ -3,6 +3,7 @@ identity, the s = 0 derivative composite, and term-wise k-derivatives."""
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -113,8 +114,11 @@ class TestScaleBeyondFloatRange:
 
     @pytest.mark.parametrize("k,x,s", [(1.0, 5e-324, 2.0), (1e10, 1e-160, 2.0)])
     def test_overflowed_hurwitz_past_its_first_term_is_an_overflow(self, k, x, s):
-        # zeta_k(x, s) > x^(-s) for s > 1: ~4e646 and 1e320
-        with pytest.raises(ResultOverflow, match="hurwitz_zeta"):
+        # zeta_k(x, s) > x^(-s) for s > 1: ~4e646 and 1e320; where x/k is
+        # subnormal, the route forms x^(-s) itself
+        subnormal = x / k < sys.float_info.min
+        with pytest.raises(ResultOverflow, match="x\\^\\(-s\\) overflows a float"
+                           if subnormal else "hurwitz_zeta"):
             zeta_k(ZetaKSpec(k, x, s))
 
     @pytest.mark.parametrize("k,x,s", [(1e-300, 1.0, 3.0), (1e-300, 1.0 / 3.0, 3.0)])
@@ -291,11 +295,15 @@ class TestOverflowIsTyped:
 
 
 class TestUnderflowingRatio:
-    """Where x/k underflows to 0.0, zeta_k(x, s) = x^(-s) + zeta_k(k, s), as
-    x + k is k: the route named hurwitz_zeta's a = 0.0 before."""
+    """Where x/k is subnormal or 0.0, zeta_k(x, s) = x^(-s) + zeta_k(k, s), as
+    x + k is k: the route named hurwitz_zeta's a = 0.0 before, and summed
+    zeta_H at a subnormal x/k that kept a few bits of x."""
 
     @pytest.mark.parametrize("k,x,s", [(3.0, 5e-324, 0.5), (3.0, 5e-324, 0.0),
-                                       (3.0, 5e-324, -2.5), (1e10, 1e-320, -1.0)])
+                                       (3.0, 5e-324, -2.5), (1e10, 1e-320, -1.0),
+                                       (3.0, 1e-320, 0.5), (3.0, 1e-310, 0.5),
+                                       (3.0, 1e-320, -1.5), (3.0, 1e-310, 0.9),
+                                       (1e10, 1e-310, 0.25)])
     def test_value_against_mpmath(self, k, x, s):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workprec(256):

@@ -135,26 +135,20 @@ def _resolve_profile(args) -> PrecisionProfile:
     return PrecisionProfile(**{**base._asdict(), **overrides}) if overrides else base
 
 
-def _tagged(r, method: str | None = None) -> tuple:
-    return r.value, r.err_estimate, method or r.method
-
-
 def _pochhammer(m, profile, method, x, n, k) -> tuple:
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"--n entries must be integers >= 0, got {n!r}")
     v = m.pochhammer_k(m.PochhammerSpec(x, n, k))
     # an int or Fraction result is exact
-    err = abs(v) * 2.3e-16 * max(n, 1) if isinstance(v, float) else 0.0
-    return v, err, "exact"
+    return v, abs(v) * 2.3e-16 * max(n, 1) if isinstance(v, float) else 0.0
 
 
 class EvalCommand(NamedTuple):
     """One `eval` subcommand. Records run over the Cartesian product of the
     grid flags; each param flag is one whole comma list, shown joined in
-    every record. methods are the --method choices, the first the default
-    (none: a single route). route(module, profile, method, *params, *point)
-    returns (value, err_estimate, method shown in the record); module is
-    imported only when the command runs."""
+    every record. methods are the routes, the first the default; only a
+    command with more than one takes --method. Every record shows the route
+    that ran. route(module, profile, method, *params, *point) returns
+    (value, err_estimate, ...), an EvalResult or a pair; module is imported
+    only when the command runs."""
     command: str
     grid: tuple[str, ...]
     methods: tuple[str, ...]
@@ -163,24 +157,23 @@ class EvalCommand(NamedTuple):
     params: tuple[tuple[str, bool, str], ...] = ()   # (flag, required, help)
 
 
-# The routed rows call m.ROUTES[method] and record the requested route, not
-# the EvalResult tag (beta's halfline and unit both tag "integral"). Their
+# The routed rows call m.ROUTES[method]; their records show the route's name,
+# not the EvalResult tag (beta's halfline and unit both tag "integral"). Their
 # --method choices are tuple(ROUTES), spelled out so the parser imports none.
 EVAL_COMMANDS = (
     EvalCommand("gamma-k", ("k", "x"), ("scaling", "integral", "limit", "product"),
-                "gammak", lambda m, profile, method, k, x: _tagged(m.ROUTES[method](
-                    as_float("k", k), as_float("x", x), profile), method)),
+                "gammak", lambda m, profile, method, k, x: m.ROUTES[method](
+                    as_float("k", k), as_float("x", x), profile)),
     EvalCommand("beta-k", ("k", "x", "y"), ("ratio", "halfline", "unit", "product"),
-                "betak", lambda m, profile, method, k, x, y: _tagged(
-                    m.ROUTES[method](m.BetaKSpec(k, x, y), profile), method)),
-    EvalCommand("zeta-k", ("k", "x", "s"), (), "zetak",
-                lambda m, profile, method, k, x, s: _tagged(
-                    m.zeta_k(m.ZetaKSpec(k, x, s), profile))),
-    EvalCommand("pochhammer", ("x", "n", "k"), (), "pochhammer", _pochhammer),
+                "betak", lambda m, profile, method, k, x, y:
+                    m.ROUTES[method](m.BetaKSpec(k, x, y), profile)),
+    EvalCommand("zeta-k", ("k", "x", "s"), ("euler_maclaurin",), "zetak",
+                lambda m, profile, method, k, x, s: m.zeta_k(m.ZetaKSpec(k, x, s), profile)),
+    EvalCommand("pochhammer", ("x", "n", "k"), ("exact",), "pochhammer", _pochhammer),
     EvalCommand("hyper", ("x",), ("series", "transfer", "integral"), "hypergeometric",
-                lambda m, profile, method, a, ka, b, sb, x: _tagged(m.ROUTES[method](
+                lambda m, profile, method, a, ka, b, sb, x: m.ROUTES[method](
                     m.HypergeometricSpec(a, ka, b, sb),
-                    as_float("x", x, zero_ok=True), profile), method),
+                    as_float("x", x, zero_ok=True), profile),
                 params=(("a", True, "upper parameters (comma list)"),
                         ("ka", True, "upper deformation steps, paired with --a"),
                         ("b", False, "lower parameters (comma list)"),
@@ -191,14 +184,14 @@ EVAL_COMMANDS = (
 def _cmd_eval(args, profile: PrecisionProfile) -> list[OutputRecord]:
     cmd = args.eval_command
     module = import_module(f"{__package__}.{cmd.module}")
-    method = getattr(args, "method", None)
+    method = getattr(args, "method", cmd.methods[0])
     params = [getattr(args, flag) for flag, _, _ in cmd.params]
     shown = {flag: ",".join(map(_fmt, v)) for (flag, _, _), v in zip(cmd.params, params)}
     out = []
     for point in product(*(getattr(args, flag) for flag in cmd.grid)):
-        value, err, tag = cmd.route(module, profile, method, *params, *point)
+        value, err, *_ = cmd.route(module, profile, method, *params, *point)
         out.append(OutputRecord(cmd.command, {**shown, **dict(zip(cmd.grid, point))},
-                                value, err, tag))
+                                value, err, method))
     return out
 
 
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None if required else [], help=text)
         for flag in cmd.grid:
             e.add_argument(f"--{flag}", type=_num_list, required=True)
-        if cmd.methods:
+        if len(cmd.methods) > 1:
             e.add_argument("--method", default=cmd.methods[0], choices=cmd.methods)
         e.set_defaults(eval_command=cmd)
 

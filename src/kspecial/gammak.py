@@ -78,12 +78,20 @@ def _require_k(k: float, x: float = 0.0) -> None:
         raise DomainError(f"x must be finite, got {x}")
 
 
+def _log_stirling(k: float, x: float, c: float = 0.0) -> float:
+    """Stirling's log Gamma_k(x) plus c/k: q (log x - 1) + c/k - log(k x)/2 +
+    log(2 pi)/2, q = x/k (DLMF 5.11.3). Where q overflows, (x (log x - 1) +
+    c)/k is one quotient, not inf - inf; log x - 1, 0.0 at math.e and its
+    successor, is (x - e)/e to first order."""
+    log_x1 = math.log(x) - 1.0 or (x - math.e - _E_LOW) / math.e
+    q = x / k
+    lead = q * log_x1 + c / k if q < math.inf else (x * log_x1 + c) / k
+    return lead - 0.5 * (math.log(k) + math.log(x) - _LOG_2PI)
+
+
 def log_gamma_k(k: float, x: float) -> float:
     """log Gamma_k(x) for x > 0, via the scaling relation; -log x where x/k
-    is subnormal or 0 (Gamma(q) ~ 1/q), and the Stirling form q (log x - 1) -
-    log(k x)/2 + log(2 pi)/2 where the relation's sum is not finite. There
-    q (log x - 1) is x (log x - 1)/k where q overflows, and log x - 1, which
-    rounds to 0.0 at math.e and its successor, is (x - e)/e to first order."""
+    is subnormal or 0 (Gamma(q) ~ 1/q), and Stirling's where it is not finite."""
     _require_k(k, x)
     if not (x > 0.0):
         raise DomainError(f"log_gamma_k requires x > 0, got {x}",
@@ -94,9 +102,7 @@ def log_gamma_k(k: float, x: float) -> float:
     v = (q - 1.0) * math.log(k) + log_gamma_classic(q)
     if math.isfinite(v):
         return v
-    log_x1 = math.log(x) - 1.0 or (x - math.e - _E_LOW) / math.e
-    lead = q * log_x1 if q < math.inf else x * log_x1 / k
-    return lead - 0.5 * (math.log(k) + math.log(x) - _LOG_2PI)
+    return _log_stirling(k, x)
 
 
 class GammaKEvaluator(NamedTuple):
@@ -299,19 +305,14 @@ ROUTES = {
 
 
 def gamma_k_stirling(k: float, x: float) -> float:
-    """Leading Stirling-type term for Gamma_k(x+1):
-    sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k), 0.0 below the smallest
-    double. Where k x, (x+1)/k or x/k leaves the float range, the log is
-    formed as log k + log x and as one quotient ((x+1) log x - x)/k."""
+    """Leading Stirling-type term for Gamma_k(x+1), 0.0 below the smallest
+    double: sqrt(2 pi) (kx)^(-1/2) x^((x+1)/k) e^(-x/k), exp of log_gamma_k's
+    Stirling form plus log(x)/k."""
     if not (k > 0.0 and x > 0.0):
         raise DomainError(f"stirling term needs k, x > 0, got k={k}, x={x}")
     _require_k(k, x)
-    log_kx = math.log(k * x) if 0.0 < k * x < math.inf else math.log(k) + math.log(x)
-    log_x = math.log(x)
-    log_v = 0.5 * _LOG_2PI - 0.5 * log_kx + ((x + 1.0) / k) * log_x - x / k
-    if not math.isfinite(log_v):
-        log_v = 0.5 * _LOG_2PI - 0.5 * log_kx + (x * (log_x - 1.0) + log_x) / k
-    return exp_or_overflow(log_v, "Stirling term of Gamma_k", k, x + 1.0)
+    return exp_or_overflow(_log_stirling(k, x, math.log(x)), "Stirling term of Gamma_k",
+                           k, x + 1.0)
 
 
 def gamma_k_dk(k: float, x: float, profile: PrecisionProfile = DEFAULT) -> EvalResult:

@@ -57,48 +57,51 @@ class ZetaKSpec(NamedTuple("ZetaKSpec", [("k", float), ("x", float), ("s", float
 
 
 def zeta_k(spec: ZetaKSpec, profile: PrecisionProfile = DEFAULT) -> EvalResult:
-    """k^(-s) zeta_H(s, x/k). ResultOverflow where zeta_k itself passes the
-    float range; DomainError where zeta_H does, or underflows, and k^(-s) may
-    scale it back: this route cannot reach the value. Where x/k is below the
-    normal range (subnormal or 0.0, with fewer bits than x), x + k is k and
-    zeta_k(x, s) = x^(-s) + zeta_k(k, s)."""
-    if spec.x / spec.k < sys.float_info.min:
-        r = zeta_k(ZetaKSpec(spec.k, spec.k, spec.s), profile)   # s = 1: the pole
-        try:
-            value = spec.x ** -spec.s + r.value
-        except OverflowError:   # s > 0, and zeta_k exceeds x^(-s)
-            raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
-                                 "x^(-s) overflows a float") from None
-        return EvalResult(value, r.err_estimate + sys.float_info.epsilon * abs(value),
-                          "euler_maclaurin", r.terms_or_nodes_used)
+    """k^(-s) zeta_H(s, x/k); where x/k is below the normal range (subnormal
+    or 0.0, with fewer bits than x), x + k is k and zeta_k(x, s) = x^(-s) +
+    k^(-s) zeta_H(s, 1). ResultOverflow where zeta_k itself passes the float
+    range; DomainError where zeta_H does, or keeps too few digits, and k^(-s)
+    may scale it back: this route cannot reach the value."""
+    x, s, k = spec.x, spec.s, spec.k
+    shifted = x / k < sys.float_info.min
+    q = 1.0 if shifted else x / k
     try:
-        r = hurwitz_zeta(spec.s, spec.x / spec.k, profile)
+        r = hurwitz_zeta(s, q, profile)   # s = 1: the pole
     except ResultOverflow:
         # for s > 1, zeta_k exceeds its first term x^(-s)
-        if spec.s > 1.0 and -spec.s * math.log(spec.x) > _LOG_MAX:
+        if s > 1.0 and -s * math.log(x) > _LOG_MAX:
             raise
-        raise DomainError(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: zeta_H(s, x/k) "
+        raise DomainError(f"zeta_k({x}, {s}) with k={k}: zeta_H(s, x/k) "
                           "passes the float range, and k^(-s) may scale it back") from None
     try:
-        scale = spec.k ** (-spec.s)
+        scale = k ** (-s)
     except OverflowError:
         # k^(-s) beyond the float range: form exp(-s log k + log|v|), unless
-        # zeta_H(s, x/k) underflowed and kept too few digits to scale
+        # v kept too few digits to scale: zeta_H(s, x/k) underflowed, or
+        # zeta_H(s, 1) is a trivial zero and the x/k that 1 + x/k lost counts
         if not abs(r.value) >= sys.float_info.min:
-            raise DomainError(f"zeta_k({spec.x}, {spec.s}) with k={spec.k}: "
-                              f"zeta_H(s, x/k) = {r.value!r} underflows") from None
-        log_scale = -spec.s * math.log(spec.k)
+            why = ("zeta_H(s, 1) = {!r} and k^(-s) may scale the x/k lost from 1 + x/k"
+                   if shifted else "zeta_H(s, x/k) = {!r} underflows")
+            raise DomainError(f"zeta_k({x}, {s}) with k={k}: "
+                              + why.format(r.value)) from None
+        log_scale = -s * math.log(k)
         log_v = math.log(abs(r.value))
-        value, err = (exp_or_overflow(log_scale + t, "zeta_k", spec.k, spec.x, spec.s)
+        value, err = (exp_or_overflow(log_scale + t, "zeta_k", k, x, s)
                       for t in (log_v, math.log(r.err_estimate)))
         # exp of a sum of logs: its rounding grows with the size of the logs
         err += value * 4.5e-16 * (1.0 + abs(log_scale) + abs(log_v))
-        return EvalResult(math.copysign(value, r.value), err, "euler_maclaurin",
-                          r.terms_or_nodes_used)
-    value, err = scale * r.value, scale * r.err_estimate
-    if err == math.inf or abs(value) == math.inf:
-        raise ResultOverflow(f"zeta_k({spec.x}, {spec.s}) with k={spec.k} overflows "
-                             "a float")
+        value = math.copysign(value, r.value)
+    else:
+        value, err = scale * r.value, scale * r.err_estimate
+        if err == math.inf or abs(value) == math.inf:
+            raise ResultOverflow(f"zeta_k({x}, {s}) with k={k} overflows a float")
+    if shifted:
+        try:
+            value += x ** -s
+        except OverflowError:   # s > 0, and zeta_k exceeds x^(-s)
+            raise ResultOverflow(f"zeta_k({x}, {s}) with k={k}: "
+                                 "x^(-s) overflows a float") from None
+        err += sys.float_info.epsilon * abs(value)
     return EvalResult(value, err, "euler_maclaurin", r.terms_or_nodes_used)
 
 

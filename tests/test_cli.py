@@ -78,20 +78,28 @@ class TestEvalExamples:
         rec = parse_csv(out)[0]
         assert abs(float(rec["value"]) - 2.0) <= 1e-9
 
-    # one point per command with a --method; hyper's is in the entire class,
-    # where the integral route runs
+    # one point per command; hyper's is in the entire class, where the
+    # integral route runs
     ROUTE_POINTS = {"gamma-k": ["--k", "2", "--x", "1.3"],
                     "beta-k": ["--k", "1.5", "--x", "0.7", "--y", "2.5"],
+                    "zeta-k": ["--k", "2", "--x", "1.5", "--s", "3"],
+                    "pochhammer": ["--x", "0.5", "--n", "4", "--k", "1.5"],
                     "hyper": ["--a", "1", "--ka", "1", "--b", "2", "--sb", "1",
                               "--x", "0.5"]}
 
     @pytest.mark.parametrize("command,method", [
         (cmd.command, m) for cmd in EVAL_COMMANDS for m in cmd.methods])
     def test_every_route_runs_through_main(self, command, method, capsys):
-        code, out, _ = run_cli(["eval", command, *self.ROUTE_POINTS[command],
-                                "--method", method], capsys)
+        # --method only where a command has more than one route; every
+        # record shows the route that ran
+        routes = next(cmd.methods for cmd in EVAL_COMMANDS if cmd.command == command)
+        flag = ["--method", method] if len(routes) > 1 else []
+        code, out, _ = run_cli(["eval", command, *self.ROUTE_POINTS[command], *flag],
+                               capsys)
         assert code == 0
         assert parse_csv(out)[0]["method"] == method
+        assert method == {"zeta-k": "euler_maclaurin", "pochhammer": "exact"}.get(
+            command, method)
 
     def test_grid_is_cartesian_in_input_order(self, capsys):
         code, out, _ = run_cli(
@@ -481,6 +489,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"overflow: {names} overflows a float")
 
+    @pytest.mark.parametrize("x", ["1e-10", "1e-320"])
+    def test_zeta_k_shifted_refusal_names_the_callers_x(self, x, capsys):
+        # x/k is below the normal range, and zeta_H(-2, 1) = 0.0 is a trivial
+        # zero: the value, -k x/6 ~ -1.7e289 at x = 1e-10, rides on the x/k
+        # that 1 + x/k lost. The refusal named x = k and an "underflow"
+        code, out, err = run_cli(["eval", "zeta-k", "--k", "1e300", "--x", x,
+                                  "--s", "-2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"domain error: zeta_k({float(x)!r}, -2.0) with k=1e+300")
+        assert "underflows" not in err
+
     def test_zeta_k_tiny_k_is_finite(self, capsys):
         # k^(-s) = 1e600 used to raise an untyped OverflowError here
         code, out, err = run_cli(
@@ -503,7 +522,7 @@ class TestExitCodes:
             ["eval", "pochhammer", "--x", "1", "--n", "2.5", "--k", "1"],
             capsys)
         assert code == 2
-        assert "integers" in err
+        assert err == "domain error: n must be a nonnegative int, got 2.5\n"
 
     @pytest.mark.parametrize("argv,text", [
         (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", "nan"], "'nan'"),
@@ -763,7 +782,7 @@ class TestLazyModules:
         from kspecial import cli, verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
 
-    def test_cli_route_choices_match_the_modules(self):
+    def test_cli_route_choices_match_the_modules(self, capsys):
         # the parser spells the --method choices out so that it imports no
         # module; they must stay the routes the modules dispatch on
         from kspecial import betak, cli, gammak, hypergeometric
@@ -771,3 +790,11 @@ class TestLazyModules:
         assert methods["gamma-k"] == tuple(gammak.ROUTES)
         assert methods["beta-k"] == tuple(betak.ROUTES)
         assert methods["hyper"] == tuple(hypergeometric.ROUTES)
+        # one route each, shown in every record: no --method option
+        assert methods["zeta-k"] == ("euler_maclaurin",)
+        assert methods["pochhammer"] == ("exact",)
+        for argv in (["eval", "zeta-k", "--k", "1", "--x", "1", "--s", "2"],
+                     ["eval", "pochhammer", "--x", "1", "--n", "2", "--k", "1"]):
+            for method in ("euler_maclaurin", "exact"):
+                assert_usage_error([*argv, "--method", method],
+                                   "unrecognized arguments: --method", capsys)

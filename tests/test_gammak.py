@@ -620,6 +620,27 @@ class TestStirling:
     def test_products_past_the_float_range(self, k, x, want):
         assert gamma_k_stirling(k, x) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("k,x", [
+        # x/k past the float range, where a second form took the exponent as
+        # one quotient ((x+1) log x - x)/k; at x = 1.9 and 2.0 that quotient
+        # changes sign while x (log x - 1)/k and log(x)/k are -inf and +inf
+        (1e-300, 1e10), (1e-10, 1e300), (1e-310, 0.5), (5e-324, 1.9), (5e-324, 2.0),
+        # k x below the float range: log(k x) raised "math domain error"
+        (1.79e-124, 1.49e-291), (0.4, 5e-324)])
+    def test_one_form_past_the_float_range(self, k, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            km, xm = mpmath.mpf(k), mpmath.mpf(x)
+            log_v = ((mpmath.log(2 * mpmath.pi) - mpmath.log(km * xm)) / 2
+                     + ((xm + 1) * mpmath.log(xm) - xm) / km)
+            if log_v > mpmath.log(sys.float_info.max):
+                with pytest.raises(ResultOverflow, match="Stirling term of Gamma_k"):
+                    gamma_k_stirling(k, x)
+                return
+            want = float(mpmath.exp(log_v))
+        got = gamma_k_stirling(k, x)
+        assert abs(got - want) <= 1e-13 * want
+
     def test_fuzz_is_finite_or_typed(self):
         # k and x log-uniform over the positive floats; the log was nan at
         # x/k = inf (inf - inf) and 2,351 draws raised an untyped ValueError

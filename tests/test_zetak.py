@@ -299,17 +299,37 @@ class TestUnderflowingRatio:
     x + k is k: the route named hurwitz_zeta's a = 0.0 before, and summed
     zeta_H at a subnormal x/k that kept a few bits of x."""
 
-    @pytest.mark.parametrize("k,x,s", [(3.0, 5e-324, 0.5), (3.0, 5e-324, 0.0),
-                                       (3.0, 5e-324, -2.5), (1e10, 1e-320, -1.0),
-                                       (3.0, 1e-320, 0.5), (3.0, 1e-310, 0.5),
-                                       (3.0, 1e-320, -1.5), (3.0, 1e-310, 0.9),
-                                       (1e10, 1e-310, 0.25)])
+    POINTS = [(3.0, 5e-324, 0.5), (3.0, 5e-324, 0.0), (3.0, 5e-324, -2.5),
+              (1e10, 1e-320, -1.0), (3.0, 1e-320, 0.5), (3.0, 1e-310, 0.5),
+              (3.0, 1e-320, -1.5), (3.0, 1e-310, 0.9), (1e10, 1e-310, 0.25)]
+
+    @pytest.mark.parametrize("k,x,s", POINTS)
     def test_value_against_mpmath(self, k, x, s):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workprec(256):
             want = float(mpmath.mpf(k) ** -s * mpmath.zeta(s, mpmath.mpf(x) / k))
         r = zeta_k(ZetaKSpec(k, x, s))
         assert abs(r.value - want) <= r.err_estimate
+
+    @pytest.mark.parametrize("k,x,s", POINTS)
+    def test_head_plus_zeta_k_at_k(self, k, x, s):
+        # the formula of the route that called itself at x = k, bit for bit
+        r, at_k = zeta_k(ZetaKSpec(k, x, s)), zeta_k(ZetaKSpec(k, k, s))
+        assert r.value == x ** -s + at_k.value
+        assert r.err_estimate == at_k.err_estimate + sys.float_info.epsilon * abs(r.value)
+
+    @pytest.mark.parametrize("x", [1e-10, 1e-320])
+    def test_trivial_zero_refusal_names_the_callers_x(self, x):
+        # zeta_H(-2, 1) = 0.0 exactly, so k^(-s) = 1e600 has nothing to scale;
+        # the finite value rides on the x/k that 1 + x/k lost
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(256):
+            want = mpmath.mpf(1e300) ** 2 * mpmath.zeta(-2, mpmath.mpf(x) / 1e300)
+        assert abs(want) < sys.float_info.max and want != 0
+        with pytest.raises(DomainError) as exc:
+            zeta_k(ZetaKSpec(1e300, x, -2.0))
+        assert str(exc.value).startswith(f"zeta_k({x!r}, -2.0) with k=1e+300: ")
+        assert "underflows" not in str(exc.value)
 
     def test_pole_and_overflow(self):
         with pytest.raises(PoleError):
